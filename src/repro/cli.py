@@ -1248,16 +1248,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 0
-    except StoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SweepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OpsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (StoreError, OpsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # repro: lint-ok[E1] unreachable parser-dispatch guard

@@ -29,12 +29,13 @@ degrades gracefully into resume.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .. import schema
 from ..errors import StoreError
+from ..obs.export import dump_json
 from ..obs.ops import (
     NULL_HEARTBEAT,
     NULL_OPS,
@@ -44,6 +45,7 @@ from ..obs.ops import (
     merge_ops_path,
     shard_ops_path,
 )
+from ..p2p.swarm import FIDELITY_TIERS
 from ..parallel import (
     ResultStore,
     SweepExecutor,
@@ -55,9 +57,8 @@ from . import fig2, fig3, fig4, fig5
 from .config import ExperimentConfig
 from .runner import FigureResult
 
-#: Version tag of the sweep-plan document.  Bump on any change to the
-#: plan layout; runners reject plans they do not understand (the
-#: policy mirrors ``repro.bench/1``, see ``docs/OBSERVABILITY.md``).
+#: Version tag of the sweep-plan document.  Bump the integer on any
+#: change to the plan layout (policy: :mod:`repro.schema`).
 SWEEP_SCHEMA = "repro.sweep/1"
 
 #: Figure modules the service can plan, keyed by CLI name.
@@ -162,64 +163,53 @@ def build_plan(
     }
 
 
+def _check_runs(plan: dict) -> None:
+    if not plan["runs"]:
+        raise schema.Invalid("runs", "no runs")
+    for index, run in enumerate(plan["runs"]):
+        if run["shard"] >= plan["shards"]:
+            raise schema.Invalid(
+                f"runs[{index}].shard",
+                f"{run['shard']} outside [0, {plan['shards']})",
+            )
+
+
+_PLAN = schema.table(
+    {
+        "schema": schema.tag(SWEEP_SCHEMA),
+        "figure": schema.one_of(FIGURE_MODULES),
+        "quick": schema.BOOL,
+        "fidelity": schema.one_of(FIDELITY_TIERS),
+        "shards": schema.integer(1),
+        "runs": schema.list_of(schema.table({
+            "digest": schema.STR,
+            "shard": schema.COUNT,
+            "cell_index": schema.COUNT,
+            "seed_index": schema.COUNT,
+            "seed": schema.integer(),
+        })),
+    },
+    check=_check_runs,
+)
+
+
 def validate_plan(payload: object) -> dict:
     """Check a plan document's shape; returns it on success.
 
     Raises:
         StoreError: on schema drift or a structurally invalid plan.
     """
-    if not isinstance(payload, dict):
-        raise StoreError("sweep plan must be a JSON object")
-    schema = payload.get("schema")
-    if schema != SWEEP_SCHEMA:
-        raise StoreError(
-            f"sweep plan schema {schema!r} is not {SWEEP_SCHEMA!r}"
-        )
-    figure = payload.get("figure")
-    if figure not in FIGURE_MODULES:
-        raise StoreError(f"sweep plan names unknown figure {figure!r}")
-    shards = payload.get("shards")
-    if not isinstance(shards, int) or shards < 1:
-        raise StoreError(f"sweep plan shards must be >= 1: {shards!r}")
-    runs = payload.get("runs")
-    if not isinstance(runs, list) or not runs:
-        raise StoreError("sweep plan has no runs")
-    for index, run in enumerate(runs):
-        if not isinstance(run, dict):
-            raise StoreError(f"sweep plan run #{index} is not an object")
-        digest = run.get("digest")
-        if not isinstance(digest, str) or not digest:
-            raise StoreError(
-                f"sweep plan run #{index} has no digest"
-            )
-        shard = run.get("shard")
-        if not isinstance(shard, int) or not 0 <= shard < shards:
-            raise StoreError(
-                f"sweep plan run #{index} shard {shard!r} outside "
-                f"[0, {shards})"
-            )
-    return payload
+    return schema.validate(payload, _PLAN, StoreError, "sweep plan")
 
 
 def load_plan(path: str | Path) -> dict:
     """Read and validate a plan written by ``repro sweep plan``."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise StoreError(f"cannot read sweep plan {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise StoreError(
-            f"sweep plan {path} is not valid JSON: {exc}"
-        ) from exc
-    return validate_plan(payload)
+    return schema.load_json(path, _PLAN, StoreError, "sweep plan")
 
 
 def dump_plan(plan: dict, path: str | Path) -> None:
     """Write a plan document as stable, diffable JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(plan, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    dump_json(plan, str(path))
 
 
 def _rebuild_specs(plan: dict) -> dict[str, RunSpec]:

@@ -1,52 +1,19 @@
 """The versioned ``repro.lint/1`` findings schema.
 
 ``repro lint --format=json`` emits one self-describing JSON document
-per run, following the same conventions as the ``repro.bench/1``
-artifacts (PR 6): a ``schema`` tag readers must recognise, flat
-JSON-native types throughout, and a validator that rejects drift
-loudly instead of letting consumers misparse.
-
-Layout::
-
-    {
-      "schema": "repro.lint/1",
-      "catalog": {"version": 1, "rules": [{id, severity, summary}]},
-      "paths": [...],                  # as given on the command line
-      "select": [...], "ignore": [...],
-      "findings": [
-        {rule, severity, path, module, line, col, message, hint}
-      ],
-      "unused_suppressions": [{path, line, rule, reason}],
-      "statistics": {
-        "modules": N, "findings": N, "suppressed": N,
-        "unused_suppressions": N,
-        "per_rule": {"D1": {"findings": N, "suppressed": N}, ...}
-      },
-      "clean": bool                    # exit-0 <=> true
-    }
-
-Bump the schema integer on any backwards-incompatible layout change
-(schema-version policy: docs/OBSERVABILITY.md).
+per run: what :func:`build_payload` writes and the ``_PAYLOAD`` field
+table checks (an example document is in docs/LINTING.md).  Bump the
+schema integer on any backwards-incompatible layout change (version
+policy: :mod:`repro.schema`).
 """
 
 from __future__ import annotations
 
-import json
-
+from .. import schema
 from ..errors import LintError
 
 #: Schema tag of the JSON findings document.
 LINT_SCHEMA = "repro.lint/1"
-
-_FINDING_KEYS = frozenset({
-    "rule", "severity", "path", "module", "line", "col", "message",
-    "hint",
-})
-_UNUSED_KEYS = frozenset({"path", "line", "rule", "reason"})
-_STATISTICS_KEYS = frozenset({
-    "modules", "findings", "suppressed", "unused_suppressions",
-    "per_rule",
-})
 
 
 def build_payload(
@@ -86,50 +53,53 @@ def build_payload(
     }
 
 
+_PAYLOAD = schema.table({
+    "schema": schema.tag(LINT_SCHEMA),
+    "catalog": schema.table({
+        "version": schema.integer(1),
+        "rules": schema.list_of(schema.table({
+            "id": schema.STR,
+            "severity": schema.STR,
+            "summary": schema.STR,
+        })),
+    }),
+    "findings": schema.list_of(schema.table({
+        "rule": schema.STR,
+        "severity": schema.STR,
+        "path": schema.STR,
+        "module": schema.STR,
+        "line": schema.COUNT,
+        "col": schema.COUNT,
+        "message": schema.STR,
+        "hint": schema.STR,
+    })),
+    "unused_suppressions": schema.list_of(schema.table({
+        "path": schema.STR,
+        "line": schema.COUNT,
+        "rule": schema.STR,
+        "reason": schema.STR,
+    })),
+    "statistics": schema.table({
+        "modules": schema.COUNT,
+        "findings": schema.COUNT,
+        "suppressed": schema.COUNT,
+        "unused_suppressions": schema.COUNT,
+        "per_rule": schema.map_of(schema.table(
+            {"findings": schema.COUNT, "suppressed": schema.COUNT}
+        )),
+    }),
+    "clean": schema.BOOL,
+})
+
+
 def validate_payload(payload: dict) -> dict:
     """Check ``payload`` against ``repro.lint/1``; return it.
 
     Raises:
-        LintError: the payload is not a recognisable lint document
-            (wrong/missing schema tag, missing sections, or findings
-            entries with missing keys).
+        LintError: naming the first field that does not fit the
+            schema.
     """
-    if not isinstance(payload, dict):
-        raise LintError("lint payload must be a JSON object")
-    schema = payload.get("schema")
-    if schema != LINT_SCHEMA:
-        raise LintError(
-            f"unrecognised lint schema {schema!r} "
-            f"(expected {LINT_SCHEMA!r})"
-        )
-    for key in ("catalog", "findings", "unused_suppressions",
-                "statistics", "clean"):
-        if key not in payload:
-            raise LintError(f"lint payload missing {key!r}")
-    if not isinstance(payload["findings"], list):
-        raise LintError("lint payload 'findings' must be a list")
-    for entry in payload["findings"]:
-        missing = _FINDING_KEYS - set(entry)
-        if missing:
-            raise LintError(
-                f"finding entry missing keys: "
-                f"{', '.join(sorted(missing))}"
-            )
-    for entry in payload["unused_suppressions"]:
-        missing = _UNUSED_KEYS - set(entry)
-        if missing:
-            raise LintError(
-                f"unused-suppression entry missing keys: "
-                f"{', '.join(sorted(missing))}"
-            )
-    statistics = payload["statistics"]
-    missing = _STATISTICS_KEYS - set(statistics)
-    if missing:
-        raise LintError(
-            f"statistics block missing keys: "
-            f"{', '.join(sorted(missing))}"
-        )
-    return payload
+    return schema.validate(payload, _PAYLOAD, LintError, "lint payload")
 
 
 def load_payload(path: str) -> dict:
@@ -138,11 +108,4 @@ def load_payload(path: str) -> dict:
     Raises:
         LintError: unreadable file, invalid JSON, or schema drift.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise LintError(f"cannot read '{path}': {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise LintError(f"'{path}' is not valid JSON: {exc}") from exc
-    return validate_payload(payload)
+    return schema.load_json(path, _PAYLOAD, LintError, "lint payload")

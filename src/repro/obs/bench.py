@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
+from .. import schema
 from ..errors import ArtifactError, BenchError
 from . import manifest as _manifest
 from .export import dump_json
@@ -446,97 +447,62 @@ def build_artifact(
     }
 
 
-def _fail(path: str, message: str) -> None:
-    raise ArtifactError(f"invalid artifact: {path}: {message}")
+def _check_cases(payload: dict) -> None:
+    """The two cross-field rules the field table cannot express."""
+    seen: set[str] = set()
+    for index, case in enumerate(payload["cases"]):
+        if case["id"] in seen:
+            raise schema.Invalid(
+                f"cases[{index}].id", f"duplicate case id {case['id']!r}"
+            )
+        seen.add(case["id"])
+        timing = case["timing"]
+        if timing["best_s"] > timing["mean_s"] * (1 + 1e-9):
+            raise schema.Invalid(
+                f"cases[{index}].timing", "best_s exceeds mean_s"
+            )
 
 
-def _expect_number(
-    value: Any, path: str, minimum: float | None = None
-) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        _fail(path, f"expected a number, got {value!r}")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value!r}")
+_SECONDS = schema.number(0.0)
+_SCALARS = schema.map_of(schema.NUMBER)
 
-
-def _expect_scalar_map(value: Any, path: str) -> None:
-    if not isinstance(value, dict):
-        _fail(path, f"expected an object, got {value!r}")
-    for key, item in value.items():
-        if not isinstance(key, str):
-            _fail(path, f"non-string key {key!r}")
-        _expect_number(item, f"{path}[{key!r}]")
-
-
-def _validate_timing(timing: Any, path: str) -> None:
-    if not isinstance(timing, dict):
-        _fail(path, "timing must be an object")
-    for name in ("rounds", "warmup"):
-        value = timing.get(name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            _fail(f"{path}.{name}", f"expected an integer, got {value!r}")
-    if timing["rounds"] < 1:
-        _fail(f"{path}.rounds", "must be >= 1")
-    if timing["warmup"] < 0:
-        _fail(f"{path}.warmup", "must be >= 0")
-    for name in ("best_s", "mean_s", "stdev_s"):
-        _expect_number(timing.get(name), f"{path}.{name}", minimum=0.0)
-    if timing["best_s"] > timing["mean_s"] * (1 + 1e-9):
-        _fail(path, "best_s exceeds mean_s")
-
-
-def _validate_case(case: Any, index: int, seen: set[str]) -> None:
-    path = f"cases[{index}]"
-    if not isinstance(case, dict):
-        _fail(path, "case must be an object")
-    case_id = case.get("id")
-    if not isinstance(case_id, str) or not case_id:
-        _fail(f"{path}.id", f"expected a non-empty string, got {case_id!r}")
-    if case_id in seen:
-        _fail(f"{path}.id", f"duplicate case id {case_id!r}")
-    seen.add(case_id)
-    _validate_timing(case.get("timing"), f"{path}.timing")
-    if not isinstance(case.get("params"), dict):
-        _fail(f"{path}.params", "expected an object")
-    digest = case.get("digest")
-    if digest is not None and not isinstance(digest, str):
-        _fail(f"{path}.digest", f"expected a string or null, got {digest!r}")
-    events = case.get("events_fired")
-    if events is not None:
-        if not isinstance(events, int) or isinstance(events, bool):
-            _fail(f"{path}.events_fired", f"expected an integer, got {events!r}")
-        if events < 0:
-            _fail(f"{path}.events_fired", "must be >= 0")
-    for name in ("events_per_sec", "sim_seconds"):
-        value = case.get(name)
-        if value is not None:
-            _expect_number(value, f"{path}.{name}", minimum=0.0)
-    _expect_scalar_map(case.get("metrics"), f"{path}.metrics")
-    causes = case.get("causes")
-    if causes is not None:
-        if not isinstance(causes, dict):
-            _fail(f"{path}.causes", "expected an object or null")
-        for cause, count in causes.items():
-            if (
-                not isinstance(cause, str)
-                or not isinstance(count, int)
-                or isinstance(count, bool)
-                or count < 0
-            ):
-                _fail(
-                    f"{path}.causes",
-                    f"bad entry {cause!r}: {count!r}",
-                )
-    profile = case.get("profile")
-    if profile is not None:
-        if not isinstance(profile, dict):
-            _fail(f"{path}.profile", "expected an object or null")
-        _expect_scalar_map(
-            profile.get("counts"), f"{path}.profile.counts"
-        )
-        _expect_scalar_map(
-            profile.get("wall_seconds"), f"{path}.profile.wall_seconds"
-        )
+_ARTIFACT = schema.table(
+    {
+        "schema": schema.tag(SCHEMA),
+        "suite": schema.STR,
+        "quick": schema.BOOL,
+        "created": schema.STR,
+        "manifest": schema.table({
+            "env": schema.table(
+                {"python": schema.STR, "platform": schema.STR}
+            ),
+            "git?": schema.nullable(schema.table(
+                {"sha": schema.STR, "dirty": schema.BOOL}
+            )),
+        }),
+        "cases": schema.list_of(schema.table({
+            "id": schema.STR,
+            "timing": schema.table({
+                "rounds": schema.integer(1),
+                "warmup": schema.COUNT,
+                "best_s": _SECONDS,
+                "mean_s": _SECONDS,
+                "stdev_s": _SECONDS,
+            }),
+            "params": schema.table({}),
+            "digest?": schema.nullable(schema.STR),
+            "events_fired?": schema.nullable(schema.COUNT),
+            "events_per_sec?": schema.nullable(_SECONDS),
+            "sim_seconds?": schema.nullable(_SECONDS),
+            "metrics": _SCALARS,
+            "causes?": schema.nullable(schema.map_of(schema.COUNT)),
+            "profile?": schema.nullable(schema.table(
+                {"counts": _SCALARS, "wall_seconds": _SCALARS}
+            )),
+        })),
+    },
+    check=_check_cases,
+)
 
 
 def validate_artifact(payload: Any) -> None:
@@ -545,45 +511,7 @@ def validate_artifact(payload: Any) -> None:
     Raises:
         ArtifactError: naming the first offending field.
     """
-    if not isinstance(payload, dict):
-        _fail("$", "artifact must be a JSON object")
-    schema = payload.get("schema")
-    if schema != SCHEMA:
-        _fail(
-            "schema",
-            f"unsupported schema {schema!r} (this reader understands "
-            f"{SCHEMA!r})",
-        )
-    suite = payload.get("suite")
-    if not isinstance(suite, str) or not suite:
-        _fail("suite", f"expected a non-empty string, got {suite!r}")
-    if not isinstance(payload.get("quick"), bool):
-        _fail("quick", "expected a boolean")
-    if not isinstance(payload.get("created"), str):
-        _fail("created", "expected a string timestamp")
-    manifest = payload.get("manifest")
-    if not isinstance(manifest, dict):
-        _fail("manifest", "expected an object")
-    env = manifest.get("env")
-    if not isinstance(env, dict):
-        _fail("manifest.env", "expected an object")
-    for name in ("python", "platform"):
-        if not isinstance(env.get(name), str):
-            _fail(f"manifest.env.{name}", "expected a string")
-    git = manifest.get("git")
-    if git is not None:
-        if not isinstance(git, dict):
-            _fail("manifest.git", "expected an object or null")
-        if not isinstance(git.get("sha"), str):
-            _fail("manifest.git.sha", "expected a string")
-        if not isinstance(git.get("dirty"), bool):
-            _fail("manifest.git.dirty", "expected a boolean")
-    cases = payload.get("cases")
-    if not isinstance(cases, list):
-        _fail("cases", "expected a list")
-    seen: set[str] = set()
-    for index, case in enumerate(cases):
-        _validate_case(case, index, seen)
+    schema.validate(payload, _ARTIFACT, ArtifactError, "artifact")
 
 
 def load_artifact(path: str | Path) -> dict:
@@ -592,22 +520,7 @@ def load_artifact(path: str | Path) -> dict:
     Raises:
         ArtifactError: unreadable file, bad JSON, or schema violation.
     """
-    import json
-
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ArtifactError(
-            f"cannot read artifact {str(path)!r}: {exc}"
-        ) from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(
-            f"artifact {str(path)!r} is not valid JSON: {exc}"
-        ) from exc
-    validate_artifact(payload)
-    return payload
+    return schema.load_json(path, _ARTIFACT, ArtifactError, "artifact")
 
 
 # -- suite discovery (for ``repro bench``) ----------------------------

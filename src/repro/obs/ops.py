@@ -38,6 +38,7 @@ from pathlib import Path
 from statistics import median
 from typing import Iterable, Iterator, Sequence
 
+from .. import schema
 from ..errors import OpsError
 from .span import OPS_SCHEMA, Span, span_from_dict
 
@@ -212,6 +213,12 @@ class _NullOps(OpsLog):
 NULL_OPS = _NullOps()
 
 
+_HEADER = schema.table({
+    "schema": schema.tag(OPS_SCHEMA),
+    "kind": schema.one_of(("header",)),
+})
+
+
 def load_ops(path: str | Path) -> list[Span]:
     """Read and validate an ops log written by :class:`OpsLog`.
 
@@ -223,38 +230,9 @@ def load_ops(path: str | Path) -> list[Span]:
         OpsError: unreadable file, malformed JSON, missing/unknown
             header schema, or a structurally invalid span record.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise OpsError(f"cannot read ops log {path}: {exc}") from exc
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise OpsError(f"ops log {path} is empty")
-    records = []
-    for number, line in enumerate(lines, start=1):
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise OpsError(
-                f"ops log {path} line {number} is not valid JSON: "
-                f"{exc}"
-            ) from exc
-    header = records[0]
-    if not isinstance(header, dict) or header.get("kind") != "header":
-        raise OpsError(
-            f"ops log {path} does not start with a header record"
-        )
-    schema = header.get("schema")
-    if schema != OPS_SCHEMA:
-        raise OpsError(
-            f"ops log {path} schema {schema!r} is not {OPS_SCHEMA!r}"
-        )
-    spans = []
-    for record in records[1:]:
-        if isinstance(record, dict) and record.get("kind") != "span":
-            continue
-        spans.append(span_from_dict(record))
-    return spans
+    return schema.load_jsonl(
+        path, _HEADER, "span", span_from_dict, OpsError, "ops log"
+    )
 
 
 class ShardHeartbeat:
@@ -408,39 +386,31 @@ class _NullHeartbeat(ShardHeartbeat):
 NULL_HEARTBEAT = _NullHeartbeat()
 
 
+_HEARTBEAT = schema.table({
+    "schema": schema.tag(OPS_SCHEMA),
+    "kind": schema.one_of(("heartbeat",)),
+    "shard": schema.COUNT,
+    "state": schema.one_of(HEARTBEAT_STATES),
+    "updated": schema.NUMBER,
+    "runs_total": schema.COUNT,
+    "runs_done": schema.COUNT,
+    "runs_computed": schema.COUNT,
+    "runs_cached": schema.COUNT,
+    "runs_failed": schema.COUNT,
+    "in_flight": schema.COUNT,
+    "last_commit": schema.nullable(schema.NUMBER),
+    "rate_runs_per_s": schema.nullable(schema.number(0.0)),
+    "eta_s": schema.nullable(schema.number(0.0)),
+})
+
+
 def read_heartbeat(path: str | Path) -> dict:
     """Read and validate one heartbeat file.
 
     Raises:
         OpsError: unreadable file, malformed JSON, or schema drift.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise OpsError(
-            f"cannot read heartbeat {path}: {exc}"
-        ) from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise OpsError(
-            f"heartbeat {path} is not valid JSON: {exc}"
-        ) from exc
-    if not isinstance(payload, dict):
-        raise OpsError(f"heartbeat {path} is not a JSON object")
-    schema = payload.get("schema")
-    if schema != OPS_SCHEMA:
-        raise OpsError(
-            f"heartbeat {path} schema {schema!r} is not "
-            f"{OPS_SCHEMA!r}"
-        )
-    if payload.get("kind") != "heartbeat":
-        raise OpsError(f"heartbeat {path} has kind "
-                       f"{payload.get('kind')!r}, not 'heartbeat'")
-    shard = payload.get("shard")
-    if not isinstance(shard, int) or shard < 0:
-        raise OpsError(f"heartbeat {path} has invalid shard {shard!r}")
-    return payload
+    return schema.load_json(path, _HEARTBEAT, OpsError, "heartbeat")
 
 
 def find_heartbeats(
@@ -518,8 +488,8 @@ def fleet_status(
 
     Args:
         plan: a validated ``repro.sweep/1`` plan document.
-        heartbeats: heartbeat payloads (see :func:`find_heartbeats`);
-            the freshest per shard wins.
+        heartbeats: validated heartbeat payloads (see
+            :func:`find_heartbeats`); the freshest per shard wins.
         now: the caller's wall clock (injected so tests — and the
             ``--watch`` loop — control staleness deterministically).
         stale_after: seconds after which a ``running`` heartbeat
@@ -537,9 +507,7 @@ def fleet_status(
         if not 0 <= shard < shards:
             continue
         held = freshest.get(shard)
-        if held is None or (
-            payload.get("updated", 0) > held.get("updated", 0)
-        ):
+        if held is None or payload["updated"] > held["updated"]:
             freshest[shard] = payload
     statuses = [
         ShardStatus(shard, planned[shard]) for shard in range(shards)
@@ -549,17 +517,15 @@ def fleet_status(
         if payload is None:
             status.note = "no heartbeat"
             continue
-        status.done = int(payload.get("runs_done", 0))
-        status.computed = int(payload.get("runs_computed", 0))
-        status.cached = int(payload.get("runs_cached", 0))
-        status.failed = int(payload.get("runs_failed", 0))
-        status.in_flight = int(payload.get("in_flight", 0))
-        rate = payload.get("rate_runs_per_s")
-        status.rate = float(rate) if rate is not None else None
-        eta = payload.get("eta_s")
-        status.eta_s = float(eta) if eta is not None else None
-        status.age_s = max(0.0, now - payload.get("updated", now))
-        state = payload.get("state", "running")
+        status.done = payload["runs_done"]
+        status.computed = payload["runs_computed"]
+        status.cached = payload["runs_cached"]
+        status.failed = payload["runs_failed"]
+        status.in_flight = payload["in_flight"]
+        status.rate = payload["rate_runs_per_s"]
+        status.eta_s = payload["eta_s"]
+        status.age_s = max(0.0, now - payload["updated"])
+        state = payload["state"]
         if state in ("done", "failed"):
             status.state = state
         elif status.age_s > stale_after:

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .. import schema
 from ..errors import OpsError
 
-#: Version tag of the ops-log document (header + span records).  Bump
-#: the integer on any change to the record layout; readers reject logs
-#: they do not understand (the policy mirrors ``repro.bench/1``, see
-#: ``docs/OBSERVABILITY.md``).
+#: Version tag of the ops-log and heartbeat documents.  Bump the
+#: integer on any change to their layout (policy: :mod:`repro.schema`).
 OPS_SCHEMA = "repro.ops/1"
 
 #: Span statuses a well-formed log may contain.
@@ -87,48 +86,33 @@ class Span:
         }
 
 
+_SPAN = schema.table({
+    "kind": schema.one_of(("span",)),
+    "id": schema.integer(1),
+    "parent?": schema.nullable(schema.integer(1)),
+    "name": schema.STR,
+    "start": schema.NUMBER,
+    "end": schema.NUMBER,
+    "status": schema.one_of(SPAN_STATUSES),
+    "attrs?": schema.nullable(schema.table({})),
+})
+
+
 def span_from_dict(record: object) -> Span:
     """Rebuild a :class:`Span` from a parsed JSONL record.
 
     Raises:
         OpsError: when the record is not a structurally valid span.
     """
-    if not isinstance(record, dict) or record.get("kind") != "span":
-        raise OpsError(f"not a span record: {record!r}")
-    span_id = record.get("id")
-    if not isinstance(span_id, int) or span_id < 1:
-        raise OpsError(f"span id must be a positive int: {span_id!r}")
-    parent = record.get("parent")
-    if parent is not None and not isinstance(parent, int):
-        raise OpsError(f"span parent must be an int or null: {parent!r}")
-    name = record.get("name")
-    if not isinstance(name, str) or not name:
-        raise OpsError(f"span #{span_id} has no name")
-    start = record.get("start")
-    end = record.get("end")
-    if not isinstance(start, (int, float)) or not isinstance(
-        end, (int, float)
-    ):
-        raise OpsError(f"span #{span_id} has non-numeric bounds")
-    status = record.get("status")
-    if status not in SPAN_STATUSES:
-        raise OpsError(
-            f"span #{span_id} status {status!r} is not one of "
-            f"{', '.join(SPAN_STATUSES)}"
-        )
-    attrs = record.get("attrs")
-    if attrs is None:
-        attrs = {}
-    if not isinstance(attrs, dict):
-        raise OpsError(f"span #{span_id} attrs must be an object")
+    schema.validate(record, _SPAN, OpsError, "span")
     return Span(
-        id=span_id,
-        parent=parent,
-        name=name,
-        start=float(start),
-        end=float(end),
-        status=str(status),
-        attrs=attrs,
+        id=record["id"],
+        parent=record.get("parent"),
+        name=record["name"],
+        start=float(record["start"]),
+        end=float(record["end"]),
+        status=record["status"],
+        attrs=record.get("attrs") or {},
     )
 
 

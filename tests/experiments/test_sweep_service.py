@@ -231,9 +231,15 @@ class TestCliSweep:
         assert "fig2" in merged_out.out
         assert "0 computed" in merged_out.err
 
-    def test_malformed_plan_exits_2(self, tmp_path, capsys):
+    def test_malformed_plan_exits_2(self, tmp_path, capsys, quick_plan):
         from repro.cli import main
 
+        incomplete = [
+            {k: v for k, v in quick_plan.items() if k != "quick"},
+            {k: v for k, v in quick_plan.items() if k != "fidelity"},
+            {**quick_plan, "quick": "yes"},
+            {**quick_plan, "fidelity": 3},
+        ]
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": "nope"}')
         assert main([
@@ -241,6 +247,15 @@ class TestCliSweep:
             "--shard", "0", "--store", str(tmp_path / "s"),
         ]) == 2
         assert "error:" in capsys.readouterr().err
+        for plan in incomplete:
+            dump_plan(plan, bad)
+            with pytest.raises(StoreError, match="quick|fidelity"):
+                load_plan(bad)
+            assert main([
+                "sweep", "run", str(bad),
+                "--shard", "0", "--store", str(tmp_path / "s"),
+            ]) == 2
+            assert "error:" in capsys.readouterr().err
 
     def test_bad_jobs_exits_2(self, tmp_path, capsys):
         from repro.cli import main

@@ -130,13 +130,20 @@ class TestJsonFormat:
         )
         assert payload["select"] == ["D1", "D2"]
 
-    def test_validate_rejects_drift(self):
+    def test_validate_rejects_drift(self, capsys, write):
         from repro.errors import LintError
 
-        with pytest.raises(LintError, match="unrecognised"):
+        with pytest.raises(LintError, match="expected schema"):
             validate_payload({"schema": "repro.lint/999"})
         with pytest.raises(LintError, match="missing"):
             validate_payload({"schema": LINT_SCHEMA})
+        _, valid = self.run_json(capsys, write(DIRTY_SOURCE))
+        for key, value, match in [
+            ("findings", ["E1 at line 4"], r"findings\[0\]"),
+            ("unused_suppressions", {"path": "x.py"}, "expected a list"),
+        ]:
+            with pytest.raises(LintError, match=match):
+                validate_payload({**valid, key: value})
 
 
 class TestStatistics:

@@ -206,7 +206,7 @@ class TestValidate:
     def test_rejects_unknown_schema(self):
         payload = self._valid()
         payload["schema"] = "repro.bench/999"
-        with pytest.raises(ArtifactError, match="unsupported schema"):
+        with pytest.raises(ArtifactError, match="expected schema 'repro.bench/1'"):
             validate_artifact(payload)
 
     def test_rejects_duplicate_case_ids(self):

@@ -133,6 +133,12 @@ class TestSpan:
                 "status": "ok",
                 "attrs": [],
             },
+            {"kind": "span", "id": True, "name": "x", "start": 0,
+             "end": 1, "status": "ok"},
+            {"kind": "span", "id": 1, "name": "x", "start": True,
+             "end": 1, "status": "ok"},
+            {"kind": "span", "id": 1, "name": "x", "start": 0,
+             "end": True, "status": "ok"},
         ],
     )
     def test_rejects_malformed_records(self, record):
@@ -379,12 +385,17 @@ class TestShardHeartbeat:
 
     def test_read_rejects_schema_drift(self, tmp_path):
         path = tmp_path / "bad.heartbeat.json"
-        path.write_text(
-            json.dumps({"schema": "repro.ops/99", "kind": "heartbeat"}),
-            encoding="utf-8",
-        )
-        with pytest.raises(OpsError, match="repro.ops/99"):
-            read_heartbeat(path)
+        for payload, match in [
+            ({"schema": "repro.ops/99", "kind": "heartbeat"},
+             "repro.ops/99"),
+            ({**heartbeat(0, 1000.0), "shard": True}, "shard"),
+            ({**heartbeat(0, 1000.0), "runs_done": "lots"}, "runs_done"),
+            ({**heartbeat(0, 1000.0), "updated": "x"}, "updated"),
+            ({**heartbeat(0, 1000.0), "state": "paused"}, "state"),
+        ]:
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            with pytest.raises(OpsError, match=match):
+                read_heartbeat(path)
 
     def test_read_rejects_wrong_kind(self, tmp_path):
         path = tmp_path / "bad.heartbeat.json"

@@ -325,6 +325,36 @@ class TestOpsCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestSweepStatusCommand:
+    @pytest.mark.parametrize(
+        "field, value", [("runs_done", "lots"), ("updated", "x")]
+    )
+    def test_corrupt_heartbeat_exits_2(
+        self, capsys, tmp_path, field, value
+    ):
+        import json
+
+        from repro.experiments.sweep_service import build_plan, dump_plan
+        from repro.obs.ops import ShardHeartbeat, heartbeat_path
+
+        plan = tmp_path / "plan.json"
+        dump_plan(build_plan("2", quick=True, shards=1), plan)
+        beat = ShardHeartbeat(
+            heartbeat_path(tmp_path / "store", 0), shard=0, shards=1
+        )
+        beat.begin(8)
+        payload = json.loads(beat.path.read_text(encoding="utf-8"))
+        payload[field] = value
+        beat.path.write_text(json.dumps(payload), encoding="utf-8")
+        code = main([
+            "sweep", "status", str(plan), "--store", str(tmp_path / "store")
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert field in err
+
+
 class TestSweepOpsFlags:
     def test_ops_on_by_default(self):
         args = build_parser().parse_args(
