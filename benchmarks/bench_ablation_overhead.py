@@ -8,6 +8,7 @@ overhead percentage per technique.
 from __future__ import annotations
 
 from repro.experiments.ablations import run_overhead
+from repro.experiments.report import format_overhead
 
 _DURATIONS = (1.0, 2.0, 4.0, 8.0)
 
@@ -27,17 +28,7 @@ def run_suite(harness, quick=False):
             for row in rows
         }
     )
-    lines = [
-        f"{'technique':12s} {'segments':>8s} {'total MB':>9s} "
-        f"{'overhead':>9s}"
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.technique:12s} {row.segments:8d} "
-            f"{row.total_bytes / 1e6:9.2f} "
-            f"{row.overhead_percent:8.1f}%"
-        )
-    harness.emit("\n".join(lines), name="ablation_splicing_overhead")
+    harness.emit(format_overhead(rows), name="ablation_splicing_overhead")
     _check(rows)
     return rows
 

@@ -51,9 +51,7 @@ def run_suite(harness, quick=False):
         **figure_metrics(result),
     )
     harness.emit(
-        format_figure(result, precision=2)
-        + "\n\n"
-        + render_run_report(obs),
+        format_figure(result) + "\n\n" + render_run_report(obs),
         name="fig4_startup_times",
     )
     if not quick:

@@ -38,12 +38,11 @@ from typing import Sequence
 
 from . import __version__
 from .core.splicer import DurationSplicer, GopSplicer
-from .errors import TraceError
-from .experiments import fig2, fig3, fig4, fig5
+from .errors import ReproError, SweepError
 from .experiments.ablations import run_overhead
 from .experiments.config import ExperimentConfig, make_swarm_config
-from .experiments.report import format_figure
-from .experiments.timeline import render_timeline
+from .experiments.report import format_figure, format_overhead
+from .experiments.reproduce import FIGURES
 from .obs import (
     Observability,
     analyze_events,
@@ -58,17 +57,11 @@ from .obs import (
     summarize_trace,
 )
 from .obs.events import TraceEvent
+from .obs.render import render_timeline
 from .p2p.swarm import Swarm, SwarmConfig
 from .testbed.rspec import star_rspec
 from .units import kB_per_s
 from .video.encoder import encode_paper_video
-
-_FIGURES = {
-    "fig2": (fig2, 1),
-    "fig3": (fig3, 1),
-    "fig4": (fig4, 2),
-    "fig5": (fig5, 1),
-}
 
 #: Segment duration of the representative run ``--trace`` records.
 _TRACE_SEGMENT_DURATION = 4.0
@@ -140,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     quickstart.add_argument("--seed", type=int, default=7)
 
-    for name in _FIGURES:
-        figure = sub.add_parser(name, help=f"regenerate {name}")
+    for name in FIGURES:
+        figure = sub.add_parser(f"fig{name}", help=f"regenerate fig{name}")
         figure.add_argument(
             "--quick",
             action="store_true",
@@ -610,11 +603,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code.
+
+    Library errors print as ``error: ...`` on stderr, never as a
+    traceback: a failed sweep run exits 1, any other
+    :class:`~repro.errors.ReproError` (bad input) exits 2.
+    """
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except SweepError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "quickstart":
         return _cmd_quickstart(args)
-    if args.command in _FIGURES:
+    if args.command.removeprefix("fig") in FIGURES:
         return _cmd_figure(args)
     if args.command == "overhead":
         return _cmd_overhead()
@@ -662,28 +671,19 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    module, precision = _FIGURES[args.command]
+    module = FIGURES[args.command.removeprefix("fig")]
     if args.quick:
         config = ExperimentConfig(n_leechers=9, seeds=(7,))
         bandwidths = (128, 512)
         result = module.run(config, bandwidths_kb=bandwidths)
     else:
         result = module.run()
-    print(format_figure(result, precision=precision))
+    print(format_figure(result))
     return 0
 
 
 def _cmd_overhead() -> int:
-    print(
-        f"{'technique':12s} {'segments':>8s} {'total MB':>9s} "
-        f"{'overhead':>9s}"
-    )
-    for row in run_overhead():
-        print(
-            f"{row.technique:12s} {row.segments:8d} "
-            f"{row.total_bytes / 1e6:9.2f} "
-            f"{row.overhead_percent:8.1f}%"
-        )
+    print(format_overhead(run_overhead()))
     return 0
 
 
@@ -731,7 +731,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             return 2
     sweep_started = time.monotonic()
     if args.figure is not None:
-        module, precision = _FIGURES[f"fig{args.figure}"]
+        module = FIGURES[args.figure]
         if args.quick:
             result = module.run(
                 config,
@@ -743,7 +743,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             result = module.run(
                 config, executor=executor, analyze=args.analyze
             )
-        text = format_figure(result, precision=precision)
+        text = format_figure(result)
         if args.analyze:
             from .experiments.report import format_figure_analysis
 
@@ -884,19 +884,6 @@ def _write_representative_trace(
     return 0
 
 
-def _load_trace(path: str) -> list[TraceEvent] | None:
-    """Shared trace loader for ``trace`` and ``analyze``.
-
-    Prints the error and returns ``None`` on a malformed or missing
-    file; both commands turn that into exit code 2.
-    """
-    try:
-        return load_jsonl(path)
-    except TraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
 def _print_event_counts(events: list[TraceEvent]) -> None:
     """Event counts per category and per severity."""
     print("Events by category:")
@@ -917,24 +904,15 @@ def _print_event_counts(events: list[TraceEvent]) -> None:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    events = _load_trace(args.path)
-    if events is None:
-        return 2
-    try:
-        summaries = summarize_trace(events)
-    except TraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_trace_summary(summaries))
+    events = load_jsonl(args.path)
+    print(render_trace_summary(summarize_trace(events)))
     print()
     _print_event_counts(events)
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    events = _load_trace(args.path)
-    if events is None:
-        return 2
+    events = load_jsonl(args.path)
     analysis = analyze_events(events)
     print(render_analysis(analysis), end="")
     if args.gantt:
@@ -953,7 +931,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .errors import ArtifactError, BenchError
     from .obs.bench import BenchHarness, discover_suites, load_suite
 
     bench_dir = _bench_dir()
@@ -986,9 +963,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         module = load_suite(args.suite, script)
         module.run_suite(harness, quick=args.quick)
         target = harness.write(args.output)
-    except (ArtifactError, BenchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: cannot write artifact: {exc}", file=sys.stderr)
         return 2
@@ -999,7 +973,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from .errors import ArtifactError
     from .obs.bench import load_artifact
     from .obs.compare import (
         DEFAULT_METRICS,
@@ -1010,18 +983,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     metrics = (
         tuple(args.metric) if args.metric else DEFAULT_METRICS
     )
-    try:
-        baseline = load_artifact(args.baseline)
-        candidate = load_artifact(args.candidate)
-        comparison = compare_artifacts(
-            baseline,
-            candidate,
-            threshold_pct=args.threshold,
-            metrics=metrics,
-        )
-    except ArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    comparison = compare_artifacts(
+        load_artifact(args.baseline),
+        load_artifact(args.candidate),
+        threshold_pct=args.threshold,
+        metrics=metrics,
+    )
     print(render_comparison(comparison))
     return 0 if comparison.ok else 1
 
@@ -1055,7 +1022,6 @@ def _lint_rule_list(raw: list[str] | None) -> tuple[str, ...] | None:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .errors import LintError
     from .lint import (
         build_payload,
         lint_paths,
@@ -1070,16 +1036,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        result = lint_paths(
-            paths,
-            config=load_config(),
-            select=_lint_rule_list(args.select),
-            ignore=_lint_rule_list(args.ignore),
-        )
-    except LintError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = lint_paths(
+        paths,
+        config=load_config(),
+        select=_lint_rule_list(args.select),
+        ignore=_lint_rule_list(args.ignore),
+    )
     if args.format == "json":
         import json
 
@@ -1105,15 +1067,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_ops(args: argparse.Namespace) -> int:
     """Render a ``repro.ops/1`` span log: tree + critical path."""
-    from .errors import OpsError
     from .obs.ops import load_ops
     from .obs.span import render_critical_path, render_span_tree
 
-    try:
-        spans = load_ops(args.path)
-    except OpsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spans = load_ops(args.path)
     print(render_span_tree(spans, max_depth=max(1, args.depth)))
     print()
     print(render_critical_path(spans))
@@ -1153,7 +1110,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     of a shard's runs failed, 2 on a malformed/stale plan or store
     (or unreadable telemetry for ``status``).
     """
-    from .errors import OpsError, StoreError, SweepError
     from .experiments import sweep_service
     from .parallel import ResultStore, SweepProgress
 
@@ -1231,9 +1187,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 progress=progress,
                 ops=ops,
             )
-            text = format_figure(
-                report.result, precision=report.precision
-            )
+            text = format_figure(report.result)
             print(text)
             if args.output:
                 with open(
@@ -1248,10 +1202,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 0
-    except SweepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (StoreError, OpsError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # repro: lint-ok[E1] unreachable parser-dispatch guard

@@ -10,8 +10,10 @@ One module per figure plus ablations:
 * :mod:`repro.experiments.ablations` — segment-size sweep, churn,
   splicing overhead, variable bandwidth, adaptive splicing.
 
-Each figure module exposes ``run(config) -> FigureResult`` and can be
-printed with :func:`repro.experiments.report.format_figure`.
+Each figure module exposes ``cells(config)`` and ``run(config) ->
+FigureResult`` (bound by :func:`repro.experiments.runner.paper_figure`),
+``repro.experiments.reproduce.FIGURES`` maps figure ids to them, and a
+result prints with :func:`repro.experiments.report.format_figure`.
 """
 
 from .config import (

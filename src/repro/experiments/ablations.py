@@ -7,7 +7,8 @@ splicing overhead costs in bytes (A3), how splicing behaves under
 variable bandwidth (A4, the paper's future work), and what the
 duration-adaptive splicer from Section VII's future work buys (A5).
 
-Every swarm-running ablation routes its independent runs through a
+Every swarm-running ablation only builds its ordered series of cells;
+:func:`~repro.experiments.runner.run_figure` runs them through one
 :class:`~repro.parallel.SweepExecutor` (serial by default), so the
 consolidated reproduction can fan them out across worker processes.
 """
@@ -28,7 +29,7 @@ from .config import (
     ExperimentConfig,
     make_paper_video,
 )
-from .runner import CellResult, FigureResult
+from .runner import FigureResult, grid_series, run_figure
 
 #: Durations swept by the segment-size ablation, seconds.
 A1_DURATIONS: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
@@ -47,30 +48,17 @@ def run_segment_size_sweep(
     small (TCP overhead) nor too large (coarse scheduling); this sweep
     locates the sweet spot per bandwidth.
     """
-    cfg = config or ExperimentConfig()
-    sweep = executor or SweepExecutor(jobs=1)
     specs = [SplicerSpec("duration", d) for d in durations]
-    cells = [
-        cell_for(
-            spec,
-            bw,
-            cfg,
-            video=video,
-            label=f"A1/{spec.technique} @ {bw} kB/s",
-        )
-        for spec in specs
-        for bw in bandwidths_kb
-    ]
-    results = iter(sweep.run_cells(cells))
-    series = {
-        spec.technique: [next(results) for _ in bandwidths_kb]
-        for spec in specs
-    }
-    return FigureResult(
-        figure="A1",
-        title="Stalls across segment durations",
-        metric="stall_count",
-        series=series,
+    rows = {spec.technique: (spec, None) for spec in specs}
+    return run_figure(
+        "A1",
+        "Stalls across segment durations",
+        "stall_count",
+        grid_series(
+            "A1", rows, config or ExperimentConfig(), video,
+            bandwidths_kb,
+        ),
+        executor,
     )
 
 
@@ -89,34 +77,30 @@ def run_churn(
     bandwidth column of each series is reused for the fraction.
     """
     cfg = config or ExperimentConfig()
-    sweep = executor or SweepExecutor(jobs=1)
     splicer = SplicerSpec("duration", 4.0)
-    cells = []
+    series = {}
     for fraction in churn_fractions:
         churn = (
             ChurnConfig(mean_lifetime=mean_lifetime, fraction=fraction)
             if fraction > 0
             else None
         )
-        cells.append(
+        label = f"churn {int(fraction * 100)}%"
+        series[label] = [
             cell_for(
                 splicer,
                 bandwidth_kb,
                 replace(cfg, churn=churn),
                 video=video,
-                label=f"A2/churn {int(fraction * 100)}%",
+                label=f"A2/{label}",
             )
-        )
-    results = sweep.run_cells(cells)
-    series = {
-        f"churn {int(fraction * 100)}%": [cell]
-        for fraction, cell in zip(churn_fractions, results)
-    }
-    return FigureResult(
-        figure="A2",
-        title=f"Stalls under churn at {bandwidth_kb} kB/s",
-        metric="stall_count",
-        series=series,
+        ]
+    return run_figure(
+        "A2",
+        f"Stalls under churn at {bandwidth_kb} kB/s",
+        "stall_count",
+        series,
+        executor,
     )
 
 
@@ -183,47 +167,32 @@ def run_variable_bandwidth(
     """
     wave = SquareWave(amplitude=amplitude, period=period)
     cfg = config or ExperimentConfig()
-    sweep = executor or SweepExecutor(jobs=1)
     specs = [
         SplicerSpec("gop"),
         SplicerSpec("duration", 2.0),
         SplicerSpec("duration", 4.0),
         SplicerSpec("duration", 8.0),
     ]
-    cells = [
-        cell_for(
-            spec,
-            base_kb,
-            cfg,
-            video=video,
-            square_wave=wave,
-            label=f"A4/{spec.technique}",
-        )
-        for spec in specs
-    ]
-    results = sweep.run_cells(cells)
     series = {
-        # The byte/completion columns are meaningless under an
-        # oscillating-bandwidth run; zero them as the original
-        # ablation reported.
         spec.technique: [
-            replace(
-                cell,
-                seeder_bytes=0.0,
-                peer_bytes=0.0,
-                finished_fraction=1.0,
+            cell_for(
+                spec,
+                base_kb,
+                cfg,
+                video=video,
+                square_wave=wave,
+                label=f"A4/{spec.technique}",
             )
         ]
-        for spec, cell in zip(specs, results)
+        for spec in specs
     }
-    return FigureResult(
-        figure="A4",
-        title=(
-            f"Stalls under square-wave bandwidth "
-            f"({base_kb} kB/s +/- {int(amplitude * 100)}%)"
-        ),
-        metric="stall_count",
-        series=series,
+    return run_figure(
+        "A4",
+        f"Stalls under square-wave bandwidth "
+        f"({base_kb} kB/s +/- {int(amplitude * 100)}%)",
+        "stall_count",
+        series,
+        executor,
     )
 
 
@@ -240,36 +209,26 @@ def run_preroll(
     pre-roll several.  Measures both observables per pre-roll depth.
     """
     cfg = config or ExperimentConfig()
-    sweep = executor or SweepExecutor(jobs=1)
     splicer = SplicerSpec("duration", 4.0)
-    cells = [
-        cell_for(
-            splicer,
-            bandwidth_kb,
-            cfg,
-            video=video,
-            preroll_segments=preroll,
-            label=f"A7/preroll {preroll}",
-        )
-        for preroll in prerolls
-    ]
-    results = sweep.run_cells(cells)
     series = {
         f"preroll {preroll}": [
-            replace(
-                cell,
-                seeder_bytes=0.0,
-                peer_bytes=0.0,
-                finished_fraction=1.0,
+            cell_for(
+                splicer,
+                bandwidth_kb,
+                cfg,
+                video=video,
+                preroll_segments=preroll,
+                label=f"A7/preroll {preroll}",
             )
         ]
-        for preroll, cell in zip(prerolls, results)
+        for preroll in prerolls
     }
-    return FigureResult(
-        figure="A7",
-        title=f"Pre-roll depth at {bandwidth_kb} kB/s",
-        metric="stall_count",
-        series=series,
+    return run_figure(
+        "A7",
+        f"Pre-roll depth at {bandwidth_kb} kB/s",
+        "stall_count",
+        series,
+        executor,
     )
 
 
@@ -295,29 +254,26 @@ def run_swarm_scaling(
             ``docs/SCALING.md``).
     """
     cfg = config or ExperimentConfig()
-    sweep = executor or SweepExecutor(jobs=1)
     splicer = SplicerSpec("duration", 4.0)
-    cells = [
-        cell_for(
-            splicer,
-            bandwidth_kb,
-            replace(cfg, n_leechers=size),
-            video=video,
-            fidelity=fidelity,
-            label=f"A8/{size} peers",
-        )
-        for size in swarm_sizes
-    ]
-    results = sweep.run_cells(cells)
     series = {
-        f"{size} peers": [cell]
-        for size, cell in zip(swarm_sizes, results)
+        f"{size} peers": [
+            cell_for(
+                splicer,
+                bandwidth_kb,
+                replace(cfg, n_leechers=size),
+                video=video,
+                fidelity=fidelity,
+                label=f"A8/{size} peers",
+            )
+        ]
+        for size in swarm_sizes
     }
-    return FigureResult(
-        figure="A8",
-        title=f"Swarm scaling at {bandwidth_kb} kB/s",
-        metric="stall_count",
-        series=series,
+    return run_figure(
+        "A8",
+        f"Swarm scaling at {bandwidth_kb} kB/s",
+        "stall_count",
+        series,
+        executor,
     )
 
 
@@ -334,38 +290,29 @@ def run_adaptive_splicing(
     splicing.
     """
     cfg = config or ExperimentConfig()
-    sweep = executor or SweepExecutor(jobs=1)
     stream = video if video is not None else make_paper_video(cfg)
     planner = AdaptiveDurationPlanner(bitrate=stream.bitrate)
-    cells = [
-        cell_for(
-            SplicerSpec(
-                "duration", planner.pick(kB_per_s(bw)).duration
-            ),
-            bw,
-            cfg,
-            video=video,
-            label=f"A5/adaptive @ {bw} kB/s",
-        )
-        for bw in bandwidths_kb
-    ] + [
-        cell_for(
-            SplicerSpec("duration", 4.0),
-            bw,
-            cfg,
-            video=video,
-            label=f"A5/fixed 4s @ {bw} kB/s",
-        )
-        for bw in bandwidths_kb
-    ]
-    results = sweep.run_cells(cells)
-    split = len(bandwidths_kb)
-    return FigureResult(
-        figure="A5",
-        title="Adaptive segment duration vs fixed 4 s",
-        metric="stall_count",
-        series={
-            "adaptive duration": results[:split],
-            "fixed 4s": results[split:],
+    fixed = {"fixed 4s": (SplicerSpec("duration", 4.0), None)}
+    return run_figure(
+        "A5",
+        "Adaptive segment duration vs fixed 4 s",
+        "stall_count",
+        {
+            # Labelled "A5/adaptive", not after the series: the label
+            # is part of every run's store identity.
+            "adaptive duration": [
+                cell_for(
+                    SplicerSpec(
+                        "duration", planner.pick(kB_per_s(bw)).duration
+                    ),
+                    bw,
+                    cfg,
+                    video=video,
+                    label=f"A5/adaptive @ {bw} kB/s",
+                )
+                for bw in bandwidths_kb
+            ],
+            **grid_series("A5", fixed, cfg, video, bandwidths_kb),
         },
+        executor,
     )

@@ -12,99 +12,24 @@ series decrease with bandwidth.
 
 from __future__ import annotations
 
-from ..core.splicer import Splicer
-from ..obs.context import Observability
-from ..parallel import SplicerSpec, SweepExecutor, cell_for
-from ..video.bitstream import Bitstream
-from .config import PAPER_BANDWIDTHS_KB, PAPER_DURATIONS, ExperimentConfig
-from .runner import FigureResult
+from ..parallel import SplicerSpec
+from .config import PAPER_BANDWIDTHS_KB, PAPER_DURATIONS
+from .runner import paper_figure
 
 
-def splicer_specs() -> list[SplicerSpec]:
-    """Specs of the four splicing techniques of Figs. 2 and 3."""
-    return [SplicerSpec("gop")] + [
+def technique_rows() -> dict[str, tuple[SplicerSpec, None]]:
+    """One series per splicing technique of Figs. 2 and 3."""
+    specs = [SplicerSpec("gop")] + [
         SplicerSpec("duration", duration)
         for duration in PAPER_DURATIONS
     ]
+    return {spec.technique: (spec, None) for spec in specs}
 
 
-def splicers() -> list[Splicer]:
-    """The four splicing techniques of Figs. 2 and 3."""
-    return [spec.build() for spec in splicer_specs()]
-
-
-def cells(
-    config: ExperimentConfig | None = None,
-    video: Bitstream | None = None,
-    bandwidths_kb: tuple[int, ...] = PAPER_BANDWIDTHS_KB,
-) -> list:
-    """The figure's sweep cells (technique-major, bandwidth-minor).
-
-    Shared by :func:`run` and the sweep planner (``repro sweep``), so
-    a sharded sweep covers exactly the cells a direct run computes.
-    """
-    cfg = config or ExperimentConfig()
-    return [
-        cell_for(
-            spec,
-            bw,
-            cfg,
-            video=video,
-            label=f"fig2/{spec.technique} @ {bw} kB/s",
-        )
-        for spec in splicer_specs()
-        for bw in bandwidths_kb
-    ]
-
-
-def run(
-    config: ExperimentConfig | None = None,
-    video: Bitstream | None = None,
-    bandwidths_kb: tuple[int, ...] = PAPER_BANDWIDTHS_KB,
-    obs: Observability | None = None,
-    executor: SweepExecutor | None = None,
-    analyze: bool = False,
-) -> FigureResult:
-    """Reproduce Figure 2.
-
-    Args:
-        config: shared experiment parameters.
-        video: pre-encoded video (encoded fresh when omitted).
-        bandwidths_kb: x-axis points in kB/s.
-        obs: optional observability context shared by every cell
-            (metrics-only recommended; see :func:`~.runner.run_cell`).
-        executor: sweep executor; ``None`` runs serially in-process.
-        analyze: trace + diagnose every run and attach a merged
-            :class:`~repro.obs.analyze.CellAnalysis` to each cell.
-
-    Returns:
-        Stall-count series per splicing technique.
-    """
-    cfg = config or ExperimentConfig()
-    sweep = executor or SweepExecutor(jobs=1)
-    specs = splicer_specs()
-    sweep_cells = cells(cfg, video=video, bandwidths_kb=bandwidths_kb)
-    results = iter(
-        sweep.run_cells(sweep_cells, obs=obs, analyze=analyze)
-    )
-    series = {
-        spec.technique: [next(results) for _ in bandwidths_kb]
-        for spec in specs
-    }
-    return FigureResult(
-        figure="fig2",
-        title="Total number of stalls for different bandwidths",
-        metric="stall_count",
-        series=series,
-    )
-
-
-def main() -> None:
-    """Print the reproduced figure."""
-    from .report import format_figure
-
-    print(format_figure(run()))
-
-
-if __name__ == "__main__":
-    main()
+cells, run = paper_figure(
+    "fig2",
+    "Total number of stalls for different bandwidths",
+    "stall_count",
+    technique_rows,
+    PAPER_BANDWIDTHS_KB,
+)

@@ -8,68 +8,14 @@ stall time even when their stall *count* is higher.
 
 from __future__ import annotations
 
-from ..obs.context import Observability
-from ..parallel import SweepExecutor, cell_for
-from ..video.bitstream import Bitstream
-from .config import PAPER_BANDWIDTHS_KB, ExperimentConfig
-from .fig2 import splicer_specs
-from .runner import FigureResult
+from .config import PAPER_BANDWIDTHS_KB
+from .fig2 import technique_rows
+from .runner import paper_figure
 
-
-def cells(
-    config: ExperimentConfig | None = None,
-    video: Bitstream | None = None,
-    bandwidths_kb: tuple[int, ...] = PAPER_BANDWIDTHS_KB,
-) -> list:
-    """The figure's sweep cells (same grid as Fig. 2, fig3 labels)."""
-    cfg = config or ExperimentConfig()
-    return [
-        cell_for(
-            spec,
-            bw,
-            cfg,
-            video=video,
-            label=f"fig3/{spec.technique} @ {bw} kB/s",
-        )
-        for spec in splicer_specs()
-        for bw in bandwidths_kb
-    ]
-
-
-def run(
-    config: ExperimentConfig | None = None,
-    video: Bitstream | None = None,
-    bandwidths_kb: tuple[int, ...] = PAPER_BANDWIDTHS_KB,
-    obs: Observability | None = None,
-    executor: SweepExecutor | None = None,
-    analyze: bool = False,
-) -> FigureResult:
-    """Reproduce Figure 3 (see module docstring)."""
-    cfg = config or ExperimentConfig()
-    sweep = executor or SweepExecutor(jobs=1)
-    specs = splicer_specs()
-    sweep_cells = cells(cfg, video=video, bandwidths_kb=bandwidths_kb)
-    results = iter(
-        sweep.run_cells(sweep_cells, obs=obs, analyze=analyze)
-    )
-    series = {
-        spec.technique: [next(results) for _ in bandwidths_kb]
-        for spec in specs
-    }
-    return FigureResult(
-        figure="fig3",
-        title="Total stall duration for different bandwidths",
-        metric="stall_duration",
-        series=series,
-    )
-
-
-def main() -> None:
-    """Print the reproduced figure."""
-    from .report import format_figure
-
-    print(format_figure(run()))
-
-
-if __name__ == "__main__":
-    main()
+cells, run = paper_figure(
+    "fig3",
+    "Total stall duration for different bandwidths",
+    "stall_duration",
+    technique_rows,
+    PAPER_BANDWIDTHS_KB,
+)

@@ -11,75 +11,25 @@ bandwidth network" — and every series falls as bandwidth grows.
 
 from __future__ import annotations
 
-from ..obs.context import Observability
-from ..parallel import SplicerSpec, SweepExecutor, cell_for
-from ..video.bitstream import Bitstream
-from .config import FIG4_BANDWIDTHS_KB, PAPER_DURATIONS, ExperimentConfig
-from .runner import FigureResult
+from ..parallel import SplicerSpec
+from .config import FIG4_BANDWIDTHS_KB, PAPER_DURATIONS
+from .runner import paper_figure
 
 
-def _labels() -> dict[float, str]:
+def _rows() -> dict[str, tuple[SplicerSpec, None]]:
     return {
-        duration: f"{int(duration)} sec segment"
-        for duration in PAPER_DURATIONS
-    }
-
-
-def cells(
-    config: ExperimentConfig | None = None,
-    video: Bitstream | None = None,
-    bandwidths_kb: tuple[int, ...] = FIG4_BANDWIDTHS_KB,
-) -> list:
-    """The figure's sweep cells (duration-major, bandwidth-minor)."""
-    cfg = config or ExperimentConfig()
-    labels = _labels()
-    return [
-        cell_for(
+        f"{int(duration)} sec segment": (
             SplicerSpec("duration", duration),
-            bw,
-            cfg,
-            video=video,
-            label=f"fig4/{labels[duration]} @ {bw} kB/s",
+            None,
         )
         for duration in PAPER_DURATIONS
-        for bw in bandwidths_kb
-    ]
-
-
-def run(
-    config: ExperimentConfig | None = None,
-    video: Bitstream | None = None,
-    bandwidths_kb: tuple[int, ...] = FIG4_BANDWIDTHS_KB,
-    obs: Observability | None = None,
-    executor: SweepExecutor | None = None,
-    analyze: bool = False,
-) -> FigureResult:
-    """Reproduce Figure 4 (see module docstring)."""
-    cfg = config or ExperimentConfig()
-    sweep = executor or SweepExecutor(jobs=1)
-    labels = _labels()
-    sweep_cells = cells(cfg, video=video, bandwidths_kb=bandwidths_kb)
-    results = iter(
-        sweep.run_cells(sweep_cells, obs=obs, analyze=analyze)
-    )
-    series = {
-        labels[duration]: [next(results) for _ in bandwidths_kb]
-        for duration in PAPER_DURATIONS
     }
-    return FigureResult(
-        figure="fig4",
-        title="Startup time for different bandwidths",
-        metric="startup_time",
-        series=series,
-    )
 
 
-def main() -> None:
-    """Print the reproduced figure."""
-    from .report import format_figure
-
-    print(format_figure(run(), precision=2))
-
-
-if __name__ == "__main__":
-    main()
+cells, run = paper_figure(
+    "fig4",
+    "Startup time for different bandwidths",
+    "startup_time",
+    _rows,
+    FIG4_BANDWIDTHS_KB,
+)

@@ -13,26 +13,12 @@ high bandwidth large pools are harmless.
 from __future__ import annotations
 
 from ..core.policy import AdaptivePoolPolicy, DownloadPolicy, FixedPoolPolicy
-from ..obs.context import Observability
-from ..parallel import SplicerSpec, SweepExecutor, cell_for
-from ..video.bitstream import Bitstream
-from .config import (
-    PAPER_BANDWIDTHS_KB,
-    PAPER_POOL_SIZES,
-    ExperimentConfig,
-)
-from .runner import FigureResult
+from ..parallel import SplicerSpec
+from .config import PAPER_BANDWIDTHS_KB, PAPER_POOL_SIZES
+from .runner import paper_figure
 
 #: Segment duration used in the pooling experiment, seconds.
 FIG5_SEGMENT_DURATION = 4.0
-
-
-def policies() -> list[DownloadPolicy]:
-    """Adaptive pooling plus the paper's fixed-pool baselines."""
-    return [AdaptivePoolPolicy()] + [
-        FixedPoolPolicy(size) for size in PAPER_POOL_SIZES
-    ]
-
 
 _LABELS = {
     "adaptive": "Adaptive pooling",
@@ -42,63 +28,20 @@ _LABELS = {
 }
 
 
-def cells(
-    config: ExperimentConfig | None = None,
-    video: Bitstream | None = None,
-    bandwidths_kb: tuple[int, ...] = PAPER_BANDWIDTHS_KB,
-) -> list:
-    """The figure's sweep cells (policy-major, bandwidth-minor)."""
-    cfg = config or ExperimentConfig()
-    splicer = SplicerSpec("duration", FIG5_SEGMENT_DURATION)
-    return [
-        cell_for(
-            splicer,
-            bw,
-            cfg,
-            policy=policy,
-            video=video,
-            label=f"fig5/{_LABELS[policy.name]} @ {bw} kB/s",
-        )
-        for policy in policies()
-        for bw in bandwidths_kb
+def _rows() -> dict[str, tuple[SplicerSpec, DownloadPolicy]]:
+    # Adaptive pooling is passed explicitly (not left to the config
+    # default): the policy is part of every cell's store identity.
+    policies = [AdaptivePoolPolicy()] + [
+        FixedPoolPolicy(size) for size in PAPER_POOL_SIZES
     ]
+    splicer = SplicerSpec("duration", FIG5_SEGMENT_DURATION)
+    return {_LABELS[policy.name]: (splicer, policy) for policy in policies}
 
 
-def run(
-    config: ExperimentConfig | None = None,
-    video: Bitstream | None = None,
-    bandwidths_kb: tuple[int, ...] = PAPER_BANDWIDTHS_KB,
-    obs: Observability | None = None,
-    executor: SweepExecutor | None = None,
-    analyze: bool = False,
-) -> FigureResult:
-    """Reproduce Figure 5 (see module docstring)."""
-    cfg = config or ExperimentConfig()
-    sweep = executor or SweepExecutor(jobs=1)
-    labels = _LABELS
-    pool_policies = policies()
-    sweep_cells = cells(cfg, video=video, bandwidths_kb=bandwidths_kb)
-    results = iter(
-        sweep.run_cells(sweep_cells, obs=obs, analyze=analyze)
-    )
-    series = {
-        labels[policy.name]: [next(results) for _ in bandwidths_kb]
-        for policy in pool_policies
-    }
-    return FigureResult(
-        figure="fig5",
-        title="Total number of stalls for different pool sizes",
-        metric="stall_count",
-        series=series,
-    )
-
-
-def main() -> None:
-    """Print the reproduced figure."""
-    from .report import format_figure
-
-    print(format_figure(run()))
-
-
-if __name__ == "__main__":
-    main()
+cells, run = paper_figure(
+    "fig5",
+    "Total number of stalls for different pool sizes",
+    "stall_count",
+    _rows,
+    PAPER_BANDWIDTHS_KB,
+)

@@ -1,9 +1,14 @@
-"""ASCII rendering of reproduced figures."""
+"""ASCII rendering of reproduced figures and the A3 overhead table."""
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Sequence
+
 from ..obs.causes import STALL_CAUSES
 from .runner import FigureResult
+
+if TYPE_CHECKING:
+    from .ablations import OverheadRow
 
 _UNITS = {
     "stall_count": "stalls",
@@ -12,12 +17,14 @@ _UNITS = {
 }
 
 
-def format_figure(result: FigureResult, precision: int = 1) -> str:
+def format_figure(result: FigureResult) -> str:
     """Render a figure as a bandwidth-by-series table.
 
     Mirrors the paper's presentation: one row per series (splicing
-    technique or pool policy), one column per bandwidth.
+    technique or pool policy), one column per bandwidth.  Startup
+    times get two decimals, every other metric one.
     """
+    precision = 2 if result.metric == "startup_time" else 1
     bandwidths: list[float] = []
     for cells in result.series.values():
         for cell in cells:
@@ -137,4 +144,19 @@ def format_cells_csv(result: FigureResult) -> str:
             lines.append(
                 f"{label},{cell.bandwidth_kb:g},{result.value(cell):g}"
             )
+    return "\n".join(lines)
+
+
+def format_overhead(rows: Sequence[OverheadRow]) -> str:
+    """Render the A3 byte-overhead rows as a technique table."""
+    lines = [
+        f"{'technique':12s} {'segments':>8s} {'total MB':>9s} "
+        f"{'overhead':>9s}"
+    ]
+    for row in rows:
+        lines.append(
+            f"{row.technique:12s} {row.segments:8d} "
+            f"{row.total_bytes / 1e6:9.2f} "
+            f"{row.overhead_percent:8.1f}%"
+        )
     return "\n".join(lines)

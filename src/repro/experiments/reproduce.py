@@ -27,8 +27,13 @@ from .ablations import (
     run_variable_bandwidth,
 )
 from .config import ExperimentConfig
-from .report import format_figure
+from .report import format_figure, format_overhead
 from .runner import FigureResult
+
+#: The paper's figures by id, in paper order: the one table behind
+#: ``repro figN``, ``reproduce [--figure N]`` and ``sweep plan
+#: --figure N``.  Each module exposes ``cells(...)`` and ``run(...)``.
+FIGURES = {"2": fig2, "3": fig3, "4": fig4, "5": fig5}
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,8 +90,7 @@ class ReproductionReport:
             parts.append("")
             parts.append(f"## {figure.figure}")
             parts.append("")
-            precision = 2 if figure.metric == "startup_time" else 1
-            parts.append(format_figure(figure, precision=precision))
+            parts.append(format_figure(figure))
         return "\n".join(parts) + "\n"
 
 
@@ -126,10 +130,8 @@ def reproduce_all(
     cached_before = sweep.stats.runs_cached
 
     figures: list[FigureResult] = [
-        fig2.run(cfg, video=video, executor=sweep),
-        fig3.run(cfg, video=video, executor=sweep),
-        fig4.run(cfg, video=video, executor=sweep),
-        fig5.run(cfg, video=video, executor=sweep),
+        module.run(cfg, video=video, executor=sweep)
+        for module in FIGURES.values()
     ]
     if include_ablations:
         figures.extend(
@@ -142,20 +144,9 @@ def reproduce_all(
             ]
         )
 
-    lines = [
-        f"{'technique':12s} {'segments':>8s} {'total MB':>9s} "
-        f"{'overhead':>9s}"
-    ]
-    for row in run_overhead(video=stream):
-        lines.append(
-            f"{row.technique:12s} {row.segments:8d} "
-            f"{row.total_bytes / 1e6:9.2f} "
-            f"{row.overhead_percent:8.1f}%"
-        )
-
     return ReproductionReport(
         figures=tuple(figures),
-        overhead_table="\n".join(lines),
+        overhead_table=format_overhead(run_overhead(video=stream)),
         # repro: lint-ok[D1] wall elapsed for the report header
         elapsed=time.monotonic() - started,
         events_fired=sweep.stats.events_fired - events_before,

@@ -1,6 +1,11 @@
 """Sweep runner: one cell = one (technique, bandwidth, policy) point,
 averaged over the configured seeds as the paper averages three runs.
 
+Every figure and swarm ablation is an ordered ``{series label:
+[CellSpec]}`` handed to :func:`run_figure`, which runs the cells as one
+sweep and regroups the results; the paper's Figs. 2–5 are the
+series-by-bandwidth special case bound by :func:`paper_figure`.
+
 The per-seed reduction is split into two shared pieces —
 :func:`seed_stats` (one swarm run -> its scalar stats) and
 :func:`merge_cell` (stats in seed order -> a :class:`CellResult`) — so
@@ -12,7 +17,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..core.policy import DownloadPolicy
 from ..core.segments import SpliceResult
@@ -20,7 +25,11 @@ from ..errors import ExperimentError
 from ..obs.analyze import CellAnalysis, RunAnalysis, merge_analyses
 from ..obs.context import Observability
 from ..p2p.swarm import SwarmResult, build_swarm
+from ..video.bitstream import Bitstream
 from .config import ExperimentConfig, make_swarm_config
+
+if TYPE_CHECKING:
+    from ..parallel import CellSpec, SplicerSpec, SweepExecutor
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,3 +203,127 @@ def run_cell(
             )
         )
     return merge_cell(bandwidth_kb, stats)
+
+
+def run_figure(
+    figure: str,
+    title: str,
+    metric: str,
+    series: dict[str, list[CellSpec]],
+    executor: SweepExecutor | None = None,
+    obs: Observability | None = None,
+    analyze: bool = False,
+) -> FigureResult:
+    """Run a figure's cells as one sweep and regroup them by series.
+
+    Args:
+        figure: figure identifier (e.g. ``"fig2"``, ``"A4"``).
+        title: human-readable title.
+        metric: which :class:`CellResult` field the figure plots.
+        series: label -> cells, in series order; the concatenated
+            cells are the sweep, so their order is the run order.
+        executor: sweep executor; ``None`` runs serially in-process.
+        obs: optional observability context shared by every cell
+            (metrics-only recommended; see :func:`run_cell`).
+        analyze: trace + diagnose every run and attach a merged
+            :class:`~repro.obs.analyze.CellAnalysis` to each cell.
+    """
+    if executor is None:
+        from ..parallel import SweepExecutor
+
+        executor = SweepExecutor(jobs=1)
+    results = iter(
+        executor.run_cells(
+            [cell for cells in series.values() for cell in cells],
+            obs=obs,
+            analyze=analyze,
+        )
+    )
+    return FigureResult(
+        figure=figure,
+        title=title,
+        metric=metric,
+        series={
+            label: [next(results) for _ in cells]
+            for label, cells in series.items()
+        },
+    )
+
+
+def grid_series(
+    figure: str,
+    rows: dict[str, tuple[SplicerSpec, DownloadPolicy | None]],
+    config: ExperimentConfig,
+    video: Bitstream | None,
+    bandwidths_kb: Sequence[int],
+) -> dict[str, list[CellSpec]]:
+    """One cell per (row, bandwidth), series-major, bandwidth-minor.
+
+    ``rows`` maps each series label to its splicer and download policy
+    (``None`` for the config default).  Cells are labelled ``"<figure>/<series> @ <bw> kB/s"``; the label
+    is part of every run's store identity, so it must not drift.
+    """
+    from ..parallel import cell_for
+
+    return {
+        label: [
+            cell_for(
+                splicer,
+                bw,
+                config,
+                policy=policy,
+                video=video,
+                label=f"{figure}/{label} @ {bw} kB/s",
+            )
+            for bw in bandwidths_kb
+        ]
+        for label, (splicer, policy) in rows.items()
+    }
+
+
+def paper_figure(
+    figure: str,
+    title: str,
+    metric: str,
+    rows: Callable[
+        [], dict[str, tuple[SplicerSpec, DownloadPolicy | None]]
+    ],
+    bandwidths_kb: tuple[int, ...],
+) -> tuple[Callable[..., list[CellSpec]], Callable[..., FigureResult]]:
+    """Bind a series-by-bandwidth figure's ``cells`` and ``run``.
+
+    ``rows`` builds the figure's :func:`grid_series` rows; ``cells`` is
+    what the sweep planner (``repro sweep``) expands, so a sharded
+    sweep covers exactly the cells ``run`` computes.
+    """
+
+    def cells(
+        config: ExperimentConfig | None = None,
+        video: Bitstream | None = None,
+        bandwidths_kb: tuple[int, ...] = bandwidths_kb,
+    ) -> list[CellSpec]:
+        """The figure's sweep cells (series-major, bandwidth-minor)."""
+        series = grid_series(
+            figure, rows(), config or ExperimentConfig(), video,
+            bandwidths_kb,
+        )
+        return [cell for group in series.values() for cell in group]
+
+    def run(
+        config: ExperimentConfig | None = None,
+        video: Bitstream | None = None,
+        bandwidths_kb: tuple[int, ...] = bandwidths_kb,
+        obs: Observability | None = None,
+        executor: SweepExecutor | None = None,
+        analyze: bool = False,
+    ) -> FigureResult:
+        """Reproduce the figure (see :func:`run_figure`)."""
+        series = grid_series(
+            figure, rows(), config or ExperimentConfig(), video,
+            bandwidths_kb,
+        )
+        return run_figure(
+            figure, title, metric, series, executor, obs, analyze
+        )
+
+    return cells, run

@@ -53,24 +53,13 @@ from ..parallel import (
 )
 from ..parallel.spec import CellSpec, RunSpec
 from ..parallel.store import STORE_SCHEMA, run_identity
-from . import fig2, fig3, fig4, fig5
 from .config import ExperimentConfig
+from .reproduce import FIGURES
 from .runner import FigureResult
 
 #: Version tag of the sweep-plan document.  Bump the integer on any
 #: change to the plan layout (policy: :mod:`repro.schema`).
 SWEEP_SCHEMA = "repro.sweep/1"
-
-#: Figure modules the service can plan, keyed by CLI name.
-FIGURE_MODULES = {
-    "2": fig2,
-    "3": fig3,
-    "4": fig4,
-    "5": fig5,
-}
-
-#: Table precision per figure (mirrors the ``repro figN`` commands).
-FIGURE_PRECISION = {"2": 1, "3": 1, "4": 2, "5": 1}
 
 #: The reduced bandwidth axis ``--quick`` sweeps use (mirrors
 #: ``reproduce --quick --figure N``).
@@ -94,11 +83,11 @@ def figure_cells(
     figure: str, config: ExperimentConfig, quick: bool
 ) -> list[CellSpec]:
     """Rebuild the figure's sweep cells from plan parameters."""
-    module = FIGURE_MODULES.get(figure)
+    module = FIGURES.get(figure)
     if module is None:
         raise StoreError(
             f"unknown figure {figure!r} "
-            f"(expected one of {', '.join(sorted(FIGURE_MODULES))})"
+            f"(expected one of {', '.join(FIGURES)})"
         )
     if quick:
         return module.cells(
@@ -177,7 +166,7 @@ def _check_runs(plan: dict) -> None:
 _PLAN = schema.table(
     {
         "schema": schema.tag(SWEEP_SCHEMA),
-        "figure": schema.one_of(FIGURE_MODULES),
+        "figure": schema.one_of(FIGURES),
         "quick": schema.BOOL,
         "fidelity": schema.one_of(FIDELITY_TIERS),
         "shards": schema.integer(1),
@@ -362,7 +351,6 @@ class MergeReport:
     Attributes:
         result: the final figure, byte-identical to a single-machine
             run of the same sweep.
-        precision: table precision for rendering.
         absorbed: entries copied in from shard stores.
         runs: total runs of the sweep.
         cached: runs served from the merged store.
@@ -371,7 +359,6 @@ class MergeReport:
     """
 
     result: FigureResult
-    precision: int
     absorbed: int
     runs: int
     cached: int
@@ -400,7 +387,7 @@ def merge_plan(
         jobs=jobs, progress=progress, store=store, ops=ops_log
     )
     config = sweep_config(plan["quick"], plan["fidelity"])
-    module = FIGURE_MODULES[plan["figure"]]
+    module = FIGURES[plan["figure"]]
     try:
         with ops_log.span(
             "merge",
@@ -425,7 +412,6 @@ def merge_plan(
     stats = executor.stats
     return MergeReport(
         result=result,
-        precision=FIGURE_PRECISION[plan["figure"]],
         absorbed=absorbed,
         runs=stats.runs,
         cached=stats.runs_cached,

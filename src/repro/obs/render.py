@@ -1,19 +1,24 @@
-"""ASCII Gantt rendering of reconstructed timelines.
+"""ASCII per-peer timelines: one row per peer, one column per time
+bucket.
 
-One row per peer, one column per time bucket, with stall spans marked
-by the *cause letter* the attribution pass assigned — so a glance
-shows not just where sessions froze but why.  Visual style follows
-:mod:`repro.experiments.timeline` (the metrics-based renderer); this
-one works from a trace instead of live metrics and therefore also
-works on traces loaded from disk.
+:func:`render_gantt` draws a reconstructed trace (live or loaded from
+disk) and marks every stall span with the *cause letter* the
+attribution pass assigned — so a glance shows not just where sessions
+froze but why.  :func:`render_timeline` is its trace-free special case:
+it draws a finished swarm's live metrics, every stall as ``#``.  Both
+share one row loop and one symbol rule.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
+from ..errors import ExperimentError
 from .causes import StallAttribution
 from .timeline import PeerTimeline, TimelineSet
+
+if TYPE_CHECKING:
+    from ..p2p.swarm import SwarmResult
 
 #: cause -> single-letter Gantt marker.
 CAUSE_SYMBOLS: dict[str, str] = {
@@ -55,6 +60,80 @@ def _symbol_at(
     return "="
 
 
+def _rows(
+    lanes: Iterable[
+        tuple[str, PeerTimeline, list[tuple[float, float, str]]]
+    ],
+    width: int,
+    scale: float,
+) -> list[str]:
+    """One ``name |symbols|`` row per (name, timeline, stalls) lane."""
+    return [
+        f"{name:>8s} |"
+        + "".join(
+            _symbol_at(line, stall_symbols, column * scale)
+            for column in range(width)
+        )
+        + "|"
+        for name, line, stall_symbols in lanes
+    ]
+
+
+def render_timeline(
+    result: SwarmResult,
+    width: int = 80,
+    end_time: float | None = None,
+) -> str:
+    """Render a swarm result as one timeline row per peer.
+
+    Legend: ``.`` waiting for startup, ``=`` playing, ``#`` stalled,
+    ``$`` finished, `` `` not yet joined.
+
+    Args:
+        result: the finished swarm run.
+        width: characters per row.
+        end_time: timeline horizon; defaults to the last playback end
+            (or stall) observed.
+
+    Returns:
+        A multi-line string, peers in name order.
+
+    Raises:
+        ExperimentError: ``width < 10`` or an empty horizon.
+    """
+    if width < 10:
+        raise ExperimentError(f"width must be >= 10, got {width}")
+    horizon = end_time if end_time is not None else _horizon(result)
+    if horizon <= 0:
+        raise ExperimentError("nothing to render: horizon is 0")
+    lanes = []
+    for name in sorted(result.metrics):
+        metrics = result.metrics[name]
+        line = PeerTimeline(
+            peer=name,
+            joined=metrics.session_start,
+            playback_started_at=metrics.playback_start,
+            finished_at=metrics.playback_end,
+        )
+        stalls = [(stall.start, stall.end, "#") for stall in metrics.stalls]
+        lanes.append((name, line, stalls))
+    header = (
+        f"timeline  0s .. {horizon:.0f}s   "
+        "(. startup, = playing, # stalled, $ finished)"
+    )
+    return "\n".join([header, *_rows(lanes, width, horizon / width)])
+
+
+def _horizon(result: SwarmResult) -> float:
+    latest = 0.0
+    for metrics in result.metrics.values():
+        if metrics.playback_end is not None:
+            latest = max(latest, metrics.playback_end)
+        for stall in metrics.stalls:
+            latest = max(latest, stall.end)
+    return latest
+
+
 def render_gantt(
     timelines: TimelineSet,
     attributions: Sequence[StallAttribution] = (),
@@ -79,7 +158,7 @@ def render_gantt(
         for a in attributions
     }
 
-    rows: list[str] = []
+    lanes = []
     for name, line in timelines.timelines.items():
         stall_symbols: list[tuple[float, float, str]] = []
         for span in line.stalls:
@@ -88,11 +167,8 @@ def render_gantt(
             end = span.end if span.end is not None else horizon
             symbol = verdicts.get((name, span.start), "#")
             stall_symbols.append((span.start, end, symbol))
-        row = [
-            _symbol_at(line, stall_symbols, column * scale)
-            for column in range(width)
-        ]
-        rows.append(f"{name:>8s} |{''.join(row)}|")
+        lanes.append((name, line, stall_symbols))
+    rows = _rows(lanes, width, scale)
 
     axis = f"{'':>8s} 0{'':{width - 1}s}{horizon:.0f}s"
     return "\n".join([*rows, axis, _LEGEND])

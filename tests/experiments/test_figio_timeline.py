@@ -1,52 +1,12 @@
-"""Tests for figure JSON persistence and the ASCII timeline."""
+"""Tests for the metrics-based ASCII session timeline."""
 
 import pytest
 
 from repro.core.splicer import DurationSplicer
 from repro.errors import ExperimentError
-from repro.experiments.figio import figure_from_json, figure_to_json
-from repro.experiments.runner import CellResult, FigureResult
-from repro.experiments.timeline import render_timeline
+from repro.obs.render import render_timeline
 from repro.p2p.swarm import Swarm, SwarmConfig
 from repro.units import kB_per_s
-
-
-def make_figure():
-    cell = CellResult(
-        bandwidth_kb=128,
-        stall_count=3.5,
-        stall_duration=12.0,
-        startup_time=2.25,
-        seeder_bytes=1e6,
-        peer_bytes=2e6,
-        finished_fraction=1.0,
-    )
-    return FigureResult(
-        figure="figX",
-        title="Round trip",
-        metric="stall_count",
-        series={"gop": [cell]},
-    )
-
-
-class TestFigureJson:
-    def test_roundtrip(self):
-        original = make_figure()
-        restored = figure_from_json(figure_to_json(original))
-        assert restored == original
-
-    def test_malformed_json_rejected(self):
-        with pytest.raises(ExperimentError):
-            figure_from_json("{not json")
-
-    def test_missing_fields_rejected(self):
-        with pytest.raises(ExperimentError):
-            figure_from_json('{"figure": "f"}')
-
-    def test_json_is_stable(self):
-        assert figure_to_json(make_figure()) == figure_to_json(
-            make_figure()
-        )
 
 
 class TestTimeline:

@@ -8,6 +8,7 @@ store serves the original per-run outcomes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -91,6 +92,44 @@ class TestPlan:
         assert load_plan(path) == quick_plan
 
 
+#: sha256 of the JSON list of ordered run digests of every figure
+#: plan, per (figure, quick).  Each digest is a run's result-store key,
+#: so any drift in a cell's label, policy, splicer or config silently
+#: orphans every existing store entry and stales every sweep plan.
+#: Change these only together with a deliberate store-key break.
+STORE_KEYS = {
+    ("2", True): "9dee0c7d1aab9d8bf891d66570a31ffd"
+    "157105a02a8b123a7234d50f4ef29597",
+    ("2", False): "57399cf2406275b31b4508a32e4d08a7"
+    "49ee4db19d4ce52ba2089555123de184",
+    ("3", True): "9b793456b2eb10256767c51c24182460"
+    "95c802299e150defb1389d55534d84dc",
+    ("3", False): "16e7c10e41615abf8b81e964bc0b3e47"
+    "bcbb7e8de90b8d378b27da718c84caa0",
+    ("4", True): "8bc733005d05756d8abd00d04360b9e4"
+    "a5998bc9350e7fbde4a6ad926fc48568",
+    ("4", False): "ce3c8b89d9e01f25475ba1f7fb7a4b1e"
+    "73da63012237d94e42455497df582fba",
+    ("5", True): "b649c7f9f7dc8f6a44c41fcd72845759"
+    "19886c5bdc672d43cac06ea3f7e3e99c",
+    ("5", False): "2b7fb9595d9c4a4a09946d394922131f"
+    "13b8aa43f0c35f2304ff133f97efd39f",
+}
+
+
+class TestStoreKeys:
+    @pytest.mark.parametrize("figure,quick", sorted(STORE_KEYS))
+    def test_figure_store_keys_are_pinned(self, figure, quick):
+        digests = [
+            run["digest"] for run in build_plan(figure, quick)["runs"]
+        ]
+        payload = json.dumps(digests).encode("utf-8")
+        assert (
+            hashlib.sha256(payload).hexdigest()
+            == STORE_KEYS[(figure, quick)]
+        )
+
+
 class TestValidation:
     def test_rejects_non_object(self):
         with pytest.raises(StoreError):
@@ -169,9 +208,7 @@ class TestShardedRunParity:
             bandwidths_kb=sweep_service.QUICK_BANDWIDTHS_KB,
             executor=SweepExecutor(jobs=1),
         )
-        assert format_figure(
-            report.result, precision=report.precision
-        ) == format_figure(direct, precision=1)
+        assert format_figure(report.result) == format_figure(direct)
 
     def test_merge_computes_missing_shards(self, tmp_path):
         plan = build_plan("2", quick=True, shards=3)

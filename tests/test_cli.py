@@ -71,6 +71,21 @@ class TestCommands:
         assert "peer-1" in out
         assert "$" in out  # someone finished
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["timeline", "--peers", "0"],
+            ["timeline", "--duration", "0"],
+            ["quickstart", "--bandwidth", "0"],
+            ["rspec", "--peers", "0"],
+        ],
+    )
+    def test_bad_input_is_an_error_not_a_traceback(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     @pytest.mark.slow
     def test_quickstart(self, capsys):
         assert main(["quickstart", "--bandwidth", "512"]) == 0
