@@ -33,9 +33,8 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.experiments import fig2, fig3, fig4, fig5
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import QUICK_BANDWIDTHS_KB, ExperimentConfig
 from repro.obs.ops import (
-    NULL_HEARTBEAT,
     NULL_OPS,
     OpsLog,
     ShardHeartbeat,
@@ -43,9 +42,6 @@ from repro.obs.ops import (
     shard_ops_path,
 )
 from repro.parallel import ResultStore, SweepExecutor, default_jobs
-
-#: Reduced bandwidth axes for --quick (mirrors reproduce --quick).
-_QUICK_BANDWIDTHS_KB = (128, 512)
 
 #: Minimum warm-over-cold speedup the full-scale suite must show.
 MIN_WARM_SPEEDUP = 10.0
@@ -65,7 +61,7 @@ def _all_cells(config, quick):
     for module in (fig2, fig3, fig4, fig5):
         if quick:
             cells.extend(
-                module.cells(config, bandwidths_kb=_QUICK_BANDWIDTHS_KB)
+                module.cells(config, bandwidths_kb=QUICK_BANDWIDTHS_KB)
             )
         else:
             cells.extend(module.cells(config))
@@ -181,7 +177,7 @@ def _one_cold_sweep_s(cells, jobs, ops_enabled):
             )
             store.ops = ops
         else:
-            ops, heartbeat = NULL_OPS, NULL_HEARTBEAT
+            ops, heartbeat = NULL_OPS, None
         executor = SweepExecutor(
             jobs=jobs, store=store, ops=ops, heartbeat=heartbeat
         )
@@ -207,7 +203,7 @@ def check_ops_overhead(quick=True):
     config = ExperimentConfig(n_leechers=9, seeds=(7, 11))
     if quick:
         cells = fig2.cells(
-            config, bandwidths_kb=_QUICK_BANDWIDTHS_KB
+            config, bandwidths_kb=QUICK_BANDWIDTHS_KB
         )
     else:
         cells = _all_cells(config, quick=False)

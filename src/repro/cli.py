@@ -40,7 +40,12 @@ from . import __version__
 from .core.splicer import DurationSplicer, GopSplicer
 from .errors import ReproError, SweepError
 from .experiments.ablations import run_overhead
-from .experiments.config import ExperimentConfig, make_swarm_config
+from .experiments.config import (
+    ExperimentConfig,
+    figure_axis,
+    make_swarm_config,
+    sweep_config,
+)
 from .experiments.report import format_figure, format_overhead
 from .experiments.reproduce import FIGURES
 from .obs import (
@@ -672,12 +677,9 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     module = FIGURES[args.command.removeprefix("fig")]
-    if args.quick:
-        config = ExperimentConfig(n_leechers=9, seeds=(7,))
-        bandwidths = (128, 512)
-        result = module.run(config, bandwidths_kb=bandwidths)
-    else:
-        result = module.run()
+    result = module.run(
+        sweep_config(args.quick), **figure_axis(args.quick)
+    )
     print(format_figure(result))
     return 0
 
@@ -691,16 +693,9 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     from .experiments.reproduce import reproduce_all
     from .parallel import SweepExecutor, SweepProgress
 
-    fidelity = getattr(args, "fidelity", "exact")
-    config = (
-        ExperimentConfig(n_leechers=9, seeds=(7,), fidelity=fidelity)
-        if args.quick
-        else ExperimentConfig(fidelity=fidelity)
+    config = sweep_config(
+        args.quick, getattr(args, "fidelity", "exact")
     )
-    if args.jobs is not None and args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}",
-              file=sys.stderr)
-        return 2
     if args.analyze and args.figure is None:
         print(
             "error: --analyze requires --figure "
@@ -731,18 +726,12 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             return 2
     sweep_started = time.monotonic()
     if args.figure is not None:
-        module = FIGURES[args.figure]
-        if args.quick:
-            result = module.run(
-                config,
-                bandwidths_kb=(128, 512),
-                executor=executor,
-                analyze=args.analyze,
-            )
-        else:
-            result = module.run(
-                config, executor=executor, analyze=args.analyze
-            )
+        result = FIGURES[args.figure].run(
+            config,
+            executor=executor,
+            analyze=args.analyze,
+            **figure_axis(args.quick),
+        )
         text = format_figure(result)
         if args.analyze:
             from .experiments.report import format_figure_analysis
@@ -1114,10 +1103,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .parallel import ResultStore, SweepProgress
 
     jobs = getattr(args, "jobs", None)
-    if jobs is not None and jobs < 1:
-        print(f"error: --jobs must be >= 1, got {jobs}",
-              file=sys.stderr)
-        return 2
     ops = not getattr(args, "no_ops", False)
     try:
         if args.sweep_command == "plan":

@@ -31,6 +31,9 @@ PAPER_DURATIONS: tuple[float, ...] = (2.0, 4.0, 8.0)
 #: Fixed pool sizes of Fig. 5.
 PAPER_POOL_SIZES: tuple[int, ...] = (2, 4, 8)
 
+#: The reduced bandwidth axis of every ``--quick`` figure run, kB/s.
+QUICK_BANDWIDTHS_KB: tuple[int, ...] = (128, 512)
+
 
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:
@@ -84,6 +87,30 @@ class ExperimentConfig:
                 f"fidelity must be one of {FIDELITY_TIERS}: "
                 f"{self.fidelity!r}"
             )
+
+
+def sweep_config(quick: bool, fidelity: str = "exact") -> ExperimentConfig:
+    """The config of a ``[--quick] [--fidelity F]`` run.
+
+    ``--quick`` is 9 peers and one seed; otherwise the paper's setup.
+    Every entry point (``repro figN``, ``reproduce``, ``sweep``, the
+    bench harness) builds its config here, so a sharded sweep and a
+    direct run compute identical cells.
+    """
+    if quick:
+        return ExperimentConfig(
+            n_leechers=9, seeds=(7,), fidelity=fidelity
+        )
+    return ExperimentConfig(fidelity=fidelity)
+
+
+def figure_axis(quick: bool) -> dict[str, tuple[int, ...]]:
+    """Keyword arguments a figure's ``cells``/``run`` takes for a run.
+
+    ``--quick`` narrows the bandwidth axis to
+    :data:`QUICK_BANDWIDTHS_KB`; otherwise the figure's own axis.
+    """
+    return {"bandwidths_kb": QUICK_BANDWIDTHS_KB} if quick else {}
 
 
 def make_paper_video(config: ExperimentConfig | None = None) -> Bitstream:

@@ -37,7 +37,6 @@ from .. import schema
 from ..errors import StoreError
 from ..obs.export import dump_json
 from ..obs.ops import (
-    NULL_HEARTBEAT,
     NULL_OPS,
     OpsLog,
     ShardHeartbeat,
@@ -53,31 +52,18 @@ from ..parallel import (
 )
 from ..parallel.spec import CellSpec, RunSpec
 from ..parallel.store import STORE_SCHEMA, run_identity
-from .config import ExperimentConfig
+from .config import (  # QUICK_BANDWIDTHS_KB is re-exported
+    QUICK_BANDWIDTHS_KB,
+    ExperimentConfig,
+    figure_axis,
+    sweep_config,
+)
 from .reproduce import FIGURES
 from .runner import FigureResult
 
 #: Version tag of the sweep-plan document.  Bump the integer on any
 #: change to the plan layout (policy: :mod:`repro.schema`).
 SWEEP_SCHEMA = "repro.sweep/1"
-
-#: The reduced bandwidth axis ``--quick`` sweeps use (mirrors
-#: ``reproduce --quick --figure N``).
-QUICK_BANDWIDTHS_KB: tuple[int, ...] = (128, 512)
-
-
-def sweep_config(quick: bool, fidelity: str) -> ExperimentConfig:
-    """The experiment config a plan's parameters describe.
-
-    Exactly the config ``reproduce [--quick] [--fidelity F]`` builds,
-    so a sharded sweep and a direct run compute identical cells.
-    """
-    if quick:
-        return ExperimentConfig(
-            n_leechers=9, seeds=(7,), fidelity=fidelity
-        )
-    return ExperimentConfig(fidelity=fidelity)
-
 
 def figure_cells(
     figure: str, config: ExperimentConfig, quick: bool
@@ -89,11 +75,7 @@ def figure_cells(
             f"unknown figure {figure!r} "
             f"(expected one of {', '.join(FIGURES)})"
         )
-    if quick:
-        return module.cells(
-            config, bandwidths_kb=QUICK_BANDWIDTHS_KB
-        )
-    return module.cells(config)
+    return module.cells(config, **figure_axis(quick))
 
 
 def expand_runs(cells: Sequence[CellSpec]) -> list[RunSpec]:
@@ -296,7 +278,7 @@ def run_shard(
             shards=shards,
         )
         if ops
-        else NULL_HEARTBEAT
+        else None
     )
     store.ops = ops_log
     executor = SweepExecutor(
@@ -314,33 +296,19 @@ def run_shard(
             shards=shards,
             runs=len(selected),
         ) as span:
-            outcomes = executor.map_runs(selected)
-            span.attrs["cached"] = sum(
-                1 for o in outcomes if o.cached
-            )
-            span.attrs["failed"] = sum(
-                1 for o in outcomes if not o.ok
-            )
+            executor.map_runs(selected)
+            tally = executor.tally
+            span.attrs["cached"] = tally.cached
+            span.attrs["failed"] = tally.failed
     finally:
         ops_log.close()
-    failures = [o for o in outcomes if not o.ok]
-    if failures:
-        from ..errors import SweepError
-
-        detail = "; ".join(
-            f"{o.label} (seed {o.seed}): {o.error}" for o in failures
-        )
-        raise SweepError(
-            f"{len(failures)} of {len(outcomes)} shard runs "
-            f"failed: {detail}"
-        )
-    cached = sum(1 for o in outcomes if o.cached)
+    tally.check("shard")
     return ShardReport(
         shard=shard,
         shards=shards,
-        runs=len(outcomes),
-        computed=len(outcomes) - cached,
-        cached=cached,
+        runs=tally.done,
+        computed=tally.computed,
+        cached=tally.cached,
     )
 
 
@@ -399,14 +367,9 @@ def merge_plan(
             for source in sources:
                 absorbed += store.absorb(source)
             span.attrs["absorbed"] = absorbed
-            if plan["quick"]:
-                result = module.run(
-                    config,
-                    bandwidths_kb=QUICK_BANDWIDTHS_KB,
-                    executor=executor,
-                )
-            else:
-                result = module.run(config, executor=executor)
+            result = module.run(
+                config, executor=executor, **figure_axis(plan["quick"])
+            )
     finally:
         ops_log.close()
     stats = executor.stats

@@ -125,7 +125,6 @@ from .manifest import (
     run_manifest,
 )
 from .ops import (
-    NULL_HEARTBEAT,
     NULL_OPS,
     OpsLog,
     ShardHeartbeat,
@@ -165,7 +164,6 @@ from .tracer import NULL_TRACER, EventTracer, NullTracer, Tracer
 __all__ = [
     "CAUSE_SYMBOLS",
     "EVENT_TYPES",
-    "NULL_HEARTBEAT",
     "NULL_OPS",
     "NULL_TRACER",
     "OPS_SCHEMA",

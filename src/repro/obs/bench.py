@@ -380,16 +380,11 @@ class BenchHarness:
         :mod:`repro.parallel.cache`, so seventeen suites in one
         process encode it once.
         """
-        from ..experiments.config import ExperimentConfig
+        from ..experiments.config import sweep_config
         from ..parallel.cache import cached_video
         from ..parallel.spec import VideoSpec
 
-        quick = self.quick if quick is None else quick
-        config = (
-            ExperimentConfig(n_leechers=9, seeds=(7,))
-            if quick
-            else ExperimentConfig()
-        )
+        config = sweep_config(self.quick if quick is None else quick)
         video = cached_video(VideoSpec(seed=config.video_seed))
         return config, video
 

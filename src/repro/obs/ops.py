@@ -10,9 +10,10 @@ Three cooperating pieces, all speaking ``repro.ops/1``:
 * :class:`ShardHeartbeat` — a single JSON file a running shard
   atomically rewrites (temp file + ``os.replace``) every
   ``interval`` seconds: shard id, run counters, last commit time, and
-  an ETA from the observed run rate.  A reader can never see a torn
-  heartbeat, and a killed shard is detectable because its heartbeat
-  goes stale while still claiming ``state: running``.
+  an ETA from the observed run rate, all read from one
+  :class:`~repro.parallel.progress.SweepTally`.  A reader can never
+  see a torn heartbeat, and a killed shard is detectable because its
+  heartbeat goes stale while still claiming ``state: running``.
 * :func:`fleet_status` / :func:`render_fleet` — the aggregation
   behind ``repro sweep status``: join a plan's per-shard run counts
   with every shard's heartbeat into per-shard progress, flag
@@ -21,11 +22,11 @@ Three cooperating pieces, all speaking ``repro.ops/1``:
 
 This is the **one orchestration module sanctioned to read the wall
 clock** (lint rule D1's allowlist): sim-path code that wants wall
-telemetry calls in here instead of touching ``time`` itself.  Both
-writers ship disabled null twins (:data:`NULL_OPS`,
-:data:`NULL_HEARTBEAT`) so instrumented code pays one attribute check
-when telemetry is off — the same pattern as
-:data:`~repro.obs.tracer.NULL_TRACER`.
+telemetry calls in here instead of touching ``time`` itself.  The
+span log ships a disabled null twin (:data:`NULL_OPS`) so
+instrumented code pays one attribute check when telemetry is off —
+the same pattern as :data:`~repro.obs.tracer.NULL_TRACER`; an absent
+heartbeat is simply not called.
 """
 
 from __future__ import annotations
@@ -238,11 +239,12 @@ def load_ops(path: str | Path) -> list[Span]:
 class ShardHeartbeat:
     """One shard's atomically-rewritten liveness + progress file.
 
-    The executor drives it like the progress reporter: :meth:`begin`
-    with the shard's run count, :meth:`update` once per settled run,
-    :meth:`finish` with a terminal state.  Every write is a whole new
-    document moved into place with ``os.replace``, so concurrent
-    readers (``repro sweep status --watch``) never see a torn file.
+    A persister of one :class:`~repro.parallel.progress.SweepTally`,
+    driven by the executor like the progress sink: :meth:`begin` with
+    the shard's run specs, :meth:`update` once per settled run,
+    :meth:`finish` at the end.  Every write is a whole new document
+    moved into place with ``os.replace``, so concurrent readers
+    (``repro sweep status --watch``) never see a torn file.
 
     Args:
         path: heartbeat file (see :func:`heartbeat_path`).
@@ -254,8 +256,6 @@ class ShardHeartbeat:
         clock: epoch-seconds time source (tests inject a fake one).
     """
 
-    enabled = True
-
     def __init__(
         self,
         path: str | Path,
@@ -264,71 +264,41 @@ class ShardHeartbeat:
         interval: float = 1.0,
         clock=time.time,
     ) -> None:
+        # Imported here: the parallel package imports this module.
+        from ..parallel.progress import SweepTally
+
         self.path = Path(path)
         self.shard = shard
         self.shards = shards
         self.interval = interval
-        self._clock = clock
-        self._started: float | None = None
-        self._last_write: float | None = None
-        self._last_commit: float | None = None
-        self._total = 0
-        self._done = 0
-        self._computed = 0
-        self._cached = 0
-        self._failed = 0
+        self.tally = SweepTally(clock)
 
-    def begin(self, total: int) -> None:
-        """Start the shard: zero the counters, write immediately."""
-        self._started = self._clock()
-        self._last_write = None
-        self._last_commit = None
-        self._total = total
-        self._done = 0
-        self._computed = 0
-        self._cached = 0
-        self._failed = 0
+    def begin(self, specs: Sequence) -> None:
+        """Start the shard: zero the counts, write immediately."""
+        self.tally.begin(specs)
         self._write("running", force=True)
 
     def update(self, outcome) -> None:
-        """Record one settled run (any object with ``ok``/``cached``)."""
-        if self._started is None:
-            return
-        self._done += 1
-        if not outcome.ok:
-            self._failed += 1
-        elif outcome.cached:
-            self._cached += 1
-        else:
-            self._computed += 1
-            self._last_commit = self._clock()
-        self._write("running", force=self._done >= self._total)
+        """Record one settled run."""
+        self.tally.update(outcome)
+        self._write("running", force=not self.tally.in_flight)
 
-    def finish(self, state: str = "done") -> None:
-        """Write the terminal heartbeat (``done`` or ``failed``).
+    def finish(self) -> None:
+        """Write the terminal heartbeat.
 
-        A shard that settled every run but saw failures terminates
-        as ``failed`` even when asked for ``done``: the store holds
-        only the successful runs, so the shard is not finished work.
+        The state is ``done`` only when every run settled and none
+        failed; otherwise it is ``failed``: the store holds only the
+        successful runs, so the shard is not finished work.
         """
-        if self._started is None:
-            return
-        if state == "done" and self._failed:
-            state = "failed"
-        self._write(state, force=True)
+        self._write(
+            "done" if self.tally.complete else "failed", force=True
+        )
 
     def _write(self, state: str, force: bool = False) -> None:
-        now = self._clock()
-        if (
-            not force
-            and self._last_write is not None
-            and now - self._last_write < self.interval
-        ):
+        tally = self.tally
+        if not tally.due(self.interval, force):
             return
-        elapsed = max(0.0, now - (self._started or now))
-        rate = self._done / elapsed if elapsed > 0 else None
-        in_flight = max(0, self._total - self._done)
-        eta = in_flight / rate if rate else None
+        now = tally.reported
         payload = {
             "schema": OPS_SCHEMA,
             "kind": "heartbeat",
@@ -336,17 +306,17 @@ class ShardHeartbeat:
             "shards": self.shards,
             "pid": os.getpid(),
             "state": state,
-            "started": self._started,
+            "started": tally.started,
             "updated": now,
-            "runs_total": self._total,
-            "runs_done": self._done,
-            "runs_computed": self._computed,
-            "runs_cached": self._cached,
-            "runs_failed": self._failed,
-            "in_flight": in_flight,
-            "last_commit": self._last_commit,
-            "rate_runs_per_s": rate,
-            "eta_s": eta,
+            "runs_total": tally.total,
+            "runs_done": tally.done,
+            "runs_computed": tally.computed,
+            "runs_cached": tally.cached,
+            "runs_failed": tally.failed,
+            "in_flight": tally.in_flight,
+            "last_commit": tally.last_commit,
+            "rate_runs_per_s": tally.rate(now),
+            "eta_s": tally.eta(now),
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_name(
@@ -357,33 +327,6 @@ class ShardHeartbeat:
             encoding="utf-8",
         )
         os.replace(tmp, self.path)
-        self._last_write = now
-
-
-class _NullHeartbeat(ShardHeartbeat):
-    """The disabled twin: never touches the filesystem."""
-
-    enabled = False
-
-    def __init__(self) -> None:  # noqa: D107 - trivial
-        self.path = Path(os.devnull)
-        self.shard = -1
-        self.shards = 0
-        self.interval = 0.0
-        self._started = None
-
-    def begin(self, total: int) -> None:
-        pass
-
-    def update(self, outcome) -> None:
-        pass
-
-    def finish(self, state: str = "done") -> None:
-        pass
-
-
-#: The heartbeat used when telemetry is off: every call is a no-op.
-NULL_HEARTBEAT = _NullHeartbeat()
 
 
 _HEARTBEAT = schema.table({

@@ -22,7 +22,7 @@ from .executor import (
     SweepStats,
     default_jobs,
 )
-from .progress import NULL_PROGRESS, SweepProgress
+from .progress import SweepProgress, SweepTally
 from .snapshot import (
     MetricsSnapshot,
     ProfileSnapshot,
@@ -55,7 +55,6 @@ __all__ = [
     "DEFAULT_STORE_DIR",
     "JOBS_ENV_VAR",
     "MetricsSnapshot",
-    "NULL_PROGRESS",
     "ProfileSnapshot",
     "ResultStore",
     "RunOutcome",
@@ -68,6 +67,7 @@ __all__ = [
     "SweepExecutor",
     "SweepProgress",
     "SweepStats",
+    "SweepTally",
     "VideoSpec",
     "cached_splice",
     "cached_video",

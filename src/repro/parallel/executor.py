@@ -27,12 +27,12 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from ..errors import ExperimentError, SweepError
+from ..errors import ExperimentError
 from ..experiments.runner import CellResult, merge_cell
 from ..obs.analyze import analyze_observability
 from ..obs.context import Observability
-from ..obs.ops import NULL_HEARTBEAT, NULL_OPS, OpsLog, ShardHeartbeat
-from .progress import NULL_PROGRESS, SweepProgress
+from ..obs.ops import NULL_OPS, OpsLog, ShardHeartbeat
+from .progress import SweepProgress, SweepTally
 from .snapshot import merge_profile, merge_snapshot
 from .spec import CellSpec, RunSpec
 from .store import ResultStore
@@ -71,6 +71,7 @@ def default_jobs() -> int:
 class SweepStats:
     """Cumulative totals across everything an executor has run.
 
+    Built from each sweep's :class:`~repro.parallel.progress.SweepTally`.
     ``events_fired``/``sim_seconds`` count work *this* executor
     actually performed: runs served from the result store contribute
     to ``runs``/``runs_cached`` but fired no events now, so a fully
@@ -107,10 +108,10 @@ class SweepExecutor:
             reported as failed outcomes naming their cell (best
             effort: already-running workers are abandoned, not
             killed).
-        progress: optional live progress reporter, notified once per
-            finished run in completion order.  Display only: it never
-            influences results, and it silences itself when its stream
-            is not a TTY.
+        progress: optional progress sink (:class:`SweepProgress`, or
+            any object with ``begin(specs)``, ``update(outcome)`` and
+            ``finish()``), notified once per settled run in completion
+            order.  Display only: it never influences results.
         store: optional persistent result store.  Runs whose content
             digest is already committed are served from disk (and
             reported with ``cached=True``); fresh successful runs are
@@ -125,7 +126,7 @@ class SweepExecutor:
         heartbeat: optional shard heartbeat
             (:class:`~repro.obs.ops.ShardHeartbeat`), begun/updated/
             finished around each :meth:`map_runs` like the progress
-            reporter.
+            sink.
     """
 
     def __init__(
@@ -145,18 +146,21 @@ class SweepExecutor:
             )
         self.jobs = jobs if jobs is not None else default_jobs()
         self.timeout = timeout
-        self.progress = progress if progress is not None else NULL_PROGRESS
         self.store = store
         self.ops = ops if ops is not None else NULL_OPS
-        self.heartbeat = (
-            heartbeat if heartbeat is not None else NULL_HEARTBEAT
-        )
+        self._sinks = [s for s in (progress, heartbeat) if s is not None]
+        self._tally = SweepTally()
         self._stats = SweepStats()
 
     @property
     def stats(self) -> SweepStats:
         """Cumulative totals across every sweep this executor ran."""
         return self._stats
+
+    @property
+    def tally(self) -> SweepTally:
+        """The settled-run counts of the latest :meth:`map_runs`."""
+        return self._tally
 
     def map_runs(
         self,
@@ -199,10 +203,10 @@ class SweepExecutor:
             else None
         )
         in_process = self.jobs == 1 or tracing
-        progress = self.progress
-        progress.begin(specs)
-        self.heartbeat.begin(len(specs))
-        crashed = True
+        tally = self._tally
+        tally.begin(specs)
+        for sink in self._sinks:
+            sink.begin(specs)
         try:
             cached: list[RunOutcome] = []
             pending: list[RunSpec] = []
@@ -222,7 +226,7 @@ class SweepExecutor:
                         pending.append(spec)
                     else:
                         cached.append(hit)
-                        self._observe(hit)
+                        self._observe(hit, spec, store)
             if in_process:
                 fresh = self._map_in_process(
                     pending, obs, analyze=analyze, store=store
@@ -246,29 +250,42 @@ class SweepExecutor:
                         and obs.profile is not None
                     ):
                         merge_profile(obs.profile, outcome.profile)
-            crashed = False
         finally:
-            progress.finish()
-            self.heartbeat.finish("failed" if crashed else "done")
+            for sink in self._sinks:
+                sink.finish()
         if store is not None and obs is not None:
             self._publish_store_counters(
-                obs,
-                outcomes,
-                store.stats.invalidations - invalid_before,
+                obs, tally, store.stats.invalidations - invalid_before
             )
-        self._account(outcomes)
+        stats = self._stats
+        self._stats = replace(
+            stats,
+            runs=stats.runs + tally.done,
+            failures=stats.failures + tally.failed,
+            runs_cached=stats.runs_cached + tally.cached,
+            events_fired=stats.events_fired + tally.events_fired,
+            sim_seconds=tally.sim_seconds(stats.sim_seconds),
+        )
         return outcomes
 
-    def _observe(self, outcome: RunOutcome) -> None:
-        """One settled run: notify progress, ops log, and heartbeat.
+    def _observe(
+        self, outcome: RunOutcome, spec: RunSpec, store: ResultStore | None
+    ) -> None:
+        """One settled run: tally it, commit it, notify the sinks.
 
         Called in completion order (non-deterministic on the pool
-        path), which is fine: all three sinks are display/telemetry,
-        never data.  A cached hit's ``wall_seconds`` reports the
-        *original* compute cost, so its span here has zero duration —
-        serving it cost no wall time now.
+        path), which is fine: the sinks and the ops log are
+        display/telemetry, never data.  A computed run is committed to
+        ``store`` first — as runs finish, not at sweep end, which is
+        what makes an interrupted sweep resumable.  A cached hit's
+        ``wall_seconds`` reports the *original* compute cost, so its
+        span here has zero duration — serving it cost no wall time now.
         """
-        self.progress.update(outcome)
+        kind = self._tally.update(outcome)
+        if kind == "computed" and store is not None:
+            store.put(spec, outcome)
+        for sink in self._sinks:
+            sink.update(outcome)
         if self.ops.enabled:
             attrs = {
                 "cell": outcome.label,
@@ -281,12 +298,11 @@ class SweepExecutor:
             self.ops.record(
                 "cell-run",
                 duration_s=(
-                    0.0 if outcome.cached else outcome.wall_seconds
+                    0.0 if kind == "cached" else outcome.wall_seconds
                 ),
-                status="ok" if outcome.ok else "failed",
+                status="failed" if kind == "failed" else "ok",
                 **attrs,
             )
-        self.heartbeat.update(outcome)
 
     def _map_in_process(
         self,
@@ -315,40 +331,36 @@ class SweepExecutor:
                         collect_analysis=analyze,
                     )
                 )
-                if outcome.ok:
-                    store.put(spec, outcome)
             else:
-                spec = replace(spec, collect_metrics=False)
+                run = replace(spec, collect_metrics=False)
                 if analyze:
-                    outcome = self._run_analyzed(spec, obs)
+                    outcome = self._run_analyzed(run, obs)
                 else:
-                    outcome = execute_run(spec, obs)
-            self._observe(outcome)
+                    outcome = execute_run(run, obs)
+            self._observe(outcome, spec, store)
             outcomes.append(outcome)
         return outcomes
 
     @staticmethod
     def _publish_store_counters(
-        obs: Observability,
-        outcomes: list[RunOutcome],
-        invalidations: int,
+        obs: Observability, tally: SweepTally, invalidations: int
     ) -> None:
         """Surface store traffic as ``parallel.cache.store.*``.
 
-        Hits/misses/stores are counted from the sweep's own outcomes,
-        so the numbers reflect this sweep regardless of how much other
+        Hits/misses/stores come from the sweep's own tally, so the
+        numbers reflect this sweep regardless of how much other
         traffic the store object saw; invalidations (entries found but
         rejected — schema drift, corruption) come from the store's
         delta over the sweep.
         """
-        hits = sum(1 for o in outcomes if o.cached)
-        misses = len(outcomes) - hits
+        hits = tally.cached
+        misses = tally.done - hits
         registry = obs.registry
         if hits:
             registry.counter("parallel.cache.store.hits").inc(hits)
         if misses:
             registry.counter("parallel.cache.store.misses").inc(misses)
-        stored = sum(1 for o in outcomes if o.ok and not o.cached)
+        stored = tally.computed
         if stored:
             registry.counter("parallel.cache.store.stores").inc(stored)
         if invalidations:
@@ -418,30 +430,26 @@ class SweepExecutor:
                     futures, timeout=self.timeout
                 ):
                     yielded.add(future)
-                    outcome = self._settle(future, futures[future])
-                    if store is not None and outcome.ok:
-                        # Commit as workers finish, not at sweep end:
-                        # this is what makes an interrupted sweep
-                        # resumable from the store.
-                        store.put(futures[future], outcome)
+                    spec = futures[future]
+                    outcome = self._settle(future, spec)
                     outcomes.append(outcome)
-                    self._observe(outcome)
+                    self._observe(outcome, spec, store)
             except FuturesTimeout:
                 timed_out = True
                 for future, spec in futures.items():
                     if future in yielded:
                         continue
                     if future.done():
-                        outcomes.append(self._settle(future, spec))
-                        continue
-                    future.cancel()
-                    outcomes.append(
-                        self._failed(
+                        outcome = self._settle(future, spec)
+                    else:
+                        future.cancel()
+                        outcome = self._failed(
                             spec,
                             f"TimeoutError: sweep deadline "
                             f"({self.timeout}s) exceeded",
                         )
-                    )
+                    outcomes.append(outcome)
+                    self._observe(outcome, spec, store)
         finally:
             pool.shutdown(wait=not timed_out, cancel_futures=True)
         return outcomes
@@ -463,33 +471,6 @@ class SweepExecutor:
             label=spec.cell.describe(),
             error=error,
             pid=os.getpid(),
-        )
-
-    def _account(self, outcomes: list[RunOutcome]) -> None:
-        stats = self._stats
-        runs = stats.runs
-        failures = stats.failures
-        runs_cached = stats.runs_cached
-        events = stats.events_fired
-        sim_seconds = stats.sim_seconds
-        for outcome in outcomes:
-            runs += 1
-            if not outcome.ok:
-                failures += 1
-            elif outcome.cached:
-                # A store hit performed no simulation now; its events
-                # belong to the run that originally computed it.
-                runs_cached += 1
-            else:
-                events += outcome.stats.events_fired
-                sim_seconds += outcome.stats.end_time
-        self._stats = replace(
-            stats,
-            runs=runs,
-            failures=failures,
-            runs_cached=runs_cached,
-            events_fired=events,
-            sim_seconds=sim_seconds,
         )
 
     def run_cells(
@@ -527,28 +508,14 @@ class SweepExecutor:
             for seed_index, seed in enumerate(cell.config.seeds)
         ]
         outcomes = self.map_runs(specs, obs=obs, analyze=analyze)
-        failures = [o for o in outcomes if not o.ok]
-        if failures:
-            detail = "; ".join(
-                f"{o.label} (seed {o.seed}): {o.error}"
-                for o in failures
-            )
-            raise SweepError(
-                f"{len(failures)} of {len(outcomes)} sweep runs "
-                f"failed: {detail}"
-            )
+        tally = self._tally
+        tally.check("sweep")
         results: list[CellResult] = []
         position = 0
-        cells_cached = 0
-        cells_computed = 0
         for cell in cells:
             count = len(cell.config.seeds)
             group = outcomes[position : position + count]
             position += count
-            if all(o.cached for o in group):
-                cells_cached += 1
-            else:
-                cells_computed += 1
             analyses = [
                 o.analysis for o in group if o.analysis is not None
             ]
@@ -559,9 +526,12 @@ class SweepExecutor:
                     analyses=analyses if analyze else None,
                 )
             )
+        stats = self._stats
         self._stats = replace(
-            self._stats,
-            cells_cached=self._stats.cells_cached + cells_cached,
-            cells_computed=self._stats.cells_computed + cells_computed,
+            stats,
+            cells_cached=stats.cells_cached + tally.cells_cached,
+            cells_computed=(
+                stats.cells_computed + len(cells) - tally.cells_cached
+            ),
         )
         return results

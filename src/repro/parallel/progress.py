@@ -1,18 +1,23 @@
-"""Live sweep progress: one rewriting status line on stderr.
+"""Sweep progress: one tally of settled runs, and the meter that shows it.
+
+:class:`SweepTally` is the one place a settled run is classified as
+failed, cached or computed and counted, overall and per cell.  Every
+consumer reads a tally instead of keeping its own counts: the
+:class:`SweepProgress` meter renders one, the shard heartbeat
+(:class:`~repro.obs.ops.ShardHeartbeat`) persists one, and the
+executor builds its :class:`~repro.parallel.executor.SweepStats` and
+store counters from one.
 
 Long sweeps (19 leechers x 4 bandwidths x 3 seeds x several splicing
-techniques) run for minutes with no output; this reporter makes them
+techniques) run for minutes with no output; the meter makes them
 observable while they run — cells completed / running / failed, plus
 the per-cell stall totals as workers finish — without touching stdout,
-where the figure tables go.
-
-Two modes:
+where the figure tables go.  Two modes:
 
 * ``"live"`` (default): one rewriting status line, redrawn after every
-  finished run.  Off by default, and **forced off when the stream is
-  not a TTY**: CI logs and redirected output never see control
-  characters, and a disabled reporter costs one attribute check per
-  run.
+  finished run.  **Forced off when the stream is not a TTY**: CI logs
+  and redirected output never see control characters, and a disabled
+  reporter costs one attribute check per run.
 * ``"plain"``: append-only lines for non-TTY consumers (CI logs,
   ``tee``).  One rate-limited summary line per *completed cell* — no
   control characters, no rewriting — plus a header at start and a
@@ -23,9 +28,10 @@ from __future__ import annotations
 
 import sys
 import time
+from dataclasses import dataclass
 from typing import Sequence, TextIO
 
-from ..errors import ExperimentError
+from ..errors import ExperimentError, SweepError
 from .spec import RunSpec
 from .worker import RunOutcome
 
@@ -33,8 +39,181 @@ from .worker import RunOutcome
 PROGRESS_MODES = ("live", "plain")
 
 
+def _merge_order(outcome: RunOutcome) -> tuple[int, int]:
+    return outcome.cell_index, outcome.seed_index
+
+
+@dataclass(slots=True)
+class CellTally:
+    """One cell's share of a :class:`SweepTally`."""
+
+    label: str
+    total: int = 0
+    done: int = 0
+    cached: int = 0
+    failed: int = 0
+    stalls: float = 0.0
+
+
+class SweepTally:
+    """Counts of one sweep's settled runs, overall and per cell.
+
+    Driven like every executor sink: :meth:`begin` with the sweep's
+    run specs, :meth:`update` once per settled run, in any order.
+
+    Args:
+        clock: time source of ``started``, ``last_commit`` and
+            :meth:`due`.
+    """
+
+    def __init__(self, clock=time.monotonic) -> None:
+        self._clock = clock
+        self.begin(())
+
+    def begin(self, specs: Sequence[RunSpec]) -> None:
+        """Zero every count and register the sweep's runs."""
+        self.started = self._clock()
+        self.last_commit: float | None = None
+        self.reported: float | None = None
+        self.total = len(specs)
+        self.done = self.computed = self.cached = self.failed = 0
+        self._failures: list[RunOutcome] = []
+        self._computed: list[RunOutcome] = []
+        self.cells: dict[int, CellTally] = {}
+        for spec in specs:
+            cell = self.cells.get(spec.cell_index)
+            if cell is None:
+                cell = CellTally(spec.cell.describe())
+                self.cells[spec.cell_index] = cell
+            cell.total += 1
+
+    @staticmethod
+    def kind(outcome: RunOutcome) -> str:
+        """``"failed"``, ``"cached"`` or ``"computed"``."""
+        if not outcome.ok:
+            return "failed"
+        return "cached" if outcome.cached else "computed"
+
+    def update(self, outcome: RunOutcome) -> str:
+        """Count one settled run; returns its :meth:`kind`."""
+        kind = self.kind(outcome)
+        cell = self.cells[outcome.cell_index]
+        self.done += 1
+        cell.done += 1
+        if kind == "failed":
+            self.failed += 1
+            cell.failed += 1
+            self._failures.append(outcome)
+            return kind
+        cell.stalls += outcome.stats.stall_count
+        if kind == "cached":
+            # A store hit performed no simulation now; its events
+            # belong to the run that originally computed it.
+            self.cached += 1
+            cell.cached += 1
+        else:
+            self.computed += 1
+            self.last_commit = self._clock()
+            self._computed.append(outcome)
+        return kind
+
+    @property
+    def events_fired(self) -> int:
+        """Simulator callbacks the computed runs executed."""
+        return sum(o.stats.events_fired for o in self._computed)
+
+    def sim_seconds(self, start: float = 0.0) -> float:
+        """``start`` plus the computed runs' simulated seconds.
+
+        Added in (cell, seed) order rather than completion order, so
+        the float sum is the same at any worker count.
+        """
+        for outcome in sorted(self._computed, key=_merge_order):
+            start += outcome.stats.end_time
+        return start
+
+    @property
+    def in_flight(self) -> int:
+        """Runs not yet settled."""
+        return max(0, self.total - self.done)
+
+    @property
+    def complete(self) -> bool:
+        """Every run settled and none failed."""
+        return not self.failed and self.done >= self.total
+
+    @property
+    def cells_done(self) -> int:
+        """Cells whose every run settled."""
+        return sum(1 for c in self.cells.values() if c.done >= c.total)
+
+    @property
+    def cells_running(self) -> int:
+        """Cells with some but not all runs settled."""
+        return sum(
+            1 for c in self.cells.values() if 0 < c.done < c.total
+        )
+
+    @property
+    def cells_failed(self) -> int:
+        """Cells with at least one failed run."""
+        return sum(1 for c in self.cells.values() if c.failed)
+
+    @property
+    def cells_cached(self) -> int:
+        """Cells whose every run was served from the result store."""
+        return sum(
+            1 for c in self.cells.values() if c.cached >= c.total
+        )
+
+    def rate(self, now: float) -> float | None:
+        """Settled runs per second since :meth:`begin`."""
+        elapsed = max(0.0, now - self.started)
+        return self.done / elapsed if elapsed > 0 else None
+
+    def eta(self, now: float) -> float | None:
+        """Seconds until the in-flight runs settle at :meth:`rate`."""
+        rate = self.rate(now)
+        return self.in_flight / rate if rate else None
+
+    def due(self, interval: float, force: bool = False) -> bool:
+        """Whether a report of this tally is due now.
+
+        At most one report per ``interval`` clock seconds; the first
+        report and a ``force``-d one (the final run, a failure) are
+        always due.  A due report stamps ``reported`` with the time.
+        """
+        now = self._clock()
+        if (
+            not force
+            and self.reported is not None
+            and now - self.reported < interval
+        ):
+            return False
+        self.reported = now
+        return True
+
+    def check(self, what: str) -> None:
+        """Raise one :class:`SweepError` listing every failed run.
+
+        Raises:
+            SweepError: when any run failed; failures are listed in
+                (cell, seed) order.
+        """
+        if not self._failures:
+            return
+        failures = sorted(self._failures, key=_merge_order)
+        detail = "; ".join(
+            f"{o.label} (seed {o.seed}): {o.error}" for o in failures
+        )
+        raise SweepError(
+            f"{len(failures)} of {self.done} {what} runs "
+            f"failed: {detail}"
+        )
+
+
 class SweepProgress:
-    """Sweep progress reporting in live (TTY) or plain (append) mode.
+    """A sweep meter over a :class:`SweepTally`, live (TTY) or plain.
 
     The executor drives it: :meth:`begin` with the expanded run specs,
     :meth:`update` once per finished run (in completion order — on the
@@ -43,8 +222,6 @@ class SweepProgress:
 
     Args:
         stream: where to write (default ``sys.stderr``).
-        enabled: caller's request; in live mode AND-ed with
-            ``stream.isatty()``.
         mode: ``"live"`` (rewriting status line, TTY only) or
             ``"plain"`` (append-only cell-completion lines, any
             stream).
@@ -58,7 +235,6 @@ class SweepProgress:
     def __init__(
         self,
         stream: TextIO | None = None,
-        enabled: bool = True,
         mode: str = "live",
         min_interval: float = 1.0,
         clock=time.monotonic,
@@ -75,58 +251,49 @@ class SweepProgress:
         self._stream = stream if stream is not None else sys.stderr
         self.mode = mode
         self.min_interval = min_interval
-        self._clock = clock
-        if mode == "plain":
-            self.enabled = bool(enabled)
-        else:
-            isatty = getattr(self._stream, "isatty", None)
-            self.enabled = bool(enabled) and bool(
-                isatty() if callable(isatty) else False
-            )
+        isatty = getattr(self._stream, "isatty", None)
+        self.enabled = mode == "plain" or bool(
+            isatty() if callable(isatty) else False
+        )
+        self.tally = SweepTally(clock)
         self._width = 0
-        self._reset()
-
-    def _reset(self) -> None:
-        self._total: dict[int, int] = {}
-        self._done: dict[int, int] = {}
-        self._failed: dict[int, int] = {}
-        self._cached: dict[int, int] = {}
-        self._stalls: dict[int, float] = {}
-        self._labels: dict[int, str] = {}
-        self._runs_done = 0
-        self._runs_cached = 0
-        self._runs_total = 0
-        self._last_emit: float | None = None
 
     def begin(self, specs: Sequence[RunSpec]) -> None:
         """Register the sweep's run specs before execution starts."""
         if not self.enabled:
             return
-        self._reset()
-        for spec in specs:
-            index = spec.cell_index
-            self._total[index] = self._total.get(index, 0) + 1
-            self._labels.setdefault(index, spec.cell.describe())
-        self._runs_total = len(specs)
+        self.tally.begin(specs)
         if self.mode == "plain":
-            self._emit_line(
-                f"sweep: starting {len(self._total)} cells"
-                f" ({self._runs_total} runs)"
+            self._line(
+                f"sweep: starting {len(self.tally.cells)} cells"
+                f" ({self.tally.total} runs)"
             )
         else:
             self._render("starting")
 
     def update(self, outcome: RunOutcome) -> None:
         """Record one finished run and report it (mode-dependent)."""
-        if self.enabled:
-            self._ingest(outcome)
+        if not self.enabled:
+            return
+        kind = self.tally.update(outcome)
+        cell = self.tally.cells[outcome.cell_index]
+        if self.mode == "plain":
+            self._update_plain(outcome, kind, cell)
+        elif kind == "failed":
+            self._render(f"{cell.label} seed {outcome.seed}: FAILED")
+        else:
+            suffix = " (cached)" if kind == "cached" else ""
+            self._render(
+                f"{cell.label} seed {outcome.seed}: "
+                f"{cell.stalls / cell.done:.1f} stalls/peer{suffix}"
+            )
 
     def finish(self) -> None:
         """End the sweep: leave the final counts on their own line."""
         if not self.enabled:
             return
         if self.mode == "plain":
-            self._emit_line("sweep: " + self._summary())
+            self._line("sweep: " + self._summary())
             return
         self._render("done")
         self._stream.write("\n")
@@ -135,39 +302,8 @@ class SweepProgress:
 
     # ------------------------------------------------------------------
 
-    def _ingest(self, outcome: RunOutcome) -> None:
-        index = outcome.cell_index
-        self._runs_done += 1
-        self._done[index] = self._done.get(index, 0) + 1
-        if not outcome.ok:
-            self._failed[index] = self._failed.get(index, 0) + 1
-        else:
-            if outcome.cached:
-                self._runs_cached += 1
-                self._cached[index] = self._cached.get(index, 0) + 1
-            if outcome.stats is not None:
-                self._stalls[index] = (
-                    self._stalls.get(index, 0.0)
-                    + outcome.stats.stall_count
-                )
-        label = self._labels.get(index) or outcome.label
-        if self.mode == "plain":
-            self._ingest_plain(outcome, index, label)
-            return
-        if outcome.ok:
-            done = self._done[index]
-            mean_stalls = self._stalls.get(index, 0.0) / max(1, done)
-            suffix = " (cached)" if outcome.cached else ""
-            last = (
-                f"{label} seed {outcome.seed}: "
-                f"{mean_stalls:.1f} stalls/peer{suffix}"
-            )
-        else:
-            last = f"{label} seed {outcome.seed}: FAILED"
-        self._render(last)
-
-    def _ingest_plain(
-        self, outcome: RunOutcome, index: int, label: str
+    def _update_plain(
+        self, outcome: RunOutcome, kind: str, cell: CellTally
     ) -> None:
         """Plain mode: one line per completed cell, rate-limited.
 
@@ -176,95 +312,54 @@ class SweepProgress:
         ``min_interval`` seconds, except the final one, which always
         prints so logs end with a complete picture.
         """
-        if not outcome.ok:
-            self._emit_line(
-                f"sweep: {label} seed {outcome.seed} FAILED"
+        if kind == "failed":
+            self._line(
+                f"sweep: {cell.label} seed {outcome.seed} FAILED"
                 f" ({outcome.error})"
             )
             return
-        total = self._total.get(index, 0)
-        if self._done.get(index, 0) < total:
+        if cell.done < cell.total:
             return
-        final = self._runs_done >= self._runs_total
-        now = self._clock()
-        if (
-            not final
-            and self._last_emit is not None
-            and now - self._last_emit < self.min_interval
-        ):
+        final = self.tally.done >= self.tally.total
+        if not self.tally.due(self.min_interval, force=final):
             return
-        mean_stalls = self._stalls.get(index, 0.0) / max(1, total)
         # A fully-cached cell was served from the store, not computed;
         # say so instead of presenting it as fresh work.
-        how = (
-            "cached"
-            if self._cached.get(index, 0) >= total
-            else "done"
-        )
-        self._emit_line(
-            f"sweep: {label} {how}"
-            f" ({mean_stalls:.1f} stalls/peer; {self._summary()})"
+        how = "cached" if cell.cached >= cell.total else "done"
+        self._write(
+            f"sweep: {cell.label} {how}"
+            f" ({cell.stalls / cell.total:.1f} stalls/peer;"
+            f" {self._summary()})"
         )
 
     def _summary(self) -> str:
-        completed = sum(
-            1
-            for index, total in self._total.items()
-            if self._done.get(index, 0) >= total
-        )
-        failed = sum(1 for index in self._failed if self._failed[index])
-        cached = (
-            f" {self._runs_cached} cached,"
-            if self._runs_cached
-            else ""
-        )
+        tally = self.tally
+        cached = f" {tally.cached} cached," if tally.cached else ""
         return (
-            f"{completed}/{len(self._total)} cells done,"
-            f" {failed} failed,{cached}"
-            f" {self._runs_done}/{self._runs_total} runs"
+            f"{tally.cells_done}/{len(tally.cells)} cells done,"
+            f" {tally.cells_failed} failed,{cached}"
+            f" {tally.done}/{tally.total} runs"
         )
 
-    def _emit_line(self, line: str) -> None:
+    def _line(self, line: str) -> None:
+        """An unthrottled line; it still starts the next interval."""
+        self.tally.due(self.min_interval, force=True)
+        self._write(line)
+
+    def _write(self, line: str) -> None:
         self._stream.write(line + "\n")
         self._stream.flush()
-        self._last_emit = self._clock()
 
     def _render(self, last: str) -> None:
-        completed = sum(
-            1
-            for index, total in self._total.items()
-            if self._done.get(index, 0) >= total
-        )
-        running = sum(
-            1
-            for index, total in self._total.items()
-            if 0 < self._done.get(index, 0) < total
-        )
-        failed = sum(1 for index in self._failed if self._failed[index])
-        cached = (
-            f", {self._runs_cached} cached" if self._runs_cached else ""
-        )
+        tally = self.tally
+        cached = f", {tally.cached} cached" if tally.cached else ""
         line = (
-            f"sweep: {completed}/{len(self._total)} cells done"
-            f" ({running} running, {failed} failed{cached};"
-            f" {self._runs_done}/{self._runs_total} runs) | {last}"
+            f"sweep: {tally.cells_done}/{len(tally.cells)} cells done"
+            f" ({tally.cells_running} running,"
+            f" {tally.cells_failed} failed{cached};"
+            f" {tally.done}/{tally.total} runs) | {last}"
         )
         pad = max(0, self._width - len(line))
         self._stream.write("\r" + line + " " * pad)
         self._stream.flush()
         self._width = len(line)
-
-
-#: The reporter used when none is requested: every call is a no-op.
-class _NullProgress(SweepProgress):
-    def __init__(self) -> None:  # noqa: D107 - trivial
-        self._stream = None  # type: ignore[assignment]
-        self.enabled = False
-        self.mode = "live"
-        self.min_interval = 0.0
-        self._clock = time.monotonic
-        self._width = 0
-        self._reset()
-
-
-NULL_PROGRESS = _NullProgress()

@@ -229,6 +229,39 @@ class TestCrashIsolation:
         assert executor.stats.runs == 2 * len(fast_config.seeds)
         assert executor.stats.failures == len(fast_config.seeds)
 
+    def test_deadline_failures_reach_heartbeat_and_progress(
+        self, fast_config, short_video, tmp_path
+    ):
+        import io
+
+        from repro.obs.ops import ShardHeartbeat, read_heartbeat
+        from repro.parallel import SweepProgress
+
+        cells = _figure_cells(fast_config, short_video)[:2]
+        runs = len(cells) * len(fast_config.seeds)
+        stream = io.StringIO()
+        heartbeat = ShardHeartbeat(
+            tmp_path / "shard-0.heartbeat.json", shard=0, shards=1
+        )
+        executor = SweepExecutor(
+            jobs=2,
+            timeout=1e-3,
+            progress=SweepProgress(stream=stream, mode="plain"),
+            heartbeat=heartbeat,
+        )
+        with pytest.raises(SweepError, match="deadline"):
+            executor.run_cells(cells)
+        beat = read_heartbeat(heartbeat.path)
+        assert beat["state"] == "failed"
+        assert beat["runs_failed"] == beat["runs_total"] == runs
+        lines = stream.getvalue().splitlines()
+        assert sum("FAILED (TimeoutError" in line for line in lines) == runs
+        assert lines[-1] == (
+            f"sweep: {len(cells)}/{len(cells)} cells done,"
+            f" {len(cells)} failed, {runs}/{runs} runs"
+        )
+        assert executor.stats.failures == executor.stats.runs == runs
+
     def test_map_runs_surfaces_outcomes(
         self, fast_config, short_video
     ):

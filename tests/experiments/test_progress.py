@@ -3,16 +3,24 @@
 from __future__ import annotations
 
 import io
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, SweepError
+from repro.obs.ops import ShardHeartbeat, read_heartbeat
+from repro.parallel import executor as executor_module
+from repro.parallel.executor import SweepExecutor
 from repro.parallel.progress import (
-    NULL_PROGRESS,
     PROGRESS_MODES,
     SweepProgress,
 )
+from repro.parallel.spec import RunSpec
 from repro.parallel.worker import RunOutcome
 
 
@@ -97,12 +105,6 @@ class TestModeSelection:
     def test_plain_mode_enabled_without_tty(self):
         progress, _ = plain_progress()
         assert progress.enabled
-
-    def test_null_progress_is_inert(self):
-        NULL_PROGRESS.begin([spec(0, "a")])
-        NULL_PROGRESS.update(ok_outcome(0))
-        NULL_PROGRESS.finish()
-        assert not NULL_PROGRESS.enabled
 
 
 class TestPlainMode:
@@ -260,3 +262,131 @@ class TestPlainMode:
         output = stream.getvalue()
         assert "sweep: starting 1 cells (1 runs)" in output
         assert "progress/cell" in output
+
+
+@st.composite
+def settled_sweeps(draw):
+    """Cells x seeds, each run's kind, and a completion order."""
+    cells = draw(st.integers(1, 4))
+    seeds = draw(st.integers(1, 3))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["ok", "failed", "cached"]),
+            min_size=cells * seeds,
+            max_size=cells * seeds,
+        )
+    )
+    order = draw(st.permutations(range(cells * seeds)))
+    return cells, seeds, kinds, order
+
+
+def _sweep_outcome(spec, kind):
+    stats = SimpleNamespace(stall_count=1.0, events_fired=3, end_time=2.0)
+    return RunOutcome(
+        cell_index=spec.cell_index,
+        seed_index=spec.seed_index,
+        seed=spec.seed,
+        label=spec.cell.describe(),
+        stats=None if kind == "failed" else stats,
+        error="ValueError: boom" if kind == "failed" else None,
+        cached=kind == "cached",
+    )
+
+
+class TestOneTally:
+    """Meter, heartbeat and executor stats agree with a direct count."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep=settled_sweeps())
+    def test_every_consumer_counts_the_same(self, sweep):
+        n_cells, n_seeds, kinds, order = sweep
+        cells = [
+            SimpleNamespace(
+                config=SimpleNamespace(seeds=tuple(range(n_seeds))),
+                bandwidth_kb=128,
+                describe=lambda label=f"cell-{i}": label,
+            )
+            for i in range(n_cells)
+        ]
+        specs = [
+            RunSpec(cell=cell, seed=seed, cell_index=c, seed_index=seed)
+            for c, cell in enumerate(cells)
+            for seed in range(n_seeds)
+        ]
+        runs = len(specs)
+        failed = kinds.count("failed")
+        cached = kinds.count("cached")
+        failed_cells = len(
+            {c for c in range(n_cells)
+             for s in range(n_seeds) if kinds[c * n_seeds + s] == "failed"}
+        )
+        all_cached = sum(
+            1 for c in range(n_cells)
+            if all(kinds[c * n_seeds + s] == "cached" for s in range(n_seeds))
+        )
+
+        # The meter and the heartbeat, driven in a shuffled order.
+        progress, stream = plain_progress()
+        with tempfile.TemporaryDirectory() as scratch:
+            beat = ShardHeartbeat(
+                Path(scratch) / "beat.json", shard=0, shards=1
+            )
+            for sink in (progress, beat):
+                sink.begin(specs)
+                for index in order:
+                    sink.update(_sweep_outcome(specs[index], kinds[index]))
+                sink.finish()
+            payload = read_heartbeat(beat.path)
+        cached_text = f" {cached} cached," if cached else ""
+        assert stream.getvalue().splitlines()[-1] == (
+            f"sweep: {n_cells}/{n_cells} cells done,"
+            f" {failed_cells} failed,{cached_text} {runs}/{runs} runs"
+        )
+        assert payload["state"] == ("failed" if failed else "done")
+        assert payload["runs_total"] == payload["runs_done"] == runs
+        assert payload["runs_failed"] == failed
+        assert payload["runs_cached"] == cached
+        assert payload["runs_computed"] == runs - failed - cached
+        assert payload["in_flight"] == 0
+
+        # The executor, over a store holding the cached runs.
+        by_key = {
+            (spec.cell_index, spec.seed_index): kind
+            for spec, kind in zip(specs, kinds)
+        }
+
+        def kind_of(spec):
+            return by_key[spec.cell_index, spec.seed_index]
+
+        store = SimpleNamespace(
+            stats=SimpleNamespace(invalidations=0),
+            get=lambda spec, **_: (
+                _sweep_outcome(spec, "cached")
+                if kind_of(spec) == "cached"
+                else None
+            ),
+            put=lambda spec, outcome: None,
+        )
+        executor = SweepExecutor(jobs=1, store=store)
+        with mock.patch.object(
+            executor_module,
+            "pool_entry",
+            lambda spec: _sweep_outcome(spec, kind_of(spec)),
+        ), mock.patch.object(
+            executor_module, "merge_cell", lambda *a, **k: None
+        ):
+            if failed:
+                with pytest.raises(SweepError):
+                    executor.run_cells(cells)
+            else:
+                executor.run_cells(cells)
+        stats = executor.stats
+        assert stats.runs == runs
+        assert stats.failures == failed
+        assert stats.runs_cached == cached
+        assert stats.events_fired == 3 * (runs - failed - cached)
+        # Cells are only counted for a sweep that succeeded.
+        assert stats.cells_cached == (0 if failed else all_cached)
+        assert stats.cells_computed == (
+            0 if failed else n_cells - all_cached
+        )

@@ -294,15 +294,17 @@ class TestCliSweep:
             ]) == 2
             assert "error:" in capsys.readouterr().err
 
-    def test_bad_jobs_exits_2(self, tmp_path, capsys):
+    def test_bad_jobs_exits_2(self, quick_plan, tmp_path, capsys):
         from repro.cli import main
 
+        plan = tmp_path / "plan.json"
+        dump_plan(quick_plan, plan)
         assert main([
-            "sweep", "run", str(tmp_path / "plan.json"),
+            "sweep", "run", str(plan),
             "--shard", "0", "--store", str(tmp_path / "s"),
             "--jobs", "0",
         ]) == 2
-        assert "--jobs" in capsys.readouterr().err
+        assert "error: jobs must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.slow

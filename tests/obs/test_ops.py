@@ -9,7 +9,6 @@ import pytest
 
 from repro.errors import OpsError
 from repro.obs.ops import (
-    NULL_HEARTBEAT,
     NULL_OPS,
     OpsLog,
     ShardHeartbeat,
@@ -46,7 +45,17 @@ class FakeClock:
 
 
 def outcome(ok: bool = True, cached: bool = False) -> SimpleNamespace:
-    return SimpleNamespace(ok=ok, cached=cached)
+    return SimpleNamespace(
+        ok=ok,
+        cached=cached,
+        cell_index=0,
+        stats=SimpleNamespace(stall_count=0.0),
+    )
+
+
+def runs(count: int) -> list[SimpleNamespace]:
+    cell = SimpleNamespace(describe=lambda: "cell")
+    return [SimpleNamespace(cell_index=0, cell=cell)] * count
 
 
 def fake_plan(shards: int, per_shard: list[int]) -> dict:
@@ -308,7 +317,7 @@ class TestShardHeartbeat:
 
     def test_begin_writes_immediately(self, tmp_path):
         beat = self.make(tmp_path, FakeClock())
-        beat.begin(4)
+        beat.begin(runs(4))
         payload = read_heartbeat(beat.path)
         assert payload["state"] == "running"
         assert payload["runs_total"] == 4
@@ -319,7 +328,7 @@ class TestShardHeartbeat:
     def test_updates_are_rate_limited(self, tmp_path):
         clock = FakeClock()
         beat = self.make(tmp_path, clock, interval=10.0)
-        beat.begin(4)
+        beat.begin(runs(4))
         clock.advance(1.0)
         beat.update(outcome())
         # Inside the interval: file still shows the begin state.
@@ -331,7 +340,7 @@ class TestShardHeartbeat:
     def test_final_run_always_writes(self, tmp_path):
         clock = FakeClock()
         beat = self.make(tmp_path, clock, interval=1000.0)
-        beat.begin(2)
+        beat.begin(runs(2))
         clock.advance(0.1)
         beat.update(outcome())
         clock.advance(0.1)
@@ -341,7 +350,7 @@ class TestShardHeartbeat:
     def test_rate_and_eta_from_observed_run_rate(self, tmp_path):
         clock = FakeClock()
         beat = self.make(tmp_path, clock)
-        beat.begin(4)
+        beat.begin(runs(4))
         clock.advance(2.0)
         beat.update(outcome())
         clock.advance(2.0)
@@ -354,11 +363,11 @@ class TestShardHeartbeat:
     def test_finish_downgrades_to_failed_on_failures(self, tmp_path):
         clock = FakeClock()
         beat = self.make(tmp_path, clock)
-        beat.begin(2)
+        beat.begin(runs(2))
         beat.update(outcome(ok=False))
         clock.advance(2.0)
         beat.update(outcome())
-        beat.finish("done")
+        beat.finish()
         payload = read_heartbeat(beat.path)
         assert payload["state"] == "failed"
         assert payload["runs_failed"] == 1
@@ -366,7 +375,7 @@ class TestShardHeartbeat:
     def test_cached_runs_counted_separately(self, tmp_path):
         clock = FakeClock()
         beat = self.make(tmp_path, clock)
-        beat.begin(2)
+        beat.begin(runs(2))
         clock.advance(2.0)
         beat.update(outcome(cached=True))
         clock.advance(2.0)
@@ -376,12 +385,6 @@ class TestShardHeartbeat:
         assert payload["runs_cached"] == 1
         assert payload["runs_computed"] == 1
         assert payload["state"] == "done"
-
-    def test_null_heartbeat_is_disabled(self):
-        assert not NULL_HEARTBEAT.enabled
-        NULL_HEARTBEAT.begin(4)
-        NULL_HEARTBEAT.update(outcome())
-        NULL_HEARTBEAT.finish()
 
     def test_read_rejects_schema_drift(self, tmp_path):
         path = tmp_path / "bad.heartbeat.json"
@@ -415,7 +418,7 @@ class TestShardHeartbeat:
                 shards=2,
                 clock=clock,
             )
-            beat.begin(1)
+            beat.begin(runs(1))
         found = find_heartbeats(
             [tmp_path / "a", tmp_path / "b", tmp_path / "empty"]
         )

@@ -78,6 +78,11 @@ class TestCommands:
             ["timeline", "--duration", "0"],
             ["quickstart", "--bandwidth", "0"],
             ["rspec", "--peers", "0"],
+            ["reproduce", "--jobs", "0"],
+            [
+                "sweep", "run", "PLAN", "--shard", "0", "--store", "D",
+                "--jobs", "0",
+            ],
         ],
     )
     def test_bad_input_is_an_error_not_a_traceback(self, capsys, argv):
@@ -348,6 +353,7 @@ class TestSweepStatusCommand:
         self, capsys, tmp_path, field, value
     ):
         import json
+        from types import SimpleNamespace
 
         from repro.experiments.sweep_service import build_plan, dump_plan
         from repro.obs.ops import ShardHeartbeat, heartbeat_path
@@ -357,7 +363,8 @@ class TestSweepStatusCommand:
         beat = ShardHeartbeat(
             heartbeat_path(tmp_path / "store", 0), shard=0, shards=1
         )
-        beat.begin(8)
+        cell = SimpleNamespace(describe=lambda: "cell")
+        beat.begin([SimpleNamespace(cell_index=0, cell=cell)] * 8)
         payload = json.loads(beat.path.read_text(encoding="utf-8"))
         payload[field] = value
         beat.path.write_text(json.dumps(payload), encoding="utf-8")

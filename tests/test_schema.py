@@ -203,8 +203,12 @@ def heartbeat_doc():
             Path(scratch) / "x.heartbeat.json", shard=0, shards=3,
             interval=0.0, clock=ticking_clock(),
         )
-        beat.begin(8)
-        beat.update(SimpleNamespace(ok=True, cached=False))
+        cell = SimpleNamespace(describe=lambda: "cell")
+        beat.begin([SimpleNamespace(cell_index=0, cell=cell)] * 8)
+        beat.update(SimpleNamespace(
+            ok=True, cached=False, cell_index=0,
+            stats=SimpleNamespace(stall_count=0.0),
+        ))
         return json.loads(beat.path.read_text(encoding="utf-8"))
 
 
