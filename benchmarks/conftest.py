@@ -23,9 +23,9 @@ from repro.obs.bench import BenchHarness
 _RESULTS = Path(__file__).resolve().parent / "results"
 
 
-@pytest.fixture()
+@pytest.fixture(scope="module")
 def harness(request):
-    """A full-scale harness for the current benchmark module.
+    """A full-scale harness shared by the current module's tests.
 
     pytest captures stdout, so the durable copies under ``results/``
     — the ``.txt`` tables and the ``BENCH_<suite>.json`` artifact —

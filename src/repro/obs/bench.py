@@ -1,17 +1,12 @@
 """Structured benchmark artifacts: the ``BenchHarness`` and its schema.
 
-Every benchmark under ``benchmarks/`` used to hand-roll its own timing
-loop and print a free-text table; the only durable output was a
-``.txt`` nobody could diff numerically.  This module is the shared
-replacement:
+Every benchmark under ``benchmarks/`` measures through this module:
 
 * :class:`BenchHarness` times each **case** (best-of-N wall time with
   warmup discard, or repeat-until-budget for millisecond-scale cells),
   collects per-case scalars — simulated events/sec, key streaming
-  metrics, the stall-cause histogram from the PR-5 analyzer, the
-  :class:`~repro.obs.profile.EngineProfile` breakdown — and still
-  prints/writes the human-readable tables exactly where they always
-  went;
+  metrics, the stall-cause histogram from the trace analyzer — and
+  prints/writes the human-readable tables under ``results/``;
 * :func:`build_artifact` wraps the cases in a **versioned JSON
   artifact** (schema ``repro.bench/1``) with a full run manifest: git
   SHA + dirty flag, python/platform/cpu environment block, and stable
@@ -101,8 +96,6 @@ class BenchCase:
             means, speedups ...).
         causes: stall-cause histogram from the analyzer, when the
             suite ran with analysis.
-        profile: engine wall-time breakdown (``EngineProfile``
-            snapshot), when the suite profiled.
     """
 
     case_id: str
@@ -114,7 +107,6 @@ class BenchCase:
     sim_seconds: float | None = None
     metrics: dict[str, float] = field(default_factory=dict)
     causes: dict[str, int] | None = None
-    profile: dict | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -127,7 +119,6 @@ class BenchCase:
             "sim_seconds": self.sim_seconds,
             "metrics": dict(self.metrics),
             "causes": None if self.causes is None else dict(self.causes),
-            "profile": self.profile,
         }
 
 
@@ -178,7 +169,6 @@ class BenchHarness:
         params: Mapping[str, Any] | None = None,
         digest_of: Any = None,
         self_timed: bool = False,
-        profile: Any = None,
     ) -> Any:
         """Measure one case; returns ``fn``'s (last) return value.
 
@@ -198,9 +188,6 @@ class BenchHarness:
                 simulator loop, excluding topology construction).
             digest_of: any value describing the workload; its
                 content digest is recorded on the case.
-            profile: an :class:`~repro.obs.profile.EngineProfile` the
-                run records into; the case stores the *delta* this
-                case contributed.
         """
         if case_id in self._case_ids:
             raise BenchError(
@@ -211,7 +198,6 @@ class BenchHarness:
         if warmup < 0:
             raise BenchError(f"warmup must be >= 0: {warmup}")
         call_kwargs = dict(kwargs or {})
-        before = profile.snapshot() if profile is not None else None
 
         for _ in range(warmup):
             self._call(fn, args, call_kwargs, self_timed)
@@ -247,8 +233,6 @@ class BenchHarness:
             from ..parallel.digest import content_digest
 
             case.digest = content_digest(digest_of)
-        if profile is not None and before is not None:
-            case.profile = _profile_delta(before, profile.snapshot())
         self.cases.append(case)
         self._case_ids.add(case_id)
         return result
@@ -278,7 +262,6 @@ class BenchHarness:
         *,
         events_fired: int | None = None,
         sim_seconds: float | None = None,
-        causes: Mapping[str, int] | None = None,
         analysis: Any = None,
         **metrics: float,
     ) -> None:
@@ -287,7 +270,6 @@ class BenchHarness:
         Args:
             events_fired: simulated events the case executed; also
                 derives ``events_per_sec`` against the best wall time.
-            causes: stall-cause histogram.
             analysis: a :class:`~repro.obs.analyze.CellAnalysis`-like
                 object; its cause histogram, stall count, and transfer
                 efficiency are folded in.
@@ -314,8 +296,6 @@ class BenchHarness:
                 case.metrics.setdefault(
                     "transfer_efficiency", float(efficiency)
                 )
-        if causes is not None:
-            case.causes = dict(causes)
         for name, value in metrics.items():
             case.metrics[name] = float(value)
 
@@ -377,8 +357,8 @@ class BenchHarness:
 
         Quick mode mirrors the CLI's ``--quick`` convention (9 peers,
         one seed).  The video comes from the process-wide
-        :mod:`repro.parallel.cache`, so seventeen suites in one
-        process encode it once.
+        :mod:`repro.parallel.cache`, so every case of every suite in one
+        process shares one encode.
         """
         from ..experiments.config import sweep_config
         from ..parallel.cache import cached_video
@@ -406,23 +386,6 @@ def figure_metrics(result: Any) -> dict[str, float]:
                     values
                 )
     return metrics
-
-
-def _profile_delta(before: dict, after: dict) -> dict:
-    counts = {
-        category: after["counts"][category]
-        - before["counts"].get(category, 0)
-        for category in after["counts"]
-        if after["counts"][category]
-        - before["counts"].get(category, 0)
-    }
-    wall = {
-        category: after["wall_seconds"][category]
-        - before["wall_seconds"].get(category, 0.0)
-        for category in after["wall_seconds"]
-        if category in counts
-    }
-    return {"counts": counts, "wall_seconds": wall}
 
 
 # -- artifact build / validate / load ---------------------------------
@@ -459,7 +422,6 @@ def _check_cases(payload: dict) -> None:
 
 
 _SECONDS = schema.number(0.0)
-_SCALARS = schema.map_of(schema.NUMBER)
 
 _ARTIFACT = schema.table(
     {
@@ -489,11 +451,8 @@ _ARTIFACT = schema.table(
             "events_fired?": schema.nullable(schema.COUNT),
             "events_per_sec?": schema.nullable(_SECONDS),
             "sim_seconds?": schema.nullable(_SECONDS),
-            "metrics": _SCALARS,
+            "metrics": schema.map_of(schema.NUMBER),
             "causes?": schema.nullable(schema.map_of(schema.COUNT)),
-            "profile?": schema.nullable(schema.table(
-                {"counts": _SCALARS, "wall_seconds": _SCALARS}
-            )),
         })),
     },
     check=_check_cases,

@@ -11,10 +11,11 @@ per-metric deltas, and classifies each as **regression**,
   artifact is noisier — a 12% slowdown inside a measurement whose
   aggregate is only pinned to ±6% is not a verdict.
 
-Direction matters: wall-time metrics regress *upward*, throughput
-metrics (``events_per_sec``) regress *downward*.  Workload digests are
-cross-checked so "same case id, different workload" is reported as
-incomparable instead of being scored.
+Direction matters: wall-time metrics regress *upward*; throughput,
+cache hit rate and speedup metrics (``events_per_sec``,
+``metrics.hit_rate``, ``metrics.warm_speedup``) regress *downward*.
+Workload digests are cross-checked so "same case id, different
+workload" is reported as incomparable instead of being scored.
 
 The intended CI shape: run a quick suite, ``repro compare`` it against
 the committed artifact, and fail the job on exit code 1.
@@ -35,8 +36,11 @@ DEFAULT_METRICS = ("best_s", "events_per_sec")
 #: Metrics that live under ``case["timing"]``.
 TIMING_METRICS = frozenset({"best_s", "mean_s", "stdev_s"})
 
-#: Metrics where a larger candidate value is an improvement.
-HIGHER_IS_BETTER = frozenset({"events_per_sec"})
+#: Metric-name fragments where a larger candidate value is an
+#: improvement (``events_per_sec``, ``metrics.hit_rate``,
+#: ``metrics.speedup_vs_exact`` ...); every other metric is
+#: lower-is-better.
+HIGHER_IS_BETTER = ("per_sec", "hit_rate", "speedup")
 
 #: Noise widening: this many relative standard errors.
 NOISE_SIGMAS = 3.0
@@ -226,21 +230,13 @@ def compare_artifacts(
                 )
                 continue
             delta_pct = 100.0 * (cand_value - base_value) / base_value
-            worse = (
-                delta_pct < -effective
-                if metric in HIGHER_IS_BETTER
-                else delta_pct > effective
-            )
-            better = (
-                delta_pct > effective
-                if metric in HIGHER_IS_BETTER
-                else delta_pct < -effective
-            )
+            higher = any(word in metric for word in HIGHER_IS_BETTER)
+            gain = delta_pct if higher else -delta_pct
             verdict = (
                 VERDICT_REGRESSION
-                if worse
+                if gain < -effective
                 else VERDICT_IMPROVEMENT
-                if better
+                if gain > effective
                 else VERDICT_NEUTRAL
             )
             rows.append(

@@ -304,6 +304,25 @@ class TestSuiteDiscovery:
         assert [case.case_id for case in harness.cases] == ["only"]
 
 
+class TestPaperSuite:
+    """``benchmarks/bench_paper.py``: one row per case, one table each."""
+
+    BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
+
+    def test_rows_name_unique_cases_and_committed_tables(self):
+        module = load_suite("paper", self.BENCHMARKS / "bench_paper.py")
+        ids = [case.id for case in module.CASES]
+        assert len(ids) == len(set(ids))
+        # Rows sharing a table are adjacent, so each table name names
+        # one block of rows.
+        grouped = [case for rows in module.TABLES.values() for case in rows]
+        assert grouped == list(module.CASES)
+        committed = {
+            path.stem for path in (self.BENCHMARKS / "results").glob("*.txt")
+        }
+        assert set(module.TABLES) <= committed
+
+
 class TestBuildArtifact:
     def test_empty_suite_is_valid(self):
         payload = build_artifact("empty", [])

@@ -39,7 +39,6 @@ def make_case(
         "sim_seconds": None,
         "metrics": dict(metrics or {}),
         "causes": None,
-        "profile": None,
     }
 
 
@@ -213,6 +212,24 @@ class TestMetricSelection:
         (row,) = comparison.rows
         assert row.metric == "metrics.stalls"
         assert row.verdict == "regression"
+
+    @pytest.mark.parametrize(
+        "metric", ["hit_rate", "warm_speedup", "speedup_vs_exact"]
+    )
+    def test_hit_rate_and_speedup_drops_are_regressions(self, metric):
+        # The CI sweep-cache gate scores metrics.hit_rate: a warm sweep
+        # that stops hitting the store must fail it.
+        baseline = make_artifact([make_case("c", metrics={metric: 1.0})])
+        candidate = make_artifact(
+            [make_case("c", metrics={metric: 0.5})]
+        )
+        comparison = compare_artifacts(
+            baseline, candidate, metrics=(f"metrics.{metric}",)
+        )
+        (row,) = comparison.rows
+        assert row.delta_pct == pytest.approx(-50.0)
+        assert row.verdict == "regression"
+        assert not comparison.ok
 
     def test_absent_metric_is_skipped(self):
         baseline = make_artifact([make_case("c")])

@@ -148,7 +148,7 @@ class TestBenchCommand:
         assert main(["bench", "list"]) == 0
         out = capsys.readouterr().out
         assert "flownet" in out
-        assert "fig2_stalls" in out
+        assert "paper" in out
         assert "parallel_speedup" in out
 
     def test_unknown_suite_exits_2(self, capsys):

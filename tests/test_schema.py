@@ -123,10 +123,6 @@ def artifact_doc():
             sim_seconds=9.5,
             metrics={"stalls": 1.5},
             causes={"startup": n},
-            profile={
-                "counts": {"net.flownet": 4},
-                "wall_seconds": {"net.flownet": 0.25},
-            },
         )
         for n in (1, 2)
     ]
