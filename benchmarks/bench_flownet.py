@@ -2,7 +2,7 @@
 
 Drives identical TCP workloads through the incremental
 :class:`~repro.net.flownet.FlowNetwork` and the pre-incremental
-:class:`~repro.net.reference.ReferenceFlowNetwork`, and reports
+:class:`~tests.net.reference.ReferenceFlowNetwork`, and reports
 simulated events per wall-clock second for each.
 
 Two topologies, shaped like the paper's streaming experiments:
@@ -39,16 +39,18 @@ import sys
 import time
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+# The package from src/, and the reference solver from tests/net/.
+_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_ROOT, _ROOT / "src"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from repro.net.engine import Simulator
 from repro.net.flownet import FlowNetwork
 from repro.net.link import Link
-from repro.net.reference import ReferenceFlowNetwork
 from repro.net.tcp import TcpParams, start_tcp_transfer
 from repro.obs.tracer import NULL_TRACER, EventTracer
+from tests.net.reference import ReferenceFlowNetwork
 
 ARTIFACT = Path(__file__).resolve().parent / "results" / "flownet_solver.txt"
 

@@ -1,8 +1,9 @@
 """Discrete-event simulation engine.
 
 A minimal, deterministic event loop: events are ``(time, seq,
-callback)`` triples in a heap; ties in time break by scheduling order
-(``seq``), so runs are exactly reproducible.
+handle)`` triples in a heap; ties in time break by scheduling order
+(``seq``, unique, so handles are never compared), so runs are exactly
+reproducible.
 """
 
 from __future__ import annotations
@@ -22,18 +23,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class EventHandle:
     """A scheduled event that can be cancelled before it fires."""
 
-    __slots__ = ("time", "_seq", "_callback", "_args", "_cancelled", "_sim")
+    __slots__ = ("time", "_callback", "_args", "_cancelled", "_sim")
 
     def __init__(
         self,
         time: float,
-        seq: int,
         callback: Callable[..., None],
         args: tuple[Any, ...],
         sim: "Simulator | None" = None,
     ) -> None:
         self.time = time
-        self._seq = seq
         self._callback = callback
         self._args = args
         self._cancelled = False
@@ -58,9 +57,6 @@ class EventHandle:
     def cancelled(self) -> bool:
         """Whether :meth:`cancel` was called."""
         return self._cancelled
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self._seq) < (other.time, other._seq)
 
     def _fire(self) -> None:
         self._callback(*self._args)
@@ -92,7 +88,7 @@ class Simulator:
     ) -> None:
         self._now = 0.0
         self._seq = 0
-        self._queue: list[EventHandle] = []
+        self._queue: list[tuple[float, int, EventHandle]] = []
         self._live = 0
         self._running = False
         self._tracer = tracer
@@ -146,10 +142,9 @@ class Simulator:
                 f"cannot schedule at {time}, current time is {self._now}"
             )
         self._seq += 1
-        event = EventHandle(
-            max(time, self._now), self._seq, callback, args, self
-        )
-        heapq.heappush(self._queue, event)
+        time = max(time, self._now)
+        event = EventHandle(time, callback, args, self)
+        heapq.heappush(self._queue, (time, self._seq, event))
         self._live += 1
         return event
 
@@ -217,11 +212,10 @@ class Simulator:
                     if not queue:
                         break
                     continue
-                event = queue[0]
+                time, _, event = queue[0]
                 if event._cancelled:
                     pop(queue)
                     continue
-                time = event.time
                 if barriers and time > self._now:
                     self._drain_barriers()
                     continue

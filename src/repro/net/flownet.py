@@ -20,7 +20,9 @@ single allocated byte:
   and re-runs progressive filling only over the component(s) an update
   touched; untouched components keep their cached rates.  A removal may
   split a component — connectivity is re-derived lazily at the next
-  solve of that component.
+  solve of that component, and only when a cheap test (a parallel
+  flow on the same route, or a flow that was a leaf) cannot prove it
+  still connected.
 
 * **Same-timestamp updates coalesce.**  Rates only matter across
   intervals of nonzero simulated time, so a burst of updates landing at
@@ -32,13 +34,14 @@ single allocated byte:
 
 The naive solver this replaces (global re-solve on every update,
 per-flow per-link byte accounting, full completion rescans) survives as
-:class:`repro.net.reference.ReferenceFlowNetwork` — the executable
+``ReferenceFlowNetwork`` in ``tests/net/reference.py`` — the executable
 specification the property tests cross-check against.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..errors import NetworkError
@@ -60,6 +63,8 @@ _RATE_EPSILON = 1e-9
 #: slack errs toward scanning a component that turns out to have
 #: nothing due, which costs time but never changes behaviour.
 _SWEEP_SLACK = 1e-6
+
+_rate_limit = attrgetter("rate_limit")
 
 
 class Flow:
@@ -139,14 +144,25 @@ class Flow:
 class _Component:
     """One link-connected set of flows with cached solve results."""
 
-    __slots__ = ("flows", "links", "eta_flow", "eps_eta", "needs_split")
+    __slots__ = (
+        "flows",
+        "links",
+        "members",
+        "routes",
+        "eta_flow",
+        "eps_eta",
+        "needs_split",
+    )
 
     def __init__(self) -> None:
         #: member flows, insertion-ordered (dict used as ordered set).
         self.flows: dict[Flow, None] = {}
-        #: links traversed by member flows; a superset between a
-        #: removal and the next solve, exact after every solve.
+        #: links traversed by member flows, by name.
         self.links: dict[str, Link] = {}
+        #: link name -> the member flows crossing it, in member order.
+        self.members: dict[str, dict[Flow, None]] = {}
+        #: route -> how many member flows take exactly that route.
+        self.routes: dict[tuple[Link, ...], int] = {}
         #: the member with the soonest full-completion ETA at the last
         #: solve (rates are constant between solves, so it stays the
         #: argmin until the next solve).
@@ -263,9 +279,11 @@ class FlowNetwork:
         route = tuple(route)
         if not route:
             raise NetworkError("flow route must contain at least one link")
+        if len({link.name for link in route}) != len(route):
+            raise NetworkError("flow route must not cross a link twice")
         if size <= 0:
             raise NetworkError(f"flow size must be positive, got {size}")
-        if rate_limit is not None and rate_limit <= 0:
+        if rate_limit is not None and not rate_limit > 0:
             raise NetworkError(
                 f"rate_limit must be positive or None, got {rate_limit}"
             )
@@ -299,7 +317,7 @@ class FlowNetwork:
 
     def set_rate_limit(self, flow: Flow, rate_limit: float | None) -> None:
         """Change a flow's rate cap (TCP window ramp); triggers resharing."""
-        if rate_limit is not None and rate_limit <= 0:
+        if rate_limit is not None and not rate_limit > 0:
             raise NetworkError(
                 f"rate_limit must be positive or None, got {rate_limit}"
             )
@@ -344,34 +362,67 @@ class FlowNetwork:
                 for name, link in other.links.items():
                     home.links[name] = link
                     self._link_comp[name] = home
+                # Components own disjoint links, hence disjoint routes.
+                home.members.update(other.members)
+                home.routes.update(other.routes)
                 home.needs_split |= other.needs_split
                 if other in self._dirty:
                     del self._dirty[other]
                 del self._comps[other]
         home.flows[flow] = None
         self._comp_of[flow] = home
+        members = home.members
         for link in flow.route:
-            home.links[link.name] = link
-            self._link_comp[link.name] = home
+            name = link.name
+            home.links[name] = link
+            self._link_comp[name] = home
+            crossing = members.get(name)
+            if crossing is None:
+                members[name] = {flow: None}
+            else:
+                crossing[flow] = None
+        route = flow.route
+        home.routes[route] = home.routes.get(route, 0) + 1
         return home
 
     def _remove_flow(self, flow: Flow) -> None:
-        """Detach a finished/cancelled flow and dirty its component."""
+        """Detach a finished/cancelled flow and dirty its component.
+
+        A link the flow leaves idle is released at once.  The component
+        is flagged for a connectivity check only when it may have come
+        apart: it provably stays connected when another member takes
+        the same route (a parallel edge) or when the flow shared at
+        most one link with the rest (a leaf).
+        """
         del self._flows[flow]
         flow._network = None
         comp = self._comp_of.pop(flow)
         del comp.flows[flow]
-        if not comp.flows:
-            self._dissolve(comp)
+        route = flow.route
+        parallel = comp.routes[route] - 1
+        if parallel:
+            comp.routes[route] = parallel
         else:
-            comp.needs_split = True
-            self._mark_dirty(comp)
-
-    def _dissolve(self, comp: _Component) -> None:
-        for name in comp.links:
-            if self._link_comp.get(name) is comp:
+            del comp.routes[route]
+        idle = 0
+        for link in route:
+            name = link.name
+            crossing = comp.members[name]
+            del crossing[flow]
+            if not crossing:
+                idle += 1
+                del comp.members[name]
+                del comp.links[name]
                 del self._link_comp[name]
                 self._link_rates.pop(name, None)
+        if not comp.flows:
+            self._dissolve(comp)
+            return
+        if not parallel and idle < len(route) - 1:
+            comp.needs_split = True
+        self._mark_dirty(comp)
+
+    def _dissolve(self, comp: _Component) -> None:
         self._dirty.pop(comp, None)
         del self._comps[comp]
         # The pending completion event may target this component.
@@ -412,12 +463,6 @@ class FlowNetwork:
 
     def _solve(self, comp: _Component) -> None:
         """Re-solve one dirty component (splitting it first if needed)."""
-        # Release this component's link ownership; each surviving part
-        # re-registers exactly the links its flows still traverse.
-        for name in comp.links:
-            if self._link_comp.get(name) is comp:
-                del self._link_comp[name]
-                self._link_rates.pop(name, None)
         if comp.needs_split:
             parts = self._split(comp)
         else:
@@ -432,39 +477,44 @@ class FlowNetwork:
         components (member order preserved) replacing it.
         """
         comp.needs_split = False
-        flows = list(comp.flows)
-        parent = list(range(len(flows)))
-
-        def find(i: int) -> int:
-            root = i
-            while parent[root] != root:
-                root = parent[root]
-            while parent[i] != root:
-                parent[i], i = root, parent[i]
-            return root
-
-        by_link: dict[str, int] = {}
-        for index, flow in enumerate(flows):
-            for link in flow.route:
-                first = by_link.setdefault(link.name, index)
-                if first != index:
-                    parent[find(index)] = find(first)
-
-        groups: dict[int, list[Flow]] = {}
-        for index, flow in enumerate(flows):
-            groups.setdefault(find(index), []).append(flow)
-        if len(groups) == 1:
+        members = comp.members
+        group_of: dict[Flow, int] = {}
+        link_group: dict[str, int] = {}
+        groups = 0
+        for flow in comp.flows:
+            if flow in group_of:
+                continue
+            group_of[flow] = groups
+            stack = [flow]
+            while stack:
+                for link in stack.pop().route:
+                    name = link.name
+                    if name in link_group:
+                        continue
+                    link_group[name] = groups
+                    for other in members[name]:
+                        if other not in group_of:
+                            group_of[other] = groups
+                            stack.append(other)
+            groups += 1
+        if groups == 1:
             return [comp]
 
         del self._comps[comp]
-        parts = []
-        for members in groups.values():
-            part = _Component()
-            for flow in members:
-                part.flows[flow] = None
-                self._comp_of[flow] = part
+        parts = [_Component() for _ in range(groups)]
+        for flow in comp.flows:
+            part = parts[group_of[flow]]
+            part.flows[flow] = None
+            self._comp_of[flow] = part
+        for name, group in link_group.items():
+            part = parts[group]
+            part.links[name] = comp.links[name]
+            part.members[name] = members[name]
+            self._link_comp[name] = part
+        for route, count in comp.routes.items():
+            parts[link_group[route[0].name]].routes[route] = count
+        for part in parts:
             self._comps[part] = None
-            parts.append(part)
         return parts
 
     def _fill(self, comp: _Component) -> None:
@@ -475,108 +525,132 @@ class FlowNetwork:
         function of the member flows' links and caps, so solving a
         component in isolation reproduces the joint solve bit-for-bit
         (components share no links by construction).
+
+        Every unfrozen flow's rate is one water ``level``: all start at
+        0.0 and receive the same ``+= delta`` sequence, and a flow
+        keeps the level it froze at.  So the fill tracks the level,
+        per-link counts of unfrozen flows, and the capped flows sorted
+        by cap.  Float subtraction rounds monotonically, so the
+        smallest unfrozen cap gives the same ``cap - level`` bound and
+        the same freeze test as a scan of every flow.
         """
         flows = comp.flows
-        unfrozen = set(flows)
-        for flow in flows:
-            flow._rate = 0.0
-        link_remaining: dict[str, float] = {}
-        link_unfrozen: dict[str, set[Flow]] = {}
-        links: dict[str, Link] = {}
-        for flow in flows:
-            for link in flow.route:
-                links[link.name] = link
-                link_remaining.setdefault(link.name, link.capacity)
-                link_unfrozen.setdefault(link.name, set()).add(flow)
+        members = comp.members
+        links = comp.links
+        remaining: dict[str, float] = {}
+        # Link load: how many unfrozen flows cross each link.
+        loads: dict[str, int] = {}
+        full: dict[str, float] = {}
+        for name, crossing in members.items():
+            capacity = links[name].capacity
+            remaining[name] = capacity
+            loads[name] = len(crossing)
+            full[name] = _RATE_EPSILON * max(1.0, capacity)
+        capped = sorted(
+            (flow for flow in flows if flow.rate_limit is not None),
+            key=_rate_limit,
+        )
+        n_capped = len(capped)
+        head = 0
+        frozen: set[Flow] = set()
+        level = 0.0
 
-        while unfrozen:
+        while loads:
             # Largest uniform rate increment that stays feasible.
-            delta = min(
-                (
-                    link_remaining[name] / len(members)
-                    for name, members in link_unfrozen.items()
-                    if members
-                ),
-                default=float("inf"),
-            )
-            # repro: lint-ok[D3] min() reduction is order-independent
-            for flow in unfrozen:
-                if flow.rate_limit is not None:
-                    delta = min(delta, flow.rate_limit - flow._rate)
+            delta = float("inf")
+            for name, count in loads.items():
+                share = remaining[name] / count
+                if share < delta:
+                    delta = share
+            while head < n_capped and capped[head] in frozen:
+                head += 1
+            if head < n_capped:
+                room = capped[head].rate_limit - level
+                if room < delta:
+                    delta = room
             if delta == float("inf"):
+                for flow in flows:
+                    if flow not in frozen:
+                        flow._rate = level
                 break
-            delta = max(delta, 0.0)
+            if delta < 0.0:
+                delta = 0.0
 
             if delta > 0:
-                # repro: lint-ok[D3] same delta added to each flow
-                for flow in unfrozen:
-                    flow._rate += delta
-                for name, members in link_unfrozen.items():
-                    link_remaining[name] -= delta * len(members)
+                level += delta
+                for name, count in loads.items():
+                    remaining[name] -= delta * count
 
             # Freeze flows that hit their cap or sit on a full link.
-            newly_frozen = {
-                flow
-                # repro: lint-ok[D3] builds a set; order-free
-                for flow in unfrozen
-                if flow.rate_limit is not None
-                and flow._rate >= flow.rate_limit - _RATE_EPSILON
-            }
-            for name, members in link_unfrozen.items():
-                if link_remaining[name] <= _RATE_EPSILON * max(
-                    1.0, links[name].capacity
-                ):
-                    newly_frozen |= members
+            newly_frozen: dict[Flow, None] = {}
+            for index in range(head, n_capped):
+                flow = capped[index]
+                if flow in frozen:
+                    continue
+                if level < flow.rate_limit - _RATE_EPSILON:
+                    break
+                newly_frozen[flow] = None
+            for name in loads:
+                if remaining[name] <= full[name]:
+                    for flow in members[name]:
+                        if flow not in frozen:
+                            newly_frozen[flow] = None
             if not newly_frozen:
                 # delta == 0 without anything freezing would loop
                 # forever; freeze everything as a defensive stop.
                 if delta <= 0:
-                    newly_frozen = set(unfrozen)
+                    newly_frozen = {
+                        flow: None for flow in flows if flow not in frozen
+                    }
                 else:
                     continue
-            unfrozen -= newly_frozen
-            for members in link_unfrozen.values():
-                members -= newly_frozen
-
-        # TCP window floor: a share below ~MSS/RTT leaves a real
-        # connection timeout-bound; goodput falls off quadratically.
-        for flow in flows:
-            floor = flow.min_efficient_rate
-            if floor > 0 and 0 < flow._rate < floor:
-                flow._rate = flow._rate * flow._rate / floor
+            for flow in newly_frozen:
+                flow._rate = level
+                frozen.add(flow)
+                for link in flow.route:
+                    name = link.name
+                    count = loads[name] - 1
+                    if count:
+                        loads[name] = count
+                    else:
+                        del loads[name]
 
         # Cache what the rest of the network needs from this solve:
-        # per-link aggregate rates, link ownership, and the ETA bounds
-        # the completion machinery consults.
+        # per-link aggregate rates and the ETA bounds the completion
+        # machinery consults.
         now = self._sim.now
         eps = _COMPLETION_EPSILON
-        comp.links = links
-        link_rates = dict.fromkeys(links, 0.0)
         eta_flow: Flow | None = None
         best_eta = float("inf")
         eps_eta = float("inf")
         for flow in flows:
             rate = flow._rate
-            for link in flow.route:
-                link_rates[link.name] += rate
-            remaining = flow.remaining
-            if remaining <= eps:
+            # TCP window floor: a share below ~MSS/RTT leaves a real
+            # connection timeout-bound; goodput falls off quadratically.
+            floor = flow.min_efficient_rate
+            if floor > 0 and 0 < rate < floor:
+                rate = flow._rate = rate * rate / floor
+            remaining_bytes = flow.remaining
+            if remaining_bytes <= eps:
                 eps_eta = now
             if rate <= 0:
                 continue
-            eta = remaining / rate
+            eta = remaining_bytes / rate
             if eta < best_eta:
                 best_eta = eta
                 eta_flow = flow
-            if remaining > eps:
-                crossing = now + (remaining - eps) / rate
-                if crossing < eps_eta:
-                    eps_eta = crossing
+            if remaining_bytes > eps:
+                crossing_at = now + (remaining_bytes - eps) / rate
+                if crossing_at < eps_eta:
+                    eps_eta = crossing_at
         comp.eta_flow = eta_flow
         comp.eps_eta = eps_eta
-        for name, rate in link_rates.items():
-            self._link_rates[name] = rate
-            self._link_comp[name] = comp
+        link_rates = self._link_rates
+        for name, crossing in members.items():
+            total = 0.0
+            for flow in crossing:
+                total += flow._rate
+            link_rates[name] = total
 
         if self._resolves is not None:
             self._resolves.inc()

@@ -30,10 +30,11 @@ def test_src_repro_is_clean():
 
 
 def test_deliberate_exceptions_stay_annotated():
-    # The known suppression inventory: the flow solvers' commutative
-    # set folds (D3), the report header's wall elapsed (D1), and the
-    # CLI's unreachable dispatch guard (E1).  Growing this list is
-    # fine — silently losing an annotation is not.
+    # The known suppression inventory: the report header's wall
+    # elapsed (D1) and the CLI's unreachable dispatch guard (E1).  The
+    # flow solver's filling loop iterates no set, so it needs no D3
+    # suppression.  Growing this list is fine — silently losing an
+    # annotation is not.
     result = lint_paths(
         [REPO_ROOT / "src" / "repro"],
         config=load_config(REPO_ROOT / "pyproject.toml"),
@@ -42,6 +43,5 @@ def test_deliberate_exceptions_stay_annotated():
         rule: counts["suppressed"]
         for rule, counts in result.statistics()["per_rule"].items()
     }
-    assert per_rule.get("D3", 0) >= 6
     assert per_rule.get("D1", 0) >= 2
     assert per_rule.get("E1", 0) >= 1

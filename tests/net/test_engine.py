@@ -192,7 +192,7 @@ class TestPendingCounter:
             handle.cancel()
         sim.run(until=3.0)
         scan = sum(
-            1 for event in sim._queue if not event.cancelled
+            1 for _, _, event in sim._queue if not event.cancelled
         )
         assert sim.pending_events == scan
 

@@ -38,6 +38,17 @@ class TestBasics:
         with pytest.raises(NetworkError):
             network.start_flow([Link("l", 1)], 1.0, rate_limit=0.0)
 
+    def test_nan_rate_limit_rejected(self, net):
+        _, network = net
+        with pytest.raises(NetworkError):
+            network.start_flow([Link("l", 1)], 1.0, rate_limit=float("nan"))
+
+    def test_route_may_not_cross_a_link_twice(self, net):
+        _, network = net
+        link = Link("l", 1)
+        with pytest.raises(NetworkError, match="twice"):
+            network.start_flow([link, link], 1.0)
+
     def test_transferred_tracks_progress(self, net):
         sim, network = net
         link = Link("l", 1000.0)
