@@ -154,6 +154,9 @@ class BenchHarness:
         self._clock = clock
         self.cases: list[BenchCase] = []
         self._case_ids: set[str] = set()
+        # Taken before any case runs: a full run rewrites its committed
+        # tables, so the tree is always dirty by the time of ``write``.
+        self._manifest = _manifest.build_manifest()
 
     # -- measurement ---------------------------------------------------
 
@@ -334,7 +337,8 @@ class BenchHarness:
     def artifact(self) -> dict:
         """The suite's artifact payload (schema-valid by construction)."""
         return build_artifact(
-            self.suite, self.cases, quick=self.quick
+            self.suite, self.cases, quick=self.quick,
+            manifest=self._manifest,
         )
 
     def write(self, path: str | Path | None = None) -> Path:
@@ -392,15 +396,24 @@ def figure_metrics(result: Any) -> dict[str, float]:
 
 
 def build_artifact(
-    suite: str, cases: Iterable[BenchCase], quick: bool = False
+    suite: str,
+    cases: Iterable[BenchCase],
+    quick: bool = False,
+    manifest: dict | None = None,
 ) -> dict:
-    """Assemble the versioned artifact payload for ``cases``."""
+    """Assemble the versioned artifact payload for ``cases``.
+
+    ``manifest`` is the provenance block to embed (default: the
+    environment and git state now).
+    """
     return {
         "schema": SCHEMA,
         "suite": suite,
         "quick": bool(quick),
         "created": _manifest.utc_timestamp(),
-        "manifest": _manifest.build_manifest(),
+        "manifest": (
+            manifest if manifest is not None else _manifest.build_manifest()
+        ),
         "cases": [case.to_dict() for case in cases],
     }
 

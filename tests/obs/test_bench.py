@@ -193,6 +193,19 @@ class TestArtifactRoundTrip:
             load_artifact(tmp_path / "nope.json")
 
 
+class TestProvenance:
+    def test_manifest_is_taken_before_the_cases_run(self, monkeypatch):
+        # A full run rewrites its committed tables, so the git state
+        # must describe the tree as it was when the harness started.
+        from repro.obs import manifest
+
+        states = iter([{"git": {"dirty": False}}, {"git": {"dirty": True}}])
+        monkeypatch.setattr(manifest, "build_manifest", lambda: next(states))
+        harness = BenchHarness("demo", clock=FakeClock())
+        harness.case("c", lambda: None)
+        assert harness.artifact()["manifest"] == {"git": {"dirty": False}}
+
+
 class TestValidate:
     def _valid(self):
         harness = BenchHarness("demo", clock=FakeClock())
