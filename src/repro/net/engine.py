@@ -142,7 +142,8 @@ class Simulator:
                 f"cannot schedule at {time}, current time is {self._now}"
             )
         self._seq += 1
-        time = max(time, self._now)
+        if self._now > time:
+            time = self._now
         event = EventHandle(time, callback, args, self)
         heapq.heappush(self._queue, (time, self._seq, event))
         self._live += 1

@@ -672,9 +672,8 @@ class FlowNetwork:
         elapsed = now - self._last_update
         if elapsed > 0:
             for flow in self._flows:
-                flow.remaining = max(
-                    0.0, flow.remaining - flow._rate * elapsed
-                )
+                left = flow.remaining - flow._rate * elapsed
+                flow.remaining = left if left > 0.0 else 0.0
             link_bytes = self._link_bytes
             for name, rate in self._link_rates.items():
                 if rate:

@@ -127,8 +127,7 @@ class StarTopology:
         self._nodes[name] = node
         return node
 
-    def route(self, src: Node, dst: Node) -> list[Link]:
-        """The link path from ``src`` to ``dst`` through the hub."""
+    def _check_pair(self, src: Node, dst: Node) -> None:
         if src.name not in self._nodes or dst.name not in self._nodes:
             raise RoutingError(
                 f"both endpoints must belong to this topology: "
@@ -136,11 +135,19 @@ class StarTopology:
             )
         if src.name == dst.name:
             raise RoutingError(f"no route from {src.name!r} to itself")
+
+    def route(self, src: Node, dst: Node) -> list[Link]:
+        """The link path from ``src`` to ``dst`` through the hub."""
+        self._check_pair(src, dst)
         return [src.uplink, dst.downlink]
 
     def one_way_latency(self, src: Node, dst: Node) -> float:
-        """One-way propagation latency between two nodes, seconds."""
-        return sum(link.latency for link in self.route(src, dst))
+        """One-way propagation latency between two nodes, seconds.
+
+        The sum over :meth:`route`'s two links, without building it.
+        """
+        self._check_pair(src, dst)
+        return src.uplink.latency + dst.downlink.latency
 
     def set_node_bandwidth(
         self, network: FlowNetwork, node: Node, bandwidth: float

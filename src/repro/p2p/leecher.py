@@ -259,16 +259,20 @@ class Leecher(PeerBase):
     # -- message handling ------------------------------------------------
 
     def handle_message(self, src_name: str, message: Message) -> None:
-        if isinstance(message, Manifest):
+        # HAVEs are nearly every message a leecher receives; the message
+        # classes are disjoint, so an exact type test can go first.
+        if type(message) is Have:
+            held = self._availability.get(message.peer_id)
+            if held is None:
+                self._availability[message.peer_id] = {message.index}
+            else:
+                held.add(message.index)
+            self._known_peers.add(message.peer_id)
+            self._refill()
+        elif isinstance(message, Manifest):
             self._handle_manifest(message)
         elif isinstance(message, Bitfield):
             self._availability[message.peer_id] = set(message.indices)
-            self._known_peers.add(message.peer_id)
-            self._refill()
-        elif isinstance(message, Have):
-            self._availability.setdefault(message.peer_id, set()).add(
-                message.index
-            )
             self._known_peers.add(message.peer_id)
             self._refill()
         elif isinstance(message, RequestRejected):
@@ -322,15 +326,12 @@ class Leecher(PeerBase):
         all_indices = set(range(manifest.segment_count))
         self._availability[self._seeder_name] = all_indices
         self._known_peers.add(self._seeder_name)
-        for peer_name in manifest.peers:
-            if peer_name != self.name:
-                self._known_peers.add(peer_name)
-                self.send(
-                    peer_name,
-                    Handshake(
-                        peer_id=self.name, info_hash=manifest.info_hash
-                    ),
-                )
+        others = [name for name in manifest.peers if name != self.name]
+        self._known_peers.update(others)
+        self.broadcast(
+            others,
+            Handshake(peer_id=self.name, info_hash=manifest.info_hash),
+        )
         self._refill()
 
     # -- downloading -----------------------------------------------------
@@ -373,9 +374,10 @@ class Leecher(PeerBase):
         if estimator is not None and requested_at is not None:
             estimator.record(self._sim.now, size)
         self.player.segment_available(index)
-        for peer_name in sorted(self._known_peers):
-            if peer_name != self.name:
-                self.send(peer_name, Have(peer_id=self.name, index=index))
+        self.broadcast(
+            [name for name in sorted(self._known_peers) if name != self.name],
+            Have(peer_id=self.name, index=index),
+        )
         self._refill()
 
     def on_peer_left(self, peer_name: str) -> None:

@@ -10,7 +10,7 @@ per-segment Java-socket connections.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable, Iterable
 
 from ..errors import PeerError
 from ..net.engine import Simulator
@@ -35,9 +35,6 @@ from .messages import (
     encode_message,
 )
 from .wire import FrameDecoder, encode_frame
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 
 def piece_wire_overhead(peer_id: str, index: int, size: int) -> int:
@@ -83,6 +80,11 @@ class ControlPlane:
         """Look a live peer up by name (None if gone)."""
         return self._peers.get(name)
 
+    @property
+    def peer_names(self) -> list[str]:
+        """Names of the registered peers, in registration order."""
+        return list(self._peers)
+
     def delay(self, src_name: str, dst_name: str) -> float:
         """Control-message latency from ``src`` to ``dst``, seconds."""
         src = self._topology.node(src_name)
@@ -98,11 +100,24 @@ class ControlPlane:
         Messages to peers that have left by delivery time are silently
         dropped, as a closed socket would drop them.
         """
+        self.broadcast(src, (dst_name,), message)
+
+    def broadcast(
+        self, src: "PeerBase", dst_names: Iterable[str], message: Message
+    ) -> None:
+        """:meth:`send` ``message`` to each of ``dst_names`` in order.
+
+        The frame is encoded once; every recipient still counts as one
+        message and gets its own delivery at its own pair latency.
+        """
         raw = encode_frame(encode_message(message))
-        self.messages_sent += 1
-        self.control_bytes += len(raw)
-        delay = self.delay(src.name, dst_name)
-        self._sim.schedule(delay, self._deliver, src.name, dst_name, raw)
+        size = len(raw)
+        src_name = src.name
+        for dst_name in dst_names:
+            self.messages_sent += 1
+            self.control_bytes += size
+            delay = self.delay(src_name, dst_name)
+            self._sim.schedule(delay, self._deliver, src_name, dst_name, raw)
 
     def _deliver(self, src_name: str, dst_name: str, raw: bytes) -> None:
         dst = self._peers.get(dst_name)
@@ -181,6 +196,12 @@ class PeerBase:
         if not self.alive:
             return
         self._control.send(self, dst_name, message)
+
+    def broadcast(self, dst_names: Iterable[str], message: Message) -> None:
+        """Send one control message to several peers, in order."""
+        if not self.alive:
+            return
+        self._control.broadcast(self, dst_names, message)
 
     def receive_control(self, src_name: str, raw: bytes) -> None:
         """Decode an incoming control frame and dispatch it."""
@@ -363,16 +384,12 @@ class PeerBase:
             transfer.cancel()
         self._uploads.clear()
         self._upload_queue.clear()
-        for other in list(self._control_peer_names()):
-            self._control.send(self, other, Goodbye(self.name))
+        self._control.broadcast(
+            self,
+            [name for name in self._control.peer_names if name != self.name],
+            Goodbye(self.name),
+        )
         self._control.unregister(self.name)
-
-    def _control_peer_names(self) -> list[str]:
-        return [
-            name
-            for name in self._control._peers  # noqa: SLF001 - same package
-            if name != self.name
-        ]
 
     # -- hooks for subclasses -------------------------------------------
 

@@ -47,6 +47,12 @@ class FrameDecoder:
             WireFormatError: on a length prefix exceeding the frame
                 limit (stream corruption).
         """
+        if not self._buffer and len(data) >= _LENGTH.size:
+            # One whole frame on an empty buffer (every control
+            # delivery) needs no buffering.
+            (length,) = _LENGTH.unpack_from(data, 0)
+            if length <= MAX_FRAME_SIZE and len(data) == _LENGTH.size + length:
+                return [bytes(data[_LENGTH.size :])]
         self._buffer.extend(data)
         frames: list[bytes] = []
         while True:

@@ -24,6 +24,47 @@ peer_ids = st.text(min_size=1, max_size=24)
 indices = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+#: One instance of every message type and its wire bytes, recorded
+#: from the original ``isinstance``-chain encoder.  A codec change that
+#: alters any byte on the wire fails here.
+WIRE_BYTES = [
+    (
+        Handshake(peer_id="peer-1", info_hash="abababab"),
+        "010006706565722d3100086162616261626162",
+    ),
+    (ManifestRequest(peer_id="peer-2"), "020006706565722d32"),
+    (
+        Manifest(
+            info_hash="deadbeef",
+            segment_sizes=(100, 2_000_000),
+            segment_durations=(2.0, 1.5),
+            peers=("seeder", "пир-3"),
+        ),
+        "0300086465616462656566000000020000000000000064000000000"
+        "01e848040000000000000003ff800000000000000000002000673656564"
+        "65720008d0bfd0b8d1802d33",
+    ),
+    (
+        Bitfield(peer_id="p", indices=(0, 3, 70000)),
+        "0400017000000003000000000000000300011170",
+    ),
+    (Have(peer_id="peer-19", index=42), "050007706565722d31390000002a"),
+    (Request(peer_id="p", index=4, urgent=True), "060001700000000401"),
+    (
+        RequestRejected(peer_id="p", index=7, busy=True),
+        "070001700000000701",
+    ),
+    (
+        Piece(peer_id="p", index=2, size=512_000),
+        "0800017000000002000000000007d000",
+    ),
+    (Goodbye(peer_id="peer-7"), "090006706565722d37"),
+    (Cancel(peer_id="p", index=2**32 - 1), "0a000170ffffffff"),
+]
+
+WIRE_IDS = [type(message).__name__ for message, _ in WIRE_BYTES]
+
+
 def roundtrip(message):
     return decode_message(encode_message(message))
 
@@ -86,6 +127,24 @@ class TestRoundTrips:
     def test_unicode_peer_id(self):
         msg = Handshake(peer_id="пир-1", info_hash="h")
         assert roundtrip(msg) == msg
+
+
+class TestWireBytes:
+    def test_table_covers_every_message_type(self):
+        ids = sorted(message.MSG_ID for message, _ in WIRE_BYTES)
+        assert ids == list(range(1, 11))
+
+    @pytest.mark.parametrize("message, wire", WIRE_BYTES, ids=WIRE_IDS)
+    def test_encoding_is_pinned(self, message, wire):
+        assert encode_message(message).hex() == wire
+
+    @pytest.mark.parametrize("message, wire", WIRE_BYTES, ids=WIRE_IDS)
+    def test_pinned_bytes_decode(self, message, wire):
+        assert decode_message(bytes.fromhex(wire)) == message
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(WireFormatError, match="cannot encode"):
+            encode_message(object())
 
 
 class TestValidation:

@@ -3,8 +3,15 @@
 import pytest
 
 from repro.errors import PeerError
-from repro.p2p.messages import Handshake, Request
+from repro.p2p.messages import (
+    Goodbye,
+    Handshake,
+    Have,
+    Request,
+    encode_message,
+)
 from repro.p2p.peer import piece_wire_overhead
+from repro.p2p.wire import encode_frame
 
 from .helpers import MiniSwarm
 
@@ -43,6 +50,94 @@ class TestControlPlane:
         b.leave()
         a.send(b.name, Handshake(peer_id=a.name, info_hash="x"))
         swarm.run()  # delivery fires but is dropped; no exception
+
+
+def record_deliveries(swarm):
+    """Replace each peer's frame handler with a log of its deliveries.
+
+    Entries are ``(time, recipient, sender, frame)``.
+    """
+    log = []
+    for peer in [swarm.seeder, *swarm.leechers]:
+        peer.receive_control = (
+            lambda src, raw, name=peer.name: log.append(
+                (swarm.sim.now, name, src, raw)
+            )
+        )
+    return log
+
+
+class TestBroadcast:
+    def test_counts_one_message_per_recipient(self):
+        swarm = MiniSwarm(n_leechers=4)
+        sender, *others = swarm.leechers
+        message = Have(peer_id=sender.name, index=3)
+        frame = encode_frame(encode_message(message))
+        sent, sent_bytes = (
+            swarm.control.messages_sent,
+            swarm.control.control_bytes,
+        )
+        sender.broadcast([peer.name for peer in others], message)
+        assert swarm.control.messages_sent == sent + 3
+        assert swarm.control.control_bytes == sent_bytes + 3 * len(frame)
+
+    def test_each_recipient_at_its_own_delay(self):
+        swarm = MiniSwarm(n_leechers=3)
+        swarm.control._extra_latency = (
+            lambda s, d: 0.5 if "seeder" in (s, d) else 0.0
+        )
+        log = record_deliveries(swarm)
+        sender = swarm.leechers[0]
+        recipients = ["peer-3", "seeder", "peer-2"]
+        sender.broadcast(recipients, Have(peer_id=sender.name, index=0))
+        swarm.run()
+        frame = encode_frame(encode_message(Have(sender.name, 0)))
+        assert sorted(log) == sorted(
+            (swarm.control.delay(sender.name, name), name, sender.name, frame)
+            for name in recipients
+        )
+        assert dict((name, t) for t, name, _, _ in log)[
+            "seeder"
+        ] == pytest.approx(0.525)
+
+    def test_recipient_that_left_is_skipped(self):
+        swarm = MiniSwarm(n_leechers=3)
+        log = record_deliveries(swarm)
+        sender, gone, staying = swarm.leechers
+        sender.broadcast(
+            [gone.name, staying.name], Have(peer_id=sender.name, index=0)
+        )
+        gone.leave()
+        swarm.run()
+        assert [name for _, name, src, _ in log if src == sender.name] == [
+            staying.name
+        ]
+
+    def test_dead_sender_sends_nothing(self):
+        swarm = MiniSwarm(n_leechers=2)
+        sender, other = swarm.leechers
+        sender.leave()
+        swarm.run()  # deliver its goodbyes
+        log = record_deliveries(swarm)
+        sent = swarm.control.messages_sent
+        sender.broadcast([other.name], Have(peer_id=sender.name, index=0))
+        swarm.run()
+        assert swarm.control.messages_sent == sent
+        assert log == []
+
+    def test_leave_says_goodbye_to_every_other_peer(self):
+        swarm = MiniSwarm(n_leechers=3)
+        log = record_deliveries(swarm)
+        leaver = swarm.leechers[1]
+        leaver.leave()
+        swarm.run()
+        frame = encode_frame(encode_message(Goodbye(leaver.name)))
+        assert sorted(name for _, name, _, raw in log if raw == frame) == [
+            "peer-1",
+            "peer-3",
+            "seeder",
+        ]
+        assert leaver.name not in swarm.control.peer_names
 
 
 class TestPieceWireOverhead:

@@ -58,6 +58,27 @@ class TestFrameDecoder:
         decoder = FrameDecoder()
         assert decoder.feed(encode_frame(b"")) == [b""]
 
+    def test_whole_frame_from_bytearray_is_bytes(self):
+        decoder = FrameDecoder()
+        frames = decoder.feed(bytearray(encode_frame(b"ab")))
+        assert frames == [b"ab"] and type(frames[0]) is bytes
+
+    def test_partial_then_rest_plus_whole_frame_equals_bulk(self):
+        first, second = encode_frame(b"first"), encode_frame(b"second")
+        decoder = FrameDecoder()
+        received = decoder.feed(first[:6])
+        received += decoder.feed(first[6:] + second)
+        assert received == FrameDecoder().feed(first + second)
+        assert received == [b"first", b"second"]
+        assert decoder.pending_bytes == 0
+
+    def test_whole_frame_behind_a_partial_one_is_not_split_out(self):
+        partial, whole = encode_frame(b"abcdef")[:6], encode_frame(b"xy")
+        decoder = FrameDecoder()
+        assert decoder.feed(partial) == []
+        assert decoder.feed(whole) == FrameDecoder().feed(partial + whole)
+        assert decoder.pending_bytes == len(partial + whole) - 10
+
     @given(payloads=st.lists(st.binary(max_size=200), max_size=10))
     def test_property_roundtrip(self, payloads):
         decoder = FrameDecoder()
