@@ -61,6 +61,22 @@ class TestRouting:
         a, b = topo.node("a"), topo.node("b")
         assert topo.one_way_latency(a, b) == pytest.approx(0.025)
 
+    def test_one_way_latency_is_the_route_sum_exactly(self):
+        topology = StarTopology()
+        a = topology.add_node("a", 1.0, latency_to_hub=0.1)
+        b = topology.add_node("b", 1.0, latency_to_hub=0.2)
+        assert topology.one_way_latency(a, b) == sum(
+            link.latency for link in topology.route(a, b)
+        )
+
+    def test_one_way_latency_checks_the_pair(self, topo):
+        a = topo.node("a")
+        foreign = StarTopology().add_node("x", 1.0)
+        with pytest.raises(RoutingError):
+            topo.one_way_latency(a, a)
+        with pytest.raises(RoutingError):
+            topo.one_way_latency(a, foreign)
+
 
 class TestPerLinkLoss:
     def test_compounds_back_to_path_loss(self):
