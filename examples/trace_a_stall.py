@@ -13,7 +13,6 @@ Usage::
     python examples/trace_a_stall.py [trace.jsonl]
 
 Pass a path to also keep the JSONL trace for
-``python -m repro trace <path>`` and
 ``python -m repro analyze <path> --gantt``.
 """
 
@@ -154,7 +153,6 @@ def main() -> None:
     if len(sys.argv) > 1:
         dump_jsonl(events, sys.argv[1])
         print(f"trace written to {sys.argv[1]}")
-        print(f"  inspect with: python -m repro trace {sys.argv[1]}")
         print(
             f"  diagnose with: python -m repro analyze "
             f"{sys.argv[1]} --gantt"

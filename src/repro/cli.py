@@ -3,14 +3,15 @@
 Commands:
 
 * ``quickstart`` — splice + stream at one bandwidth, print metrics;
-* ``fig2`` / ``fig3`` / ``fig4`` / ``fig5`` — regenerate a paper
-  figure (``--quick`` runs a reduced sweep for a fast look);
+* ``reproduce`` — regenerate every figure, or one with ``--figure N``;
+  ``fig2`` / ``fig3`` / ``fig4`` / ``fig5`` are aliases of
+  ``reproduce --figure N`` (``--quick`` runs a reduced sweep);
 * ``overhead`` — the splicing byte-overhead table (ablation A3);
 * ``rspec`` — print the experiment's request RSpec XML (Fig. 1);
 * ``timeline`` — run one swarm and render per-peer session timelines;
-* ``trace`` — summarize a JSONL trace written by ``reproduce --trace``;
-* ``analyze`` — diagnose a JSONL trace: per-peer timelines, stall
-  root-cause attribution, and an optional cause-marked Gantt chart;
+* ``analyze`` — diagnose a JSONL trace written by ``reproduce
+  --trace``: stall root-cause attribution, per-peer sessions, event
+  counts, and an optional cause-marked Gantt chart;
 * ``bench`` — run a benchmark suite through the shared harness and
   write its versioned ``BENCH_<suite>.json`` artifact;
 * ``compare`` — diff two benchmark artifacts and exit non-zero on
@@ -26,13 +27,18 @@ Commands:
   straggler flagging, dead-shard detection);
 * ``ops`` — render a ``repro.ops/1`` wall-clock span log as an
   indented tree with a critical-path summary.
+
+Every leaf subcommand binds its handler with ``set_defaults``, and
+:func:`main` calls it: the parser is the one command table.
 """
 
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -54,14 +60,11 @@ from .obs import (
     attribute_stalls,
     build_timelines,
     dump_jsonl,
-    event_counts,
     load_jsonl,
     render_analysis,
+    render_event_counts,
     render_gantt,
-    render_trace_summary,
-    summarize_trace,
 )
-from .obs.events import TraceEvent
 from .obs.render import render_timeline
 from .p2p.swarm import Swarm, SwarmConfig
 from .testbed.rspec import star_rspec
@@ -70,6 +73,12 @@ from .video.encoder import encode_paper_video
 
 #: Segment duration of the representative run ``--trace`` records.
 _TRACE_SEGMENT_DURATION = 4.0
+
+#: ``sweep status --watch`` refresh period, seconds.
+_WATCH_INTERVAL_S = 2.0
+
+#: The source checkout enclosing this package (``src/repro/..``).
+_CHECKOUT = Path(__file__).resolve().parents[2]
 
 
 class _VersionAction(argparse.Action):
@@ -94,17 +103,15 @@ class _VersionAction(argparse.Action):
         parser.exit()
 
 
-def _bench_dir() -> Path | None:
-    """Locate ``benchmarks/``: the cwd first, then the checkout.
+def _checkout_dir(relative: str) -> Path | None:
+    """Locate ``relative`` (a directory): the cwd first, then the checkout.
 
-    ``repro bench`` is usually run from the repository root, but the
-    fallback keeps it working from anywhere inside a source checkout
-    (the suites are not installed with the package).
+    ``repro bench`` and ``repro lint`` are usually run from the
+    repository root, but the fallback keeps them working from anywhere
+    inside a source checkout (the benchmark suites are not installed
+    with the package).
     """
-    for candidate in (
-        Path("benchmarks"),
-        Path(__file__).resolve().parent.parent.parent / "benchmarks",
-    ):
+    for candidate in (Path(relative), _CHECKOUT / relative):
         if candidate.is_dir():
             return candidate
     return None
@@ -137,16 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--bandwidth", type=float, default=256.0, help="peer kB/s"
     )
     quickstart.add_argument("--seed", type=int, default=7)
+    quickstart.set_defaults(handler=_cmd_quickstart)
 
-    for name in FIGURES:
-        figure = sub.add_parser(f"fig{name}", help=f"regenerate fig{name}")
-        figure.add_argument(
-            "--quick",
-            action="store_true",
-            help="reduced sweep (1 seed, 2 bandwidths)",
-        )
-
-    sub.add_parser("overhead", help="splicing byte-overhead table")
+    sub.add_parser(
+        "overhead", help="splicing byte-overhead table"
+    ).set_defaults(handler=_cmd_overhead)
 
     reproduce = sub.add_parser(
         "reproduce", help="regenerate every figure in one run"
@@ -182,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help=(
             "also run one fully-traced representative swarm and write "
-            "its JSONL trace here (inspect with 'repro trace PATH'); "
+            "its JSONL trace here (inspect with 'repro analyze PATH'); "
             "the traced run always executes in-process regardless of "
             "--jobs so its trace stays on a single simulated clock"
         ),
@@ -245,11 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     reproduce.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the result store even if --cache/--resume is given",
-    )
-    reproduce.add_argument(
         "--resume",
         action="store_true",
         help=(
@@ -257,12 +254,28 @@ def build_parser() -> argparse.ArgumentParser:
             "(implies --cache; prints how many runs were restored)"
         ),
     )
+    reproduce.set_defaults(handler=_cmd_reproduce)
+
+    # figN = reproduce --figure N, every other option at its default.
+    alias_defaults = vars(reproduce.parse_args([]))
+    for name in FIGURES:
+        figure = sub.add_parser(
+            f"fig{name}",
+            help=f"regenerate fig{name} (= reproduce --figure {name})",
+        )
+        figure.add_argument(
+            "--quick",
+            action="store_true",
+            help="reduced sweep (1 seed, 2 bandwidths)",
+        )
+        figure.set_defaults(**{**alias_defaults, "figure": name})
 
     rspec = sub.add_parser("rspec", help="print the slice RSpec XML")
     rspec.add_argument("--peers", type=int, default=19)
     rspec.add_argument(
         "--capacity", type=int, default=8192, help="kbit/s per link"
     )
+    rspec.set_defaults(handler=_cmd_rspec)
 
     timeline = sub.add_parser(
         "timeline", help="per-peer session timelines for one run"
@@ -271,16 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     timeline.add_argument("--duration", type=float, default=4.0)
     timeline.add_argument("--peers", type=int, default=9)
     timeline.add_argument("--seed", type=int, default=7)
-
-    trace = sub.add_parser(
-        "trace", help="summarize a JSONL trace file"
-    )
-    trace.add_argument("path", help="trace written by reproduce --trace")
+    timeline.set_defaults(handler=_cmd_timeline)
 
     analyze = sub.add_parser(
         "analyze",
         help=(
-            "diagnose a JSONL trace: timelines + stall root causes"
+            "diagnose a JSONL trace: stall root causes, per-peer "
+            "sessions, event counts"
         ),
     )
     analyze.add_argument(
@@ -297,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=72,
         help="Gantt time-axis width in columns",
     )
+    analyze.set_defaults(handler=_cmd_analyze)
 
     bench = sub.add_parser(
         "bench",
@@ -328,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
             "benchmarks/results/BENCH_<suite>.json)"
         ),
     )
+    bench.set_defaults(handler=_cmd_bench)
 
     lint = sub.add_parser(
         "lint",
@@ -379,6 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append per-rule finding/suppression counts",
     )
+    lint.set_defaults(handler=_cmd_lint)
 
     compare = sub.add_parser(
         "compare",
@@ -414,6 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
             "metrics.<name>; default: best_s and events_per_sec"
         ),
     )
+    compare.set_defaults(handler=_cmd_compare)
 
     ops_cmd = sub.add_parser(
         "ops",
@@ -433,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="maximum tree depth to render (default 8)",
     )
+    ops_cmd.set_defaults(handler=_cmd_ops)
 
     sweep = sub.add_parser(
         "sweep",
@@ -444,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
             "fleet view"
         ),
     )
-    sweep_sub = sweep.add_subparsers(dest="sweep_command", required=True)
+    sweep_sub = sweep.add_subparsers(required=True)
 
     plan = sweep_sub.add_parser(
         "plan", help="expand a figure sweep and partition it into shards"
@@ -475,11 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="plan path (default: sweep-fig<N>.plan.json)",
     )
-    plan.add_argument(
-        "--no-ops",
-        action="store_true",
-        help="skip the wall-clock ops log (<plan>.ops.jsonl)",
-    )
+    plan.set_defaults(handler=_cmd_sweep_plan)
 
     shard_run = sweep_sub.add_parser(
         "run", help="execute one shard of a plan into a result store"
@@ -502,14 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("live", "plain"),
         default=None,
     )
-    shard_run.add_argument(
-        "--no-ops",
-        action="store_true",
-        help=(
-            "skip wall-clock telemetry (the span log and heartbeat "
-            "under STORE/repro.ops/)"
-        ),
-    )
+    shard_run.set_defaults(handler=_cmd_sweep_run)
 
     merge = sweep_sub.add_parser(
         "merge",
@@ -539,14 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default=None, metavar="PATH",
         help="also write the figure table here",
     )
-    merge.add_argument(
-        "--no-ops",
-        action="store_true",
-        help=(
-            "skip the wall-clock span log "
-            "(STORE/repro.ops/merge.ops.jsonl)"
-        ),
-    )
+    merge.set_defaults(handler=_cmd_sweep_merge)
 
     status = sweep_sub.add_parser(
         "status",
@@ -574,36 +571,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "keep re-rendering until every shard reaches a "
-            "terminal state"
+            "terminal state (refreshing every "
+            f"{_WATCH_INTERVAL_S:g} s)"
         ),
     )
-    status.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="S",
-        help="--watch refresh period in seconds (default 2)",
-    )
-    status.add_argument(
-        "--stale",
-        type=float,
-        default=30.0,
-        metavar="S",
-        help=(
-            "a running shard whose heartbeat is older than this is "
-            "reported dead (default 30)"
-        ),
-    )
-    status.add_argument(
-        "--straggler",
-        type=float,
-        default=0.5,
-        metavar="FRAC",
-        help=(
-            "flag a running shard whose run rate is below FRAC of "
-            "the fleet median (default 0.5)"
-        ),
-    )
+    status.set_defaults(handler=_cmd_sweep_status)
     return parser
 
 
@@ -612,61 +584,39 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     Library errors print as ``error: ...`` on stderr, never as a
     traceback: a failed sweep run exits 1, any other
-    :class:`~repro.errors.ReproError` (bad input) exits 2.
+    :class:`~repro.errors.ReproError` (bad input) or an I/O error
+    exits 2.
     """
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except SweepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "quickstart":
-        return _cmd_quickstart(args)
-    if args.command.removeprefix("fig") in FIGURES:
-        return _cmd_figure(args)
-    if args.command == "overhead":
-        return _cmd_overhead()
-    if args.command == "reproduce":
-        return _cmd_reproduce(args)
-    if args.command == "rspec":
-        return _cmd_rspec(args)
-    if args.command == "timeline":
-        return _cmd_timeline(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    if args.command == "ops":
-        return _cmd_ops(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    # repro: lint-ok[E1] unreachable parser-dispatch guard
-    raise AssertionError(f"unhandled command {args.command!r}")
+def _run_swarm(args: argparse.Namespace, splice, n_leechers: int):
+    """One swarm over ``splice`` at ``--bandwidth``/``--seed`` (the
+    seeder gets 8x the peer bandwidth)."""
+    config = SwarmConfig(
+        bandwidth=kB_per_s(args.bandwidth),
+        seeder_bandwidth=kB_per_s(8 * args.bandwidth),
+        n_leechers=n_leechers,
+        seed=args.seed,
+    )
+    return Swarm(splice, config).run()
 
 
 def _cmd_quickstart(args: argparse.Namespace) -> int:
     video = encode_paper_video(seed=1)
     for splicer in (GopSplicer(), DurationSplicer(4.0)):
         splice = splicer.splice(video)
-        config = SwarmConfig(
-            bandwidth=kB_per_s(args.bandwidth),
-            seeder_bandwidth=kB_per_s(8 * args.bandwidth),
-            n_leechers=19,
-            seed=args.seed,
-        )
-        result = Swarm(splice, config).run()
+        result = _run_swarm(args, splice, n_leechers=19)
         print(
             f"{splice.technique:12s} stalls={result.mean_stall_count():6.1f} "
             f"stall-time={result.mean_stall_duration():7.1f}s "
@@ -675,55 +625,73 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
-    module = FIGURES[args.command.removeprefix("fig")]
-    result = module.run(
-        sweep_config(args.quick), **figure_axis(args.quick)
-    )
-    print(format_figure(result))
+def _cmd_timeline(args: argparse.Namespace) -> int:
+    video = encode_paper_video(seed=1)
+    splice = DurationSplicer(args.duration).splice(video)
+    print(render_timeline(_run_swarm(args, splice, args.peers)))
     return 0
 
 
-def _cmd_overhead() -> int:
+def _cmd_overhead(args: argparse.Namespace) -> int:
     print(format_overhead(run_overhead()))
     return 0
 
 
+def _cmd_rspec(args: argparse.Namespace) -> int:
+    document = star_rspec(
+        n_peers=args.peers, capacity_kbps=args.capacity
+    )
+    print(document.to_xml())
+    return 0
+
+
+def _check_writable(args: argparse.Namespace, *flags: str) -> None:
+    """Fail before any run starts when an output path is unwritable.
+
+    Opens each given path for appending (creating it when missing,
+    keeping existing content), so a bad directory or permission shows
+    up now rather than as a traceback after the whole sweep.
+    """
+    for flag in flags:
+        path = getattr(args, flag)
+        if path is None:
+            continue
+        try:
+            with open(path, "a", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            raise ReproError(
+                f"cannot write --{flag} {path!r}: {exc.strerror}"
+            ) from exc
+
+
+def _progress(args: argparse.Namespace):
+    """The ``--progress`` sink, or None when the flag is absent."""
+    from .parallel import SweepProgress
+
+    return SweepProgress(mode=args.progress) if args.progress else None
+
+
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     from .experiments.reproduce import reproduce_all
-    from .parallel import SweepExecutor, SweepProgress
+    from .parallel import SweepExecutor
 
-    config = sweep_config(
-        args.quick, getattr(args, "fidelity", "exact")
-    )
     if args.analyze and args.figure is None:
-        print(
-            "error: --analyze requires --figure "
-            "(cause breakdowns are per-figure tables)",
-            file=sys.stderr,
+        raise ReproError(
+            "--analyze requires --figure "
+            "(cause breakdowns are per-figure tables)"
         )
-        return 2
-    progress = (
-        SweepProgress(mode=args.progress) if args.progress else None
-    )
+    _check_writable(args, "output", "trace", "manifest")
+    config = sweep_config(args.quick, args.fidelity)
     store = None
-    if not args.no_cache and (args.cache is not None or args.resume):
+    if args.cache is not None or args.resume:
         from .parallel import ResultStore, default_store_root
 
         root = Path(args.cache) if args.cache else default_store_root()
         store = ResultStore(root)
     executor = SweepExecutor(
-        jobs=args.jobs, progress=progress, store=store
+        jobs=args.jobs, progress=_progress(args), store=store
     )
-    if args.trace is not None:
-        # Fail on an unwritable path now, not after the whole sweep.
-        try:
-            with open(args.trace, "w", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            print(f"error: cannot write trace '{args.trace}': {exc}",
-                  file=sys.stderr)
-            return 2
     sweep_started = time.monotonic()
     if args.figure is not None:
         result = FIGURES[args.figure].run(
@@ -762,92 +730,60 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     if args.trace is not None:
         _write_representative_trace(args, config)
     if args.manifest is not None:
-        return _write_run_manifest(
-            args, executor, store, wall_seconds=sweep_elapsed
-        )
+        _write_run_manifest(args, executor, store, sweep_elapsed)
     return 0
 
 
 def _write_run_manifest(
     args: argparse.Namespace,
     executor,
-    store=None,
-    wall_seconds: float = 0.0,
-) -> int:
+    store,
+    wall_seconds: float,
+) -> None:
     """Record one ``reproduce`` invocation as a JSON manifest."""
     from .obs import dump_json, run_manifest
 
-    command = "reproduce"
-    if args.quick:
-        command += " --quick"
-    if args.figure is not None:
-        command += f" --figure {args.figure}"
-    if getattr(args, "fidelity", "exact") != "exact":
-        command += f" --fidelity {args.fidelity}"
-    if args.resume:
-        command += " --resume"
-    elif store is not None:
-        command += " --cache"
     stats = executor.stats
     if store is not None:
         cache = {
             "enabled": True,
             "root": str(store.root),
             "schema": store.schema,
-            "hits": store.stats.hits,
-            "misses": store.stats.misses,
-            "stores": store.stats.stores,
-            "invalidations": store.stats.invalidations,
+            **asdict(store.stats),
             "runs_cached": stats.runs_cached,
         }
     else:
         cache = {"enabled": False}
+    cells = stats.cells_cached + stats.cells_computed
     payload = run_manifest(
-        command,
+        shlex.join(args.argv),
         quick=args.quick,
         figure=args.figure,
         jobs=executor.jobs,
         sweep={
-            "runs": stats.runs,
-            "failures": stats.failures,
-            "runs_cached": stats.runs_cached,
-            "events_fired": stats.events_fired,
-            "sim_seconds": stats.sim_seconds,
-            "cells_computed": stats.cells_computed,
-            "cells_cached": stats.cells_cached,
+            **asdict(stats),
             "wall_seconds": wall_seconds,
             "cells_per_sec": (
-                (stats.cells_cached + stats.cells_computed)
-                / wall_seconds
-                if wall_seconds > 0
-                else None
+                cells / wall_seconds if wall_seconds > 0 else None
             ),
         },
         cache=cache,
     )
-    try:
-        dump_json(payload, args.manifest)
-    except OSError as exc:
-        print(
-            f"error: cannot write manifest '{args.manifest}': {exc}",
-            file=sys.stderr,
-        )
-        return 2
+    dump_json(payload, args.manifest)
     print(f"run manifest -> {args.manifest}")
-    return 0
 
 
 def _write_representative_trace(
     args: argparse.Namespace, config: ExperimentConfig
-) -> int:
+) -> None:
     """Run one fully-traced swarm and dump its JSONL trace.
 
     One run, not the whole sweep: a multi-run trace would interleave
     restarting sim clocks, and the point of ``--trace`` is a file whose
-    ``repro trace`` summary matches one run's :class:`SwarmResult`
-    exactly.  The run uses the target figure's first bandwidth, the
-    first configured seed, and 4-second duration splicing (the paper's
-    middle technique).
+    ``repro analyze`` per-peer table matches one run's
+    :class:`SwarmResult` exactly.  The run uses the target figure's
+    first bandwidth, the first configured seed, and 4-second duration
+    splicing (the paper's middle technique).
     """
     if args.figure == "4":
         from .experiments.config import FIG4_BANDWIDTHS_KB
@@ -870,40 +806,14 @@ def _write_representative_trace(
         f"{bandwidth_kb} kB/s, seed {config.seeds[0]}): "
         f"{len(obs.events())} events -> {args.trace}"
     )
-    return 0
-
-
-def _print_event_counts(events: list[TraceEvent]) -> None:
-    """Event counts per category and per severity."""
-    print("Events by category:")
-    for category, names in sorted(event_counts(events).items()):
-        total = sum(names.values())
-        detail = ", ".join(
-            f"{name} x{count}" for name, count in sorted(names.items())
-        )
-        print(f"  {category} ({total}): {detail}")
-    print("Events by severity:")
-    severities: dict[str, int] = {}
-    for event in events:
-        severities[event.severity] = (
-            severities.get(event.severity, 0) + 1
-        )
-    for severity, count in sorted(severities.items()):
-        print(f"  {severity}: {count}")
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    events = load_jsonl(args.path)
-    print(render_trace_summary(summarize_trace(events)))
-    print()
-    _print_event_counts(events)
-    return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     events = load_jsonl(args.path)
-    analysis = analyze_events(events)
-    print(render_analysis(analysis), end="")
+    print(render_analysis(analyze_events(events)))
+    print("## Events")
+    print()
+    print(render_event_counts(events))
     if args.gantt:
         timelines = build_timelines(events)
         print()
@@ -922,14 +832,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .obs.bench import BenchHarness, discover_suites, load_suite
 
-    bench_dir = _bench_dir()
+    bench_dir = _checkout_dir("benchmarks")
     if bench_dir is None:
-        print(
-            "error: no benchmarks/ directory found (run from the "
-            "repository root)",
-            file=sys.stderr,
+        raise ReproError(
+            "no benchmarks/ directory found (run from the "
+            "repository root)"
         )
-        return 2
     suites = discover_suites(bench_dir)
     if args.suite == "list":
         for name in sorted(suites):
@@ -937,24 +845,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 0
     script = suites.get(args.suite)
     if script is None:
-        print(
-            f"error: unknown suite {args.suite!r} "
-            f"(try 'repro bench list')",
-            file=sys.stderr,
+        raise ReproError(
+            f"unknown suite {args.suite!r} (try 'repro bench list')"
         )
-        return 2
     harness = BenchHarness(
         args.suite,
         results_dir=bench_dir / "results",
         quick=args.quick,
     )
-    try:
-        module = load_suite(args.suite, script)
-        module.run_suite(harness, quick=args.quick)
-        target = harness.write(args.output)
-    except OSError as exc:
-        print(f"error: cannot write artifact: {exc}", file=sys.stderr)
-        return 2
+    load_suite(args.suite, script).run_suite(harness, quick=args.quick)
+    target = harness.write(args.output)
     print(
         f"suite {args.suite}: {len(harness.cases)} case(s) -> {target}"
     )
@@ -982,22 +882,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0 if comparison.ok else 1
 
 
-def _default_lint_paths() -> list[str] | None:
-    """Locate ``src/repro``: the cwd's checkout, then the package.
-
-    Mirrors :func:`_bench_dir`: ``repro lint`` is usually run from
-    the repository root, but falls back to linting the installed
-    package sources so it works from anywhere inside a checkout.
-    """
-    for candidate in (
-        Path("src") / "repro",
-        Path(__file__).resolve().parent,
-    ):
-        if candidate.is_dir():
-            return [str(candidate)]
-    return None
-
-
 def _lint_rule_list(raw: list[str] | None) -> tuple[str, ...] | None:
     """Flatten repeatable/comma-separated rule-id flags."""
     if raw is None:
@@ -1018,18 +902,16 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         render_text,
     )
 
-    paths = args.paths or _default_lint_paths()
+    paths = args.paths
     if not paths:
-        print(
-            "error: no paths given and no src/repro tree found",
-            file=sys.stderr,
-        )
-        return 2
+        tree = _checkout_dir("src/repro")
+        if tree is None:
+            raise ReproError("no paths given and no src/repro tree found")
+        paths = [str(tree)]
+    select = _lint_rule_list(args.select)
+    ignore = _lint_rule_list(args.ignore)
     result = lint_paths(
-        paths,
-        config=load_config(),
-        select=_lint_rule_list(args.select),
-        ignore=_lint_rule_list(args.ignore),
+        paths, config=load_config(), select=select, ignore=ignore
     )
     if args.format == "json":
         import json
@@ -1037,8 +919,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         payload = build_payload(
             result,
             paths=[str(path) for path in paths],
-            select=_lint_rule_list(args.select) or (),
-            ignore=_lint_rule_list(args.ignore) or (),
+            select=select or (),
+            ignore=ignore or (),
         )
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -1066,18 +948,89 @@ def _cmd_ops(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep_status(args: argparse.Namespace, plan: dict) -> int:
+def _cmd_sweep_plan(args: argparse.Namespace) -> int:
+    from .experiments import sweep_service
+    from .obs.ops import OpsLog
+
+    target = args.output or f"sweep-fig{args.figure}.plan.json"
+    with OpsLog(f"{target}.ops.jsonl") as ops_log:
+        with ops_log.span(
+            "plan", figure=args.figure, shards=args.shards
+        ) as span:
+            plan = sweep_service.build_plan(
+                args.figure,
+                quick=args.quick,
+                fidelity=args.fidelity,
+                shards=args.shards,
+            )
+            sweep_service.dump_plan(plan, target)
+            span.attrs["runs"] = plan["total_runs"]
+    per_shard = ", ".join(
+        str(sum(1 for run in plan["runs"] if run["shard"] == shard))
+        for shard in range(plan["shards"])
+    )
+    print(
+        f"sweep plan -> {target}: figure {args.figure}, "
+        f"{plan['total_runs']} runs over {plan['shards']} "
+        f"shard(s) [{per_shard}]"
+    )
+    return 0
+
+
+def _cmd_sweep_run(args: argparse.Namespace) -> int:
+    from .experiments import sweep_service
+    from .parallel import ResultStore
+
+    report = sweep_service.run_shard(
+        sweep_service.load_plan(args.plan),
+        args.shard,
+        ResultStore(args.store),
+        jobs=args.jobs,
+        progress=_progress(args),
+    )
+    print(
+        f"shard {report.shard}/{report.shards}: "
+        f"{report.runs} runs, {report.computed} computed, "
+        f"{report.cached} already in {args.store}"
+    )
+    return 0
+
+
+def _cmd_sweep_merge(args: argparse.Namespace) -> int:
+    from .experiments import sweep_service
+    from .parallel import ResultStore
+
+    report = sweep_service.merge_plan(
+        sweep_service.load_plan(args.plan),
+        ResultStore(args.store),
+        sources=args.sources,
+        jobs=args.jobs,
+    )
+    text = format_figure(report.result)
+    print(text)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    print(
+        f"merged {len(args.sources)} shard store(s) "
+        f"({report.absorbed} entries absorbed) into "
+        f"{args.store}: {report.cached} of {report.runs} "
+        f"runs cached, {report.computed} computed",
+        file=sys.stderr,
+    )
+    return 0
+
+
+def _cmd_sweep_status(args: argparse.Namespace) -> int:
     """The ``repro sweep status [--watch]`` fleet view."""
+    from .experiments import sweep_service
     from .obs.ops import find_heartbeats, fleet_status, render_fleet
 
+    plan = sweep_service.load_plan(args.plan)
     first = True
     while True:
         statuses = fleet_status(
-            plan,
-            find_heartbeats(args.stores),
-            now=time.time(),
-            stale_after=args.stale,
-            straggler_below=args.straggler,
+            plan, find_heartbeats(args.stores), now=time.time()
         )
         if not first:
             print()
@@ -1089,133 +1042,7 @@ def _cmd_sweep_status(args: argparse.Namespace, plan: dict) -> int:
         )
         if not args.watch or terminal:
             return 0
-        time.sleep(max(0.1, args.interval))
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    """The ``repro sweep plan|run|merge|status`` sharded-sweep protocol.
-
-    Exit codes follow the repo convention: 0 on success, 1 when any
-    of a shard's runs failed, 2 on a malformed/stale plan or store
-    (or unreadable telemetry for ``status``).
-    """
-    from .experiments import sweep_service
-    from .parallel import ResultStore, SweepProgress
-
-    jobs = getattr(args, "jobs", None)
-    ops = not getattr(args, "no_ops", False)
-    try:
-        if args.sweep_command == "plan":
-            from .obs.ops import NULL_OPS, OpsLog
-
-            target = (
-                args.output
-                or f"sweep-fig{args.figure}.plan.json"
-            )
-            ops_log = (
-                OpsLog(f"{target}.ops.jsonl") if ops else NULL_OPS
-            )
-            with ops_log:
-                with ops_log.span(
-                    "plan",
-                    figure=args.figure,
-                    shards=args.shards,
-                ) as span:
-                    plan = sweep_service.build_plan(
-                        args.figure,
-                        quick=args.quick,
-                        fidelity=args.fidelity,
-                        shards=args.shards,
-                    )
-                    sweep_service.dump_plan(plan, target)
-                    span.attrs["runs"] = plan["total_runs"]
-            per_shard = ", ".join(
-                str(sum(1 for run in plan["runs"]
-                        if run["shard"] == shard))
-                for shard in range(plan["shards"])
-            )
-            print(
-                f"sweep plan -> {target}: figure {args.figure}, "
-                f"{plan['total_runs']} runs over {plan['shards']} "
-                f"shard(s) [{per_shard}]"
-            )
-            return 0
-        plan = sweep_service.load_plan(args.plan)
-        if args.sweep_command == "status":
-            return _cmd_sweep_status(args, plan)
-        progress = (
-            SweepProgress(mode=args.progress)
-            if getattr(args, "progress", None)
-            else None
-        )
-        if args.sweep_command == "run":
-            report = sweep_service.run_shard(
-                plan,
-                args.shard,
-                ResultStore(args.store),
-                jobs=jobs,
-                progress=progress,
-                ops=ops,
-            )
-            print(
-                f"shard {report.shard}/{report.shards}: "
-                f"{report.runs} runs, {report.computed} computed, "
-                f"{report.cached} already in {args.store}"
-            )
-            return 0
-        if args.sweep_command == "merge":
-            report = sweep_service.merge_plan(
-                plan,
-                ResultStore(args.store),
-                sources=args.sources,
-                jobs=jobs,
-                progress=progress,
-                ops=ops,
-            )
-            text = format_figure(report.result)
-            print(text)
-            if args.output:
-                with open(
-                    args.output, "w", encoding="utf-8"
-                ) as handle:
-                    handle.write(text)
-            print(
-                f"merged {len(args.sources)} shard store(s) "
-                f"({report.absorbed} entries absorbed) into "
-                f"{args.store}: {report.cached} of {report.runs} "
-                f"runs cached, {report.computed} computed",
-                file=sys.stderr,
-            )
-            return 0
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # repro: lint-ok[E1] unreachable parser-dispatch guard
-    raise AssertionError(
-        f"unhandled sweep command {args.sweep_command!r}"
-    )
-
-
-def _cmd_rspec(args: argparse.Namespace) -> int:
-    document = star_rspec(
-        n_peers=args.peers, capacity_kbps=args.capacity
-    )
-    print(document.to_xml())
-    return 0
-
-
-def _cmd_timeline(args: argparse.Namespace) -> int:
-    video = encode_paper_video(seed=1)
-    splice = DurationSplicer(args.duration).splice(video)
-    config = SwarmConfig(
-        bandwidth=kB_per_s(args.bandwidth),
-        seeder_bandwidth=kB_per_s(8 * args.bandwidth),
-        n_leechers=args.peers,
-        seed=args.seed,
-    )
-    result = Swarm(splice, config).run()
-    print(render_timeline(result))
-    return 0
+        time.sleep(_WATCH_INTERVAL_S)
 
 
 if __name__ == "__main__":  # pragma: no cover

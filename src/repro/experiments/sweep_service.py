@@ -37,7 +37,6 @@ from .. import schema
 from ..errors import StoreError
 from ..obs.export import dump_json
 from ..obs.ops import (
-    NULL_OPS,
     OpsLog,
     ShardHeartbeat,
     heartbeat_path,
@@ -241,16 +240,14 @@ def run_shard(
     store: ResultStore,
     jobs: int | None = 1,
     progress: SweepProgress | None = None,
-    ops: bool = True,
 ) -> ShardReport:
     """Execute one shard of a plan into a result store.
 
-    With ``ops`` (the default) the shard writes wall-clock telemetry
-    next to the store: a ``repro.ops/1`` span log (one ``shard`` root
-    span over per-run ``cell-run`` and ``store-commit`` spans) and an
-    atomically-rewritten heartbeat that ``repro sweep status`` reads.
-    Telemetry never influences results — the merged figure is
-    byte-identical either way.
+    The shard writes wall-clock telemetry next to the store: a
+    ``repro.ops/1`` span log (one ``shard`` root span over per-run
+    ``cell-run`` and ``store-commit`` spans) and an atomically-rewritten
+    heartbeat that ``repro sweep status`` reads.  Telemetry never
+    influences results.
 
     Raises:
         StoreError: invalid shard index or a stale plan.
@@ -268,17 +265,9 @@ def run_shard(
         if run["shard"] == shard
     ]
     selected.sort(key=lambda spec: (spec.cell_index, spec.seed_index))
-    ops_log = (
-        OpsLog(shard_ops_path(store.root, shard)) if ops else NULL_OPS
-    )
-    heartbeat = (
-        ShardHeartbeat(
-            heartbeat_path(store.root, shard),
-            shard=shard,
-            shards=shards,
-        )
-        if ops
-        else None
+    ops_log = OpsLog(shard_ops_path(store.root, shard))
+    heartbeat = ShardHeartbeat(
+        heartbeat_path(store.root, shard), shard=shard, shards=shards
     )
     store.ops = ops_log
     executor = SweepExecutor(
@@ -339,17 +328,16 @@ def merge_plan(
     sources: Sequence[str | Path] = (),
     jobs: int | None = 1,
     progress: SweepProgress | None = None,
-    ops: bool = True,
 ) -> MergeReport:
     """Merge shard stores and produce the plan's final figure.
 
-    With ``ops`` (the default) the merge writes its own span log next
-    to the target store: one ``merge`` root span over per-source
-    ``store-absorb`` spans and the replay's ``cell-run`` spans (all
-    cache hits when every shard ran; computed otherwise).
+    The merge writes its own span log next to the target store: one
+    ``merge`` root span over per-source ``store-absorb`` spans and the
+    replay's ``cell-run`` spans (all cache hits when every shard ran;
+    computed otherwise).
     """
     _rebuild_specs(plan)  # fail fast on a stale plan
-    ops_log = OpsLog(merge_ops_path(store.root)) if ops else NULL_OPS
+    ops_log = OpsLog(merge_ops_path(store.root))
     store.ops = ops_log
     executor = SweepExecutor(
         jobs=jobs, progress=progress, store=store, ops=ops_log

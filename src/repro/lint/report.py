@@ -9,7 +9,6 @@ output order is independent of rule-evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,12 +137,3 @@ def render_statistics(statistics: dict) -> list[str]:
             f"{counts['suppressed']} suppressed"
         )
     return lines
-
-
-def relative_path(path: str | Path) -> str:
-    """``path`` relative to the cwd when possible (stable reports)."""
-    path = Path(path)
-    try:
-        return str(path.resolve().relative_to(Path.cwd()))
-    except ValueError:
-        return str(path)

@@ -15,12 +15,13 @@ every other subsystem records into:
 * :mod:`repro.obs.context` — :class:`Observability`, the bundle
   threaded through :class:`~repro.p2p.swarm.Swarm` and the experiment
   harness;
-* :mod:`repro.obs.export` — JSONL traces, CSV timeseries, and the
-  human-readable run report;
+* :mod:`repro.obs.export` — JSONL traces, JSON documents, CSV
+  timeseries;
 * :mod:`repro.obs.analyze` (with :mod:`~repro.obs.timeline`,
   :mod:`~repro.obs.causes`, :mod:`~repro.obs.render`) — the diagnosis
   layer: per-peer timeline reconstruction, stall root-cause
-  attribution, swarm-health rollups, and the cause-marked ASCII Gantt;
+  attribution, swarm-health rollups, the cause-marked ASCII Gantt,
+  and the human-readable run report;
 * :mod:`repro.obs.span` / :mod:`repro.obs.ops` — *wall-clock*
   operational telemetry for the sweep orchestration layer
   (``repro.ops/1`` span logs, shard heartbeats, and the fleet view
@@ -40,14 +41,19 @@ Tracing a run::
 
 from .analyze import (
     CellAnalysis,
+    PeerTraceSummary,
     RunAnalysis,
     analyze_events,
     analyze_file,
     analyze_observability,
+    event_counts,
     merge_analyses,
     render_analysis,
     render_attributions,
     render_cause_table,
+    render_event_counts,
+    render_run_report,
+    render_trace_summary,
 )
 from .causes import (
     SEEDER_CONCURRENCY_THRESHOLD,
@@ -98,15 +104,10 @@ from .events import (
     event_type,
 )
 from .export import (
-    PeerTraceSummary,
     dump_json,
     dump_jsonl,
-    event_counts,
     events_to_jsonl,
     load_jsonl,
-    render_run_report,
-    render_trace_summary,
-    summarize_trace,
     timeseries_csv,
 )
 from .metrics import (
@@ -256,6 +257,7 @@ __all__ = [
     "render_comparison",
     "render_critical_path",
     "render_environment",
+    "render_event_counts",
     "render_fleet",
     "render_gantt",
     "render_run_report",
@@ -264,7 +266,6 @@ __all__ = [
     "run_manifest",
     "shard_ops_path",
     "span_from_dict",
-    "summarize_trace",
     "timeseries_csv",
     "validate_artifact",
 ]

@@ -6,7 +6,8 @@ file — and get back a :class:`RunAnalysis`: per-peer timelines reduced
 to QoE summaries, every completed stall attributed to one cause from
 :data:`~repro.obs.causes.STALL_CAUSES` with its evidence window, and
 swarm-health aggregates (cause histogram, transfer efficiency,
-pool-occupancy-vs-Eq.1 deficit).
+pool-occupancy-vs-Eq.1 deficit).  Its renderers are what ``repro
+analyze`` prints and what :func:`render_run_report` builds on.
 
 Everything here is pure and deterministic: no wall clock, no
 randomness, no mutation of inputs.  The same trace yields the same
@@ -17,9 +18,11 @@ across ``jobs=1`` and ``jobs=4``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
+from ..errors import TraceError
 from .causes import (
     STALL_CAUSES,
     StallAttribution,
@@ -28,7 +31,7 @@ from .causes import (
 )
 from .context import Observability
 from .events import TraceEvent
-from .export import PeerTraceSummary, load_jsonl, render_trace_summary
+from .export import PeerTraceSummary, load_jsonl
 from .timeline import InvariantViolation, PeerTimeline, build_timelines
 
 _EPS = 1e-9
@@ -46,8 +49,7 @@ class RunAnalysis:
             (peer, start time).
         causes: cause -> count, every taxonomy entry present.
         peers: per-peer QoE summaries reconstructed from the timeline
-            pass (tolerant of truncated traces, unlike
-            :func:`~repro.obs.export.summarize_trace`).
+            pass (tolerant of truncated traces).
         violations: event-ordering invariants the trace broke.
         truncated: whether the trace lost its head to a capacity-bounded
             ring buffer.
@@ -224,8 +226,7 @@ def analyze_file(path: str | IO[str]) -> RunAnalysis:
 
     Raises:
         TraceError: when the file is missing or malformed — callers
-            (the CLI) turn this into exit code 2, matching
-            ``repro trace``.
+            (the CLI) turn this into exit code 2.
     """
     return analyze_events(load_jsonl(path))
 
@@ -260,6 +261,68 @@ def merge_analyses(analyses: Sequence[RunAnalysis]) -> CellAnalysis:
 
 
 # -- rendering ---------------------------------------------------------
+
+
+def render_trace_summary(
+    summaries: dict[str, PeerTraceSummary]
+) -> str:
+    """The per-peer session table."""
+    lines = [
+        f"{'peer':<10s} {'joined':>8s} {'startup':>8s} {'stalls':>7s} "
+        f"{'stall s':>8s} {'outcome':>9s}"
+    ]
+    for peer in sorted(summaries):
+        summary = summaries[peer]
+        joined = (
+            f"{summary.joined:8.1f}" if summary.joined is not None
+            else f"{'-':>8s}"
+        )
+        startup = (
+            f"{summary.startup_time:8.2f}"
+            if summary.startup_time is not None
+            else f"{'-':>8s}"
+        )
+        if summary.departed:
+            outcome = "departed"
+        elif summary.finished:
+            outcome = "finished"
+        elif summary.startup_time is not None:
+            outcome = "cut off"
+        else:
+            outcome = "waiting"
+        lines.append(
+            f"{peer:<10s} {joined} {startup} {summary.stall_count:>7d} "
+            f"{summary.total_stall_duration:>8.1f} {outcome:>9s}"
+        )
+    return "\n".join(lines)
+
+
+def event_counts(
+    events: Iterable[TraceEvent],
+) -> dict[str, dict[str, int]]:
+    """``category -> event name -> count`` over a trace."""
+    counts: dict[str, dict[str, int]] = {}
+    for event in events:
+        bucket = counts.setdefault(event.category, {})
+        bucket[event.name] = bucket.get(event.name, 0) + 1
+    return counts
+
+
+def render_event_counts(events: Sequence[TraceEvent]) -> str:
+    """Event counts per category (with per-name detail) and per
+    severity: the "Events" section of ``repro analyze`` and of
+    :func:`render_run_report`."""
+    lines = ["Events by category:"]
+    for category, names in sorted(event_counts(events).items()):
+        detail = ", ".join(
+            f"{name} x{count}" for name, count in sorted(names.items())
+        )
+        lines.append(f"  {category} ({sum(names.values())}): {detail}")
+    lines.append("Events by severity:")
+    severities = Counter(event.severity for event in events)
+    for severity, count in sorted(severities.items()):
+        lines.append(f"  {severity}: {count}")
+    return "\n".join(lines)
 
 
 def render_cause_table(causes: dict[str, int]) -> str:
@@ -344,4 +407,54 @@ def render_analysis(analysis: RunAnalysis) -> str:
         "",
         render_trace_summary(analysis.peers),
     ]
+    return "\n".join(parts) + "\n"
+
+
+def render_run_report(obs: Observability) -> str:
+    """Everything a run recorded, as one readable document.
+
+    The per-peer table is derived *from the trace alone* (so it can be
+    cross-checked against :class:`~repro.p2p.swarm.SwarmResult`), then
+    come event counts, metric totals and the engine profile.
+    """
+    parts: list[str] = ["# Run report"]
+    events = obs.events()
+    if events:
+        parts += [
+            "",
+            "## Per-peer sessions (from trace)",
+            "",
+            render_trace_summary(analyze_observability(obs).peers),
+            "",
+            "## Events",
+            "",
+            render_event_counts(events),
+        ]
+    registry = obs.registry
+    counters = registry.counters()
+    if counters:
+        parts += ["", "## Counters", ""]
+        for name in sorted(counters):
+            parts.append(f"- {name} = {counters[name].value:g}")
+    gauges = registry.gauges()
+    if gauges:
+        parts += ["", "## Gauges", ""]
+        for name in sorted(gauges):
+            parts.append(f"- {name} = {gauges[name].value:g}")
+    histograms = registry.histograms()
+    if histograms:
+        parts += ["", "## Time-weighted histograms", ""]
+        for name in sorted(histograms):
+            histogram = histograms[name]
+            try:
+                summary = histogram.summary()
+            except TraceError:
+                continue
+            parts.append(
+                f"- {name}: mean={summary.mean:.2f} "
+                f"min={summary.minimum:g} max={summary.maximum:g} "
+                f"over {summary.total_weight:.1f}s"
+            )
+    if obs.profile is not None and obs.profile.counts:
+        parts += ["", "## Engine profile", "", obs.profile.render()]
     return "\n".join(parts) + "\n"

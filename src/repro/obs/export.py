@@ -1,16 +1,16 @@
-"""Exporters: JSONL traces, CSV timeseries, human-readable run reports.
-
-Three consumers, three formats:
+"""Exporters: JSONL traces, JSON documents, CSV timeseries.
 
 * **JSONL** — one event per line, for tooling (``jq``, pandas) and for
-  the ``repro trace`` CLI.  Round-trips losslessly: loading a dump
-  yields events equal to the originals.
+  ``repro analyze``.  Round-trips losslessly: loading a dump yields
+  events equal to the originals.
+* **JSON** — the one encoder for versioned machine-readable artifacts.
 * **CSV** — every registry timeseries flattened to
   ``metric,time,value`` rows.
-* **Run report** — what a human reads after a run: per-peer
-  stall/startup summaries derived *from the trace alone* (so they can
-  be cross-checked against :class:`~repro.p2p.swarm.SwarmResult`),
-  event counts by category, metric totals, and the engine profile.
+
+The per-peer session record :class:`PeerTraceSummary` is defined here
+because result-store entries that carry a stall diagnosis pickle it by
+this module path.  The summaries themselves, and the human-readable
+run report, come from :mod:`repro.obs.analyze`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import IO, Iterable, TextIO
 
 from ..errors import TraceError
-from .context import Observability
 from .events import TraceEvent, event_from_dict
 from .metrics import MetricsRegistry
 
@@ -117,7 +116,7 @@ def timeseries_csv(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- trace summarisation ----------------------------------------------
+# -- per-peer session record -------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,167 +145,3 @@ class PeerTraceSummary:
     total_stall_duration: float
     finished: bool
     departed: bool
-
-
-def summarize_trace(
-    events: Iterable[TraceEvent],
-) -> dict[str, PeerTraceSummary]:
-    """Reduce a trace to per-peer session summaries.
-
-    Stalls are counted only when both ``StallStarted`` and the matching
-    ``StallEnded`` appear (an unpaired start means the run's safety cap
-    cut the session short — exactly the convention of
-    :class:`~repro.player.metrics.StreamingMetrics`, which records a
-    stall only once it has ended).
-
-    Raises:
-        TraceError: when a ``StallEnded`` appears with no matching
-            ``StallStarted``.
-    """
-    joined: dict[str, float] = {}
-    startup: dict[str, float] = {}
-    open_stalls: dict[str, tuple[float, int]] = {}
-    stall_counts: dict[str, int] = {}
-    stall_durations: dict[str, float] = {}
-    finished: set[str] = set()
-    departed: set[str] = set()
-    peers: set[str] = set()
-
-    for event in events:
-        name = event.name
-        peer = getattr(event, "peer", None)
-        if peer is None:
-            continue
-        peers.add(peer)
-        if name == "PeerJoined":
-            joined.setdefault(peer, event.time)
-        elif name == "PeerDeparted":
-            departed.add(peer)
-        elif name == "PlaybackStarted":
-            startup.setdefault(peer, event.startup_time)
-        elif name == "StallStarted":
-            open_stalls[peer] = (event.time, event.segment)
-        elif name == "StallEnded":
-            opened = open_stalls.pop(peer, None)
-            if opened is None:
-                raise TraceError(
-                    f"StallEnded for {peer!r} at t={event.time} has no "
-                    "matching StallStarted"
-                )
-            stall_counts[peer] = stall_counts.get(peer, 0) + 1
-            stall_durations[peer] = (
-                stall_durations.get(peer, 0.0) + event.duration
-            )
-        elif name == "PlaybackFinished":
-            finished.add(peer)
-
-    return {
-        peer: PeerTraceSummary(
-            peer=peer,
-            joined=joined.get(peer),
-            startup_time=startup.get(peer),
-            stall_count=stall_counts.get(peer, 0),
-            total_stall_duration=stall_durations.get(peer, 0.0),
-            finished=peer in finished,
-            departed=peer in departed,
-        )
-        for peer in sorted(peers)
-    }
-
-
-def render_trace_summary(
-    summaries: dict[str, PeerTraceSummary]
-) -> str:
-    """The per-peer table ``repro trace`` prints."""
-    lines = [
-        f"{'peer':<10s} {'joined':>8s} {'startup':>8s} {'stalls':>7s} "
-        f"{'stall s':>8s} {'outcome':>9s}"
-    ]
-    for peer in sorted(summaries):
-        summary = summaries[peer]
-        joined = (
-            f"{summary.joined:8.1f}" if summary.joined is not None
-            else f"{'-':>8s}"
-        )
-        startup = (
-            f"{summary.startup_time:8.2f}"
-            if summary.startup_time is not None
-            else f"{'-':>8s}"
-        )
-        if summary.departed:
-            outcome = "departed"
-        elif summary.finished:
-            outcome = "finished"
-        elif summary.startup_time is not None:
-            outcome = "cut off"
-        else:
-            outcome = "waiting"
-        lines.append(
-            f"{peer:<10s} {joined} {startup} {summary.stall_count:>7d} "
-            f"{summary.total_stall_duration:>8.1f} {outcome:>9s}"
-        )
-    return "\n".join(lines)
-
-
-def event_counts(
-    events: Iterable[TraceEvent],
-) -> dict[str, dict[str, int]]:
-    """``category -> event name -> count`` over a trace."""
-    counts: dict[str, dict[str, int]] = {}
-    for event in events:
-        bucket = counts.setdefault(event.category, {})
-        bucket[event.name] = bucket.get(event.name, 0) + 1
-    return counts
-
-
-# -- the run report ----------------------------------------------------
-
-
-def render_run_report(obs: Observability) -> str:
-    """Everything a run recorded, as one readable document."""
-    parts: list[str] = ["# Run report"]
-    events = obs.events()
-    if events:
-        parts += [
-            "",
-            "## Per-peer sessions (from trace)",
-            "",
-            render_trace_summary(summarize_trace(events)),
-            "",
-            "## Events by category",
-            "",
-        ]
-        for category, names in sorted(event_counts(events).items()):
-            total = sum(names.values())
-            detail = ", ".join(
-                f"{name} x{count}" for name, count in sorted(names.items())
-            )
-            parts.append(f"- {category} ({total}): {detail}")
-    registry = obs.registry
-    counters = registry.counters()
-    if counters:
-        parts += ["", "## Counters", ""]
-        for name in sorted(counters):
-            parts.append(f"- {name} = {counters[name].value:g}")
-    gauges = registry.gauges()
-    if gauges:
-        parts += ["", "## Gauges", ""]
-        for name in sorted(gauges):
-            parts.append(f"- {name} = {gauges[name].value:g}")
-    histograms = registry.histograms()
-    if histograms:
-        parts += ["", "## Time-weighted histograms", ""]
-        for name in sorted(histograms):
-            histogram = histograms[name]
-            try:
-                summary = histogram.summary()
-            except TraceError:
-                continue
-            parts.append(
-                f"- {name}: mean={summary.mean:.2f} "
-                f"min={summary.minimum:g} max={summary.maximum:g} "
-                f"over {summary.total_weight:.1f}s"
-            )
-    if obs.profile is not None and obs.profile.counts:
-        parts += ["", "## Engine profile", "", obs.profile.render()]
-    return "\n".join(parts) + "\n"

@@ -47,12 +47,11 @@ from .span import OPS_SCHEMA, Span, span_from_dict
 #: heartbeats for the sweeps that ran against that store.
 OPS_DIR = "repro.ops"
 
-#: Heartbeats older than this (seconds) mark their shard dead by
-#: default; ``repro sweep status --stale`` overrides it.
+#: Heartbeats older than this (seconds) mark their shard dead.
 DEFAULT_STALE_AFTER_S = 30.0
 
 #: A running shard whose rate is below this fraction of the fleet
-#: median is flagged as a straggler by default.
+#: median is flagged as a straggler.
 DEFAULT_STRAGGLER_BELOW = 0.5
 
 #: Recognized terminal heartbeat states (plus ``"running"``).

@@ -33,7 +33,6 @@ from repro.obs.ops import (
     heartbeat_path,
     load_ops,
     merge_ops_path,
-    ops_root,
     read_heartbeat,
     shard_ops_path,
 )
@@ -340,11 +339,6 @@ class TestOpsTelemetry:
         assert payload["runs_done"] == report.runs
         assert payload["runs_computed"] == report.computed
         assert payload["in_flight"] == 0
-
-    def test_ops_false_writes_nothing(self, quick_plan, tmp_path):
-        store = ResultStore(tmp_path / "s0")
-        run_shard(quick_plan, 0, store, jobs=1, ops=False)
-        assert not ops_root(store.root).exists()
 
     def test_merge_writes_span_log(self, quick_plan, tmp_path):
         shard_store = ResultStore(tmp_path / "s0")

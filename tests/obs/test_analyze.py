@@ -436,15 +436,16 @@ class TestAnalyzeCommand:
         assert "## Timeline" in out
         assert "legend:" in out
 
-    def test_trace_command_prints_severity_counts(
+    def test_prints_event_counts_by_severity(
         self, capsys, tmp_path, short_video
     ):
         _, obs = _stream(short_video)
         path = tmp_path / "run.jsonl"
         dump_jsonl(obs.events(), str(path))
-        code = main(["trace", str(path)])
+        code = main(["analyze", str(path)])
         assert code == 0
         out = capsys.readouterr().out
+        assert "## Events" in out
         assert "Events by category:" in out
         assert "Events by severity:" in out
         assert "info:" in out

@@ -1,4 +1,4 @@
-"""Exporters: JSONL round-trips, CSV, and the trace summary."""
+"""Exporters: JSONL round-trips, CSV, and the per-peer trace summary."""
 
 from __future__ import annotations
 
@@ -18,11 +18,11 @@ from repro.obs import (
     SelectionMade,
     StallEnded,
     StallStarted,
+    analyze_events,
     dump_jsonl,
     event_counts,
     events_to_jsonl,
     load_jsonl,
-    summarize_trace,
     timeseries_csv,
 )
 
@@ -149,6 +149,8 @@ class TestTimeseriesCsv:
 
 
 class TestSummarizeTrace:
+    """The per-peer sessions :func:`analyze_events` rebuilds."""
+
     def test_pairs_stalls(self):
         events = [
             PeerJoined(time=0.0, peer="p"),
@@ -159,7 +161,7 @@ class TestSummarizeTrace:
                 time=30.0, peer="p", stalls=1, total_stall_duration=1.0
             ),
         ]
-        summary = summarize_trace(events)["p"]
+        summary = analyze_events(events).peers["p"]
         assert summary.joined == 0.0
         assert summary.startup_time == 2.0
         assert summary.stall_count == 1
@@ -174,23 +176,16 @@ class TestSummarizeTrace:
             PeerJoined(time=0.0, peer="p"),
             StallStarted(time=5.0, peer="p", segment=3),
         ]
-        summary = summarize_trace(events)["p"]
+        summary = analyze_events(events).peers["p"]
         assert summary.stall_count == 0
         assert summary.total_stall_duration == 0.0
-
-    def test_end_without_start_raises(self):
-        events = [
-            StallEnded(time=6.0, peer="p", segment=3, duration=1.0),
-        ]
-        with pytest.raises(TraceError):
-            summarize_trace(events)
 
     def test_departure_recorded(self):
         events = [
             PeerJoined(time=0.0, peer="p"),
             PeerDeparted(time=9.0, peer="p", downloads_cancelled=1),
         ]
-        assert summarize_trace(events)["p"].departed
+        assert analyze_events(events).peers["p"].departed
 
 
 class TestEventCounts:

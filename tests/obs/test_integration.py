@@ -1,5 +1,6 @@
 """End-to-end observability: forced stalls, layer coverage, and the
-trace-vs-SwarmResult cross-check behind ``repro trace``."""
+trace-vs-SwarmResult cross-check behind ``repro analyze``'s per-peer
+table."""
 
 from __future__ import annotations
 
@@ -10,9 +11,9 @@ from repro.net.engine import Simulator
 from repro.obs import (
     EventTracer,
     Observability,
+    analyze_events,
     dump_jsonl,
     load_jsonl,
-    summarize_trace,
 )
 from repro.p2p.swarm import Swarm, SwarmConfig
 from repro.player.player import Player
@@ -81,7 +82,7 @@ class TestSwarmTrace:
 
     def test_summary_matches_swarm_result_exactly(self, short_video):
         obs, result = _traced_run(short_video)
-        summaries = summarize_trace(obs.events())
+        summaries = analyze_events(obs.events()).peers
         assert set(summaries) >= set(result.metrics)
         for name, metrics in result.metrics.items():
             summary = summaries[name]

@@ -1,8 +1,24 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def leaf_parsers(parser, path=()):
+    """``(command path, parser)`` for every leaf subcommand."""
+    groups = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    if not groups:
+        yield path, parser
+        return
+    for name, child in groups[0].choices.items():
+        yield from leaf_parsers(child, path + (name,))
 
 
 class TestParser:
@@ -36,6 +52,36 @@ class TestParser:
     def test_reproduce_figure_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["reproduce", "--figure", "9"])
+
+    def test_every_leaf_subcommand_has_a_handler(self):
+        leaves = dict(leaf_parsers(build_parser()))
+        assert ("fig2",) in leaves
+        assert ("sweep", "status") in leaves
+        for path, leaf in leaves.items():
+            assert callable(leaf.get_default("handler")), path
+
+    @pytest.mark.parametrize("n", ["2", "3", "4", "5"])
+    def test_figure_alias_parses_as_reproduce(self, n):
+        alias = vars(build_parser().parse_args([f"fig{n}", "--quick"]))
+        direct = vars(build_parser().parse_args(
+            ["reproduce", "--quick", "--figure", n]
+        ))
+        assert alias.pop("command") == f"fig{n}"
+        assert direct.pop("command") == "reproduce"
+        assert alias == direct
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reproduce", "--no-cache"],
+            ["sweep", "status", "p", "--store", "s", "--interval", "1"],
+            ["sweep", "status", "p", "--store", "s", "--stale", "1"],
+            ["sweep", "status", "p", "--store", "s", "--straggler", "1"],
+        ],
+    )
+    def test_removed_options_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
 
 class TestCommands:
@@ -276,6 +322,8 @@ class TestManifestFlag:
                     "--quick",
                     "--figure",
                     "2",
+                    "--jobs",
+                    "2",
                     "--manifest",
                     str(path),
                 ]
@@ -287,8 +335,21 @@ class TestManifestFlag:
         payload = json.loads(path.read_text())
         assert payload["schema"] == "repro.manifest/1"
         assert "--figure 2" in payload["command"]
+        assert "--jobs 2" in payload["command"]
         assert payload["env"]["usable_cores"] >= 1
+        assert payload["cache"] == {"enabled": False}
         sweep = payload["sweep"]
+        assert set(sweep) == {
+            "runs",
+            "failures",
+            "runs_cached",
+            "events_fired",
+            "sim_seconds",
+            "cells_computed",
+            "cells_cached",
+            "wall_seconds",
+            "cells_per_sec",
+        }
         assert sweep["runs"] > 0
         assert sweep["events_fired"] > 0
         assert sweep["wall_seconds"] > 0
@@ -297,12 +358,25 @@ class TestManifestFlag:
             / sweep["wall_seconds"]
         )
 
+    @staticmethod
+    def assert_unwritable_exits_2(capsys, tmp_path, flag):
+        """An unwritable output path fails before any run starts."""
+        path = tmp_path / "missing" / "x"
+        argv = ["reproduce", "--quick", "--figure", "3", flag, str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no sweep ran
+        assert captured.err.startswith(f"error: cannot write {flag}")
+        assert "Traceback" not in captured.err
+
     def test_unwritable_manifest_exits_2(self, capsys, tmp_path):
-        # Parse-level smoke for the flag without running a sweep.
-        args = build_parser().parse_args(
-            ["reproduce", "--manifest", str(tmp_path / "m.json")]
-        )
-        assert args.manifest == str(tmp_path / "m.json")
+        self.assert_unwritable_exits_2(capsys, tmp_path, "--manifest")
+
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        self.assert_unwritable_exits_2(capsys, tmp_path, "--output")
+
+    def test_unwritable_trace_exits_2(self, capsys, tmp_path):
+        self.assert_unwritable_exits_2(capsys, tmp_path, "--trace")
 
 
 class TestOpsCommand:
@@ -379,18 +453,15 @@ class TestSweepStatusCommand:
 
 class TestSweepOpsFlags:
     def test_ops_on_by_default(self):
-        args = build_parser().parse_args(
-            ["sweep", "run", "plan.json", "--shard", "0",
-             "--store", "s"]
-        )
-        assert not args.no_ops
-
-    def test_no_ops_flag(self):
-        args = build_parser().parse_args(
-            ["sweep", "run", "plan.json", "--shard", "0",
-             "--store", "s", "--no-ops"]
-        )
-        assert args.no_ops
+        # Ops telemetry is always on: no sweep command can turn it off.
+        for argv in (
+            ["sweep", "plan", "--figure", "2"],
+            ["sweep", "run", "plan.json", "--shard", "0", "--store", "s"],
+            ["sweep", "merge", "plan.json", "--store", "s"],
+        ):
+            build_parser().parse_args(argv)
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--no-ops"])
 
     def test_status_collects_stores(self):
         args = build_parser().parse_args(
@@ -399,9 +470,6 @@ class TestSweepOpsFlags:
         )
         assert args.stores == ["a", "b"]
         assert not args.watch
-        assert args.interval == 2.0
-        assert args.stale == 30.0
-        assert args.straggler == 0.5
 
     def test_status_requires_a_store(self):
         with pytest.raises(SystemExit):
@@ -425,7 +493,6 @@ class TestCacheFlags:
         args = build_parser().parse_args(["reproduce"])
         assert args.cache is None
         assert not args.resume
-        assert not args.no_cache
 
     @pytest.mark.slow
     def test_warm_rerun_is_pure_cache(self, capsys, tmp_path):
@@ -469,17 +536,6 @@ class TestCacheFlags:
         assert m2["sweep"]["events_fired"] == 0
 
     @pytest.mark.slow
-    def test_no_cache_wins(self, capsys, tmp_path):
-        store = tmp_path / "store"
-        assert main([
-            "reproduce", "--quick", "--figure", "2",
-            "--cache", str(store), "--no-cache",
-        ]) == 0
-        captured = capsys.readouterr()
-        assert "result store" not in captured.err
-        assert not store.exists()
-
-    @pytest.mark.slow
     def test_resume_implies_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
         assert main([
@@ -490,8 +546,10 @@ class TestCacheFlags:
 
 
 class TestTraceCommand:
+    """Trace files, as ``repro analyze`` reads them."""
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
-        code = main(["trace", str(tmp_path / "nope.jsonl")])
+        code = main(["analyze", str(tmp_path / "nope.jsonl")])
         assert code == 2
         err = capsys.readouterr().err
         assert "cannot read trace" in err
@@ -499,7 +557,7 @@ class TestTraceCommand:
     def test_corrupt_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "corrupt.jsonl"
         path.write_text("this is not json\n")
-        code = main(["trace", str(path)])
+        code = main(["analyze", str(path)])
         assert code == 2
         err = capsys.readouterr().err
         assert "corrupt trace" in err
@@ -510,7 +568,7 @@ class TestTraceCommand:
             '{"event": "NoSuchEvent", "time": 0.0, '
             '"category": "x", "severity": "info"}\n'
         )
-        code = main(["trace", str(path)])
+        code = main(["analyze", str(path)])
         assert code == 2
         assert "NoSuchEvent" in capsys.readouterr().err
 
@@ -536,16 +594,18 @@ class TestTraceCommand:
         path = tmp_path / "run.jsonl"
         dump_jsonl(tracer.events(), str(path))
 
-        assert main(["trace", str(path)]) == 0
+        assert main(["analyze", str(path)]) == 0
         out = capsys.readouterr().out
+        assert "## Per-peer sessions" in out
         assert "peer-1" in out
-        assert "Events by category" in out
-        assert "StallStarted x1" in out
+        assert "Events by category:" in out
+        assert "StallEnded x1, StallStarted x1" in out
+        assert "Events by severity:" in out
 
     @pytest.mark.slow
     def test_reproduce_figure_trace_round_trip(self, capsys, tmp_path):
         """The acceptance flow: reproduce --figure 2 --trace, then
-        summarize the trace with the trace subcommand."""
+        read the trace back with ``repro analyze``."""
         path = tmp_path / "fig2.jsonl"
         assert (
             main(
@@ -572,7 +632,8 @@ class TestTraceCommand:
         assert {"engine", "tcp", "player"} <= layers
         assert "leecher" in layers or "swarm" in layers
 
-        assert main(["trace", str(path)]) == 0
+        assert main(["analyze", str(path)]) == 0
         summary = capsys.readouterr().out
+        assert "## Per-peer sessions" in summary
         assert "peer-1" in summary
         assert "finished" in summary or "cut off" in summary
