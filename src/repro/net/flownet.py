@@ -702,6 +702,14 @@ class FlowNetwork:
     def _on_completion_due(self) -> None:
         self._completion_event = None
         self._advance()
+        if self._completion_stale:
+            # An update landed at this instant after the event was
+            # armed.  A global re-solve would have re-derived the ETA
+            # from the advanced ``remaining`` at that update (one ULP
+            # later when a few bytes' worth of rounding is left), so
+            # solve and re-arm instead of completing on the stale ETA.
+            self._flush()
+            return
         now = self._sim.now
         horizon = now + _SWEEP_SLACK * (1.0 + now)
         done = [
