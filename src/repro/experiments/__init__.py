@@ -23,7 +23,7 @@ from .config import (
     make_paper_video,
     make_swarm_config,
 )
-from .runner import CellResult, FigureResult, run_cell
+from .runner import CellResult, FigureResult
 from .report import format_figure, format_figure_analysis
 
 __all__ = [
@@ -36,5 +36,4 @@ __all__ = [
     "format_figure_analysis",
     "make_paper_video",
     "make_swarm_config",
-    "run_cell",
 ]

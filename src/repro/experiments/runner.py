@@ -6,11 +6,11 @@ Every figure and swarm ablation is an ordered ``{series label:
 sweep and regroups the results; the paper's Figs. 2–5 are the
 series-by-bandwidth special case bound by :func:`paper_figure`.
 
-The per-seed reduction is split into two shared pieces —
-:func:`seed_stats` (one swarm run -> its scalar stats) and
-:func:`merge_cell` (stats in seed order -> a :class:`CellResult`) — so
-the serial path here and the parallel sweep executor
-(:mod:`repro.parallel`) compute bit-identical cells.
+The per-seed reduction is split into two pieces — :func:`seed_stats`
+(one swarm run -> its scalar stats, where the run executed) and
+:func:`merge_cell` (stats in seed order -> a :class:`CellResult`, in
+the parent) — so the sweep executor (:mod:`repro.parallel`) computes
+bit-identical cells at any worker count.
 """
 
 from __future__ import annotations
@@ -20,13 +20,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..core.policy import DownloadPolicy
-from ..core.segments import SpliceResult
 from ..errors import ExperimentError
 from ..obs.analyze import CellAnalysis, RunAnalysis, merge_analyses
-from ..obs.context import Observability
-from ..p2p.swarm import SwarmResult, build_swarm
+from ..p2p.swarm import SwarmResult
 from ..video.bitstream import Bitstream
-from .config import ExperimentConfig, make_swarm_config
+from .config import ExperimentConfig
 
 if TYPE_CHECKING:
     from ..parallel import CellSpec, SplicerSpec, SweepExecutor
@@ -139,9 +137,9 @@ def merge_cell(
 ) -> CellResult:
     """Average per-seed stats (in seed order) into one cell.
 
-    Both execution paths — the serial loop below and the parallel
-    executor's deterministic merge — call exactly this function, so a
-    cell's floats are identical regardless of worker count.
+    The executor merges outcomes in (cell, seed) order whatever order
+    the runs finished in, so a cell's floats are identical regardless
+    of worker count.
 
     Args:
         analyses: per-seed stall diagnoses (in seed order) from an
@@ -163,55 +161,12 @@ def merge_cell(
     )
 
 
-def run_cell(
-    splice: SpliceResult,
-    bandwidth_kb: float,
-    config: ExperimentConfig | None = None,
-    policy: DownloadPolicy | None = None,
-    obs: Observability | None = None,
-) -> CellResult:
-    """Run one cell: every configured seed, then average.
-
-    Args:
-        splice: the spliced video to stream.
-        bandwidth_kb: peer bandwidth in kB/s.
-        config: shared experiment parameters.
-        policy: download policy override.
-        obs: optional observability context shared by every run of the
-            cell.  Counters and histograms accumulate across seeds
-            (each run's histogram intervals are closed at run end);
-            gauges keep the last run's value.  Tracing a multi-seed
-            cell mixes restarting sim clocks in one trace — prefer a
-            metrics-only context here and trace single runs instead.
-
-    Returns:
-        Seed-averaged :class:`CellResult`.
-    """
-    cfg = config or ExperimentConfig()
-    stats: list[SeedStats] = []
-    for seed in cfg.seeds:
-        swarm_config = make_swarm_config(
-            bandwidth_kb, seed, cfg, policy
-        )
-        swarm = build_swarm(splice, swarm_config, obs=obs)
-        result = swarm.run()
-        stats.append(
-            seed_stats(
-                result,
-                events_fired=swarm.sim.events_fired,
-                end_time=swarm.sim.now,
-            )
-        )
-    return merge_cell(bandwidth_kb, stats)
-
-
 def run_figure(
     figure: str,
     title: str,
     metric: str,
     series: dict[str, list[CellSpec]],
     executor: SweepExecutor | None = None,
-    obs: Observability | None = None,
     analyze: bool = False,
 ) -> FigureResult:
     """Run a figure's cells as one sweep and regroup them by series.
@@ -223,8 +178,6 @@ def run_figure(
         series: label -> cells, in series order; the concatenated
             cells are the sweep, so their order is the run order.
         executor: sweep executor; ``None`` runs serially in-process.
-        obs: optional observability context shared by every cell
-            (metrics-only recommended; see :func:`run_cell`).
         analyze: trace + diagnose every run and attach a merged
             :class:`~repro.obs.analyze.CellAnalysis` to each cell.
     """
@@ -235,7 +188,6 @@ def run_figure(
     results = iter(
         executor.run_cells(
             [cell for cells in series.values() for cell in cells],
-            obs=obs,
             analyze=analyze,
         )
     )
@@ -313,7 +265,6 @@ def paper_figure(
         config: ExperimentConfig | None = None,
         video: Bitstream | None = None,
         bandwidths_kb: tuple[int, ...] = bandwidths_kb,
-        obs: Observability | None = None,
         executor: SweepExecutor | None = None,
         analyze: bool = False,
     ) -> FigureResult:
@@ -323,7 +274,7 @@ def paper_figure(
             bandwidths_kb,
         )
         return run_figure(
-            figure, title, metric, series, executor, obs, analyze
+            figure, title, metric, series, executor, analyze
         )
 
     return cells, run

@@ -113,21 +113,6 @@ class TimeWeightedHistogram:
                 )
         self._last[key] = (time, value)
 
-    def add_weight(self, value: float, seconds: float) -> None:
-        """Credit ``value`` with ``seconds`` of holding time directly.
-
-        Used when merging already-finalized histograms (e.g. reducing
-        worker-process snapshots back into a parent registry); normal
-        instrumentation should call :meth:`observe` instead.
-        """
-        if seconds < 0:
-            raise TraceError(
-                f"histogram {self.name!r} cannot add negative weight "
-                f"({seconds})"
-            )
-        if seconds:
-            self._weights[value] = self._weights.get(value, 0.0) + seconds
-
     def finalize(self, time: float) -> None:
         """Credit every key's current value through ``time`` and close
         all open intervals.

@@ -57,28 +57,12 @@ class EngineProfile:
         """Plain-dict copy of the totals (picklable, JSON-encodable).
 
         The shape (``{"counts": ..., "wall_seconds": ...}``) is what
-        benchmark artifacts embed and what pool workers ship back to
-        the parent for :meth:`merge`.
+        benchmark artifacts embed.
         """
         return {
             "counts": dict(self.counts),
             "wall_seconds": dict(self.wall_seconds),
         }
-
-    def merge(
-        self,
-        counts: dict[str, int],
-        wall_seconds: dict[str, float],
-    ) -> None:
-        """Add another profile's totals (e.g. a pool worker's) here."""
-        for category, count in counts.items():
-            self.counts[category] = (
-                self.counts.get(category, 0) + count
-            )
-        for category, seconds in wall_seconds.items():
-            self.wall_seconds[category] = (
-                self.wall_seconds.get(category, 0.0) + seconds
-            )
 
     @property
     def events_fired(self) -> int:

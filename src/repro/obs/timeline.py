@@ -323,7 +323,11 @@ def build_timelines(
         events: the trace, oldest first (list or any iterable).
         truncated: caller-supplied hint that the trace head was
             dropped (e.g. a live tracer whose ring buffer filled);
-            OR-ed with the trace's own evidence of truncation.
+            OR-ed with the trace's own evidence of truncation: engine
+            events (e.g. a ``SimulationCompleted``) without the
+            ``SimulationStarted`` that opens every engine-traced run.
+            A trace with no engine events at all is not evidence —
+            it may simply have been recorded without that category.
     """
     events = list(events)
     timelines: dict[str, PeerTimeline] = {}
@@ -333,8 +337,10 @@ def build_timelines(
     violations: list[InvariantViolation] = []
     notes: list[str] = []
 
-    saw_start = any(e.name == "SimulationStarted" for e in events)
-    truncated = truncated or (bool(events) and not saw_start)
+    engine = [e.name for e in events if e.category == "engine"]
+    truncated = truncated or (
+        bool(engine) and "SimulationStarted" not in engine
+    )
     if truncated:
         notes.append(
             "trace is truncated (ring-buffer wraparound dropped its "

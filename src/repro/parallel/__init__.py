@@ -7,14 +7,7 @@ bit-identical to the serial path.  See ``docs/PERFORMANCE.md`` for the
 design and determinism guarantees.
 """
 
-from .cache import (
-    cached_splice,
-    cached_video,
-    clear_caches,
-    memo_counts,
-    publish_memo_delta,
-    splice_for,
-)
+from .cache import cached_splice, cached_video, clear_caches, splice_for
 from .digest import canonical_data, content_digest, spec_digest
 from .executor import (
     JOBS_ENV_VAR,
@@ -23,14 +16,6 @@ from .executor import (
     default_jobs,
 )
 from .progress import SweepProgress, SweepTally
-from .snapshot import (
-    MetricsSnapshot,
-    ProfileSnapshot,
-    merge_profile,
-    merge_snapshot,
-    snapshot_profile,
-    snapshot_registry,
-)
 from .spec import (
     CellSpec,
     RunSpec,
@@ -54,8 +39,6 @@ __all__ = [
     "CellSpec",
     "DEFAULT_STORE_DIR",
     "JOBS_ENV_VAR",
-    "MetricsSnapshot",
-    "ProfileSnapshot",
     "ResultStore",
     "RunOutcome",
     "RunSpec",
@@ -78,14 +61,8 @@ __all__ = [
     "default_jobs",
     "default_store_root",
     "execute_run",
-    "memo_counts",
-    "merge_profile",
-    "merge_snapshot",
     "pool_entry",
-    "publish_memo_delta",
     "run_identity",
-    "snapshot_profile",
-    "snapshot_registry",
     "spec_digest",
     "splice_for",
 ]

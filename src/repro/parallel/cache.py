@@ -3,8 +3,8 @@
 Encoding the paper's 2-minute video and splicing it are pure functions
 of a few scalars, yet a sweep re-derives them for every cell.  These
 caches make each derivation happen once *per process*: the parent does
-it once for its in-process runs, and every pool worker does it once on
-its first task instead of once per task.
+it once for its inline runs, and every pool worker does it once on its
+first task instead of once per task.
 
 Keys are frozen spec dataclasses (hashable by value), so two cells
 describing the same video/technique share one cached object.  An
@@ -52,49 +52,6 @@ def splice_for(cell: CellSpec) -> SpliceResult:
     if cell.video is not None:
         return _splice_explicit(cell.video, cell.splicer)
     return cached_splice(cell.video_spec, cell.splicer)
-
-
-def memo_counts() -> tuple[int, int, int, int]:
-    """Current (video hits, video misses, splice hits, splice misses).
-
-    Process-wide ``lru_cache`` totals; callers snapshot before and
-    after a derivation and publish the delta (see
-    :func:`publish_memo_delta`), so per-run registries — including the
-    fresh ones pool workers reduce back — see only their own traffic.
-    """
-    video = cached_video.cache_info()
-    spliced = cached_splice.cache_info()
-    explicit = _splice_explicit.cache_info()
-    return (
-        video.hits,
-        video.misses,
-        spliced.hits + explicit.hits,
-        spliced.misses + explicit.misses,
-    )
-
-
-#: Counter names under which the memo caches surface in a registry.
-MEMO_COUNTERS = (
-    "parallel.cache.video.hits",
-    "parallel.cache.video.misses",
-    "parallel.cache.splice.hits",
-    "parallel.cache.splice.misses",
-)
-
-
-def publish_memo_delta(
-    registry, before: tuple[int, int, int, int]
-) -> None:
-    """Record memo-cache traffic since ``before`` as obs counters.
-
-    The counters share the ``parallel.cache.*`` naming scheme with the
-    persistent result store's ``parallel.cache.store.*`` family (see
-    :mod:`repro.parallel.store`).
-    """
-    after = memo_counts()
-    for name, start, end in zip(MEMO_COUNTERS, before, after):
-        if end > start:
-            registry.counter(name).inc(end - start)
 
 
 def clear_caches() -> None:

@@ -2,19 +2,17 @@
 
 The paper's evaluation is a grid of independent runs (technique x
 bandwidth x policy x seed), which :class:`SweepExecutor` executes at a
-configurable worker count:
+configurable worker count.  Every run executes through
+:func:`~repro.parallel.worker.pool_entry`; the worker count only
+chooses where:
 
-* ``jobs=1`` (or a tracing context) — the pure in-process path:
-  every run executes in the caller's process against the caller's
-  observability context, byte-for-byte the behaviour of the old serial
-  loops.
-* ``jobs>1`` — runs are pickled to a ``ProcessPoolExecutor``;
-  completion order is whatever the machine gives, but outcomes are
-  merged in (cell, seed) order, so results — including the reduced
-  metrics registry — are identical to the serial path.
+* ``jobs=1`` — inline, in the caller's process;
+* ``jobs>1`` — in a ``ProcessPoolExecutor``; completion order is
+  whatever the machine gives, but outcomes are merged in (cell, seed)
+  order, so results are identical to the inline path.
 
-Worker crashes never kill a sweep: each failed run comes back as a
-failed :class:`~repro.parallel.worker.RunOutcome` naming its cell, and
+A failed run never kills a sweep: it comes back as a failed
+:class:`~repro.parallel.worker.RunOutcome` naming its cell, and
 :meth:`SweepExecutor.run_cells` raises one :class:`SweepError` listing
 every failure after the surviving runs completed.
 """
@@ -29,14 +27,11 @@ from typing import Sequence
 
 from ..errors import ExperimentError
 from ..experiments.runner import CellResult, merge_cell
-from ..obs.analyze import analyze_observability
-from ..obs.context import Observability
 from ..obs.ops import NULL_OPS, OpsLog, ShardHeartbeat
 from .progress import SweepProgress, SweepTally
-from .snapshot import merge_profile, merge_snapshot
 from .spec import CellSpec, RunSpec
 from .store import ResultStore
-from .worker import RunOutcome, execute_run, pool_entry
+from .worker import RunOutcome, failed_outcome, pool_entry
 
 #: Environment variable overriding the auto-detected worker count.
 JOBS_ENV_VAR = "REPRO_JOBS"
@@ -116,8 +111,7 @@ class SweepExecutor:
             digest is already committed are served from disk (and
             reported with ``cached=True``); fresh successful runs are
             committed as they finish, making interrupted sweeps
-            resumable.  Ignored for traced or profiled sweeps, which
-            must execute live (see :mod:`repro.parallel.store`).
+            resumable.
         ops: optional wall-clock span log
             (:class:`~repro.obs.ops.OpsLog`); one ``cell-run`` span
             is emitted per settled run, in completion order, under
@@ -163,29 +157,16 @@ class SweepExecutor:
         return self._tally
 
     def map_runs(
-        self,
-        specs: Sequence[RunSpec],
-        obs: Observability | None = None,
-        analyze: bool = False,
+        self, specs: Sequence[RunSpec], analyze: bool = False
     ) -> list[RunOutcome]:
         """Execute runs and return outcomes in (cell, seed) order.
 
-        The in-process path (``jobs=1``, or ``obs`` with tracing
-        enabled — a trace must stay on one clock in one process) runs
-        specs sequentially against ``obs`` itself and propagates
-        exceptions exactly like the serial loops did.  The pool path
-        isolates failures into the returned outcomes and, when ``obs``
-        is given, reduces each worker's metrics snapshot into
-        ``obs.registry`` in deterministic order.
-
-        When a :class:`~repro.parallel.store.ResultStore` is attached,
-        each spec is first looked up by content digest: hits skip
-        execution entirely (their stored outcome, with its metrics
-        snapshot when the sweep is observed, joins the deterministic
-        merge), and fresh successful runs are committed to the store
-        as they finish.  Traced and profiled sweeps bypass the store —
-        a trace must be recorded live and a profile measures this
-        machine executing.
+        Failures are isolated into the returned outcomes at any worker
+        count.  When a :class:`~repro.parallel.store.ResultStore` is
+        attached, each spec is first looked up by content digest: hits
+        skip execution entirely and join the deterministic merge, and
+        fresh successful runs are committed to the store as they
+        finish.
 
         Args:
             analyze: trace every run into a private ring buffer and
@@ -195,68 +176,35 @@ class SweepExecutor:
                 are identical at any worker count.
         """
         specs = list(specs)
-        tracing = obs is not None and obs.tracing_enabled
-        profiling = obs is not None and obs.profile is not None
-        store = (
-            self.store
-            if self.store is not None and not tracing and not profiling
-            else None
-        )
-        in_process = self.jobs == 1 or tracing
+        store = self.store
         tally = self._tally
         tally.begin(specs)
         for sink in self._sinks:
             sink.begin(specs)
         try:
-            cached: list[RunOutcome] = []
+            outcomes: list[RunOutcome] = []
             pending: list[RunSpec] = []
-            invalid_before = (
-                store.stats.invalidations if store is not None else 0
-            )
-            if store is None:
-                pending = specs
-            else:
-                for spec in specs:
-                    hit = store.get(
-                        spec,
-                        need_metrics=obs is not None,
-                        need_analysis=analyze,
+            for spec in specs:
+                hit = (
+                    None
+                    if store is None
+                    else store.get(spec, need_analysis=analyze)
+                )
+                if hit is None:
+                    pending.append(
+                        replace(spec, collect_analysis=analyze)
                     )
-                    if hit is None:
-                        pending.append(spec)
-                    else:
-                        cached.append(hit)
-                        self._observe(hit, spec, store)
-            if in_process:
-                fresh = self._map_in_process(
-                    pending, obs, analyze=analyze, store=store
-                )
+                else:
+                    outcomes.append(hit)
+                    self._observe(hit, spec)
+            if self.jobs == 1:
+                outcomes += self._map_inline(pending)
             else:
-                fresh = self._map_pool(
-                    pending,
-                    collect=obs is not None,
-                    analyze=analyze,
-                    profile=profiling,
-                    store=store,
-                )
-            outcomes = cached + fresh
+                outcomes += self._map_pool(pending)
             outcomes.sort(key=lambda o: (o.cell_index, o.seed_index))
-            if obs is not None:
-                for outcome in outcomes:
-                    if outcome.metrics is not None:
-                        merge_snapshot(obs.registry, outcome.metrics)
-                    if (
-                        outcome.profile is not None
-                        and obs.profile is not None
-                    ):
-                        merge_profile(obs.profile, outcome.profile)
         finally:
             for sink in self._sinks:
                 sink.finish()
-        if store is not None and obs is not None:
-            self._publish_store_counters(
-                obs, tally, store.stats.invalidations - invalid_before
-            )
         stats = self._stats
         self._stats = replace(
             stats,
@@ -268,22 +216,20 @@ class SweepExecutor:
         )
         return outcomes
 
-    def _observe(
-        self, outcome: RunOutcome, spec: RunSpec, store: ResultStore | None
-    ) -> None:
+    def _observe(self, outcome: RunOutcome, spec: RunSpec) -> None:
         """One settled run: tally it, commit it, notify the sinks.
 
         Called in completion order (non-deterministic on the pool
         path), which is fine: the sinks and the ops log are
         display/telemetry, never data.  A computed run is committed to
-        ``store`` first — as runs finish, not at sweep end, which is
+        the store first — as runs finish, not at sweep end, which is
         what makes an interrupted sweep resumable.  A cached hit's
         ``wall_seconds`` reports the *original* compute cost, so its
         span here has zero duration — serving it cost no wall time now.
         """
         kind = self._tally.update(outcome)
-        if kind == "computed" and store is not None:
-            store.put(spec, outcome)
+        if kind == "computed" and self.store is not None:
+            self.store.put(spec, outcome)
         for sink in self._sinks:
             sink.update(outcome)
         if self.ops.enabled:
@@ -304,104 +250,17 @@ class SweepExecutor:
                 **attrs,
             )
 
-    def _map_in_process(
-        self,
-        specs: list[RunSpec],
-        obs: Observability | None,
-        analyze: bool,
-        store: ResultStore | None,
-    ) -> list[RunOutcome]:
-        """The sequential path, with or without store commits.
-
-        Without a store this is byte-for-byte the old serial loop:
-        runs record straight into ``obs`` and exceptions propagate.
-        With a store, runs adopt the pool's semantics instead —
-        private registry reduced via snapshots, failures folded into
-        outcomes — because a committed entry must be self-contained
-        (usable by a later pooled sweep) and a crash mid-sweep must
-        leave every finished run safely on disk.
-        """
+    def _map_inline(self, specs: list[RunSpec]) -> list[RunOutcome]:
+        """Run each spec in this process, one after another."""
         outcomes: list[RunOutcome] = []
         for spec in specs:
-            if store is not None:
-                outcome = pool_entry(
-                    replace(
-                        spec,
-                        collect_metrics=obs is not None,
-                        collect_analysis=analyze,
-                    )
-                )
-            else:
-                run = replace(spec, collect_metrics=False)
-                if analyze:
-                    outcome = self._run_analyzed(run, obs)
-                else:
-                    outcome = execute_run(run, obs)
-            self._observe(outcome, spec, store)
+            outcome = pool_entry(spec)
+            self._observe(outcome, spec)
             outcomes.append(outcome)
         return outcomes
 
-    @staticmethod
-    def _publish_store_counters(
-        obs: Observability, tally: SweepTally, invalidations: int
-    ) -> None:
-        """Surface store traffic as ``parallel.cache.store.*``.
-
-        Hits/misses/stores come from the sweep's own tally, so the
-        numbers reflect this sweep regardless of how much other
-        traffic the store object saw; invalidations (entries found but
-        rejected — schema drift, corruption) come from the store's
-        delta over the sweep.
-        """
-        hits = tally.cached
-        misses = tally.done - hits
-        registry = obs.registry
-        if hits:
-            registry.counter("parallel.cache.store.hits").inc(hits)
-        if misses:
-            registry.counter("parallel.cache.store.misses").inc(misses)
-        stored = tally.computed
-        if stored:
-            registry.counter("parallel.cache.store.stores").inc(stored)
-        if invalidations:
-            registry.counter(
-                "parallel.cache.store.invalidations"
-            ).inc(invalidations)
-
-    @staticmethod
-    def _run_analyzed(
-        spec: RunSpec, obs: Observability | None
-    ) -> RunOutcome:
-        """In-process analyzed run: private trace, shared registry.
-
-        The run records into a fresh tracer configured exactly like
-        the pool workers' (:meth:`Observability.tracing`), while
-        metrics still accumulate into the caller's registry.  When the
-        caller's own tracer is live, the run's events are replayed
-        into it afterwards so an analyzing sweep still fills the
-        caller's trace.
-        """
-        run_obs = Observability.tracing()
-        if obs is not None:
-            run_obs.registry = obs.registry
-            run_obs.profile = obs.profile
-        outcome = execute_run(spec, run_obs)
-        outcome = replace(
-            outcome, analysis=analyze_observability(run_obs)
-        )
-        if obs is not None and obs.tracer.enabled:
-            for event in run_obs.events():
-                obs.tracer.emit(event)
-        return outcome
-
-    def _map_pool(
-        self,
-        specs: list[RunSpec],
-        collect: bool,
-        analyze: bool = False,
-        profile: bool = False,
-        store: ResultStore | None = None,
-    ) -> list[RunOutcome]:
+    def _map_pool(self, specs: list[RunSpec]) -> list[RunOutcome]:
+        """Run the specs in a process pool, observed as they settle."""
         if not specs:
             return []
         workers = max(1, min(self.jobs, len(specs)))
@@ -410,16 +269,7 @@ class SweepExecutor:
         outcomes: list[RunOutcome] = []
         try:
             futures = {
-                pool.submit(
-                    pool_entry,
-                    replace(
-                        spec,
-                        collect_metrics=collect,
-                        collect_analysis=analyze,
-                        collect_profile=profile,
-                    ),
-                ): spec
-                for spec in specs
+                pool.submit(pool_entry, spec): spec for spec in specs
             }
             yielded: set = set()
             try:
@@ -433,7 +283,7 @@ class SweepExecutor:
                     spec = futures[future]
                     outcome = self._settle(future, spec)
                     outcomes.append(outcome)
-                    self._observe(outcome, spec, store)
+                    self._observe(outcome, spec)
             except FuturesTimeout:
                 timed_out = True
                 for future, spec in futures.items():
@@ -443,13 +293,13 @@ class SweepExecutor:
                         outcome = self._settle(future, spec)
                     else:
                         future.cancel()
-                        outcome = self._failed(
+                        outcome = failed_outcome(
                             spec,
                             f"TimeoutError: sweep deadline "
                             f"({self.timeout}s) exceeded",
                         )
                     outcomes.append(outcome)
-                    self._observe(outcome, spec, store)
+                    self._observe(outcome, spec)
         finally:
             pool.shutdown(wait=not timed_out, cancel_futures=True)
         return outcomes
@@ -460,30 +310,15 @@ class SweepExecutor:
         except BaseException as exc:  # noqa: BLE001
             # A worker died hard (e.g. the pool broke) or the outcome
             # failed to unpickle; blame the run, keep the sweep.
-            return self._failed(spec, f"{type(exc).__name__}: {exc}")
-
-    @staticmethod
-    def _failed(spec: RunSpec, error: str) -> RunOutcome:
-        return RunOutcome(
-            cell_index=spec.cell_index,
-            seed_index=spec.seed_index,
-            seed=spec.seed,
-            label=spec.cell.describe(),
-            error=error,
-            pid=os.getpid(),
-        )
+            return failed_outcome(spec, f"{type(exc).__name__}: {exc}")
 
     def run_cells(
-        self,
-        cells: Sequence[CellSpec],
-        obs: Observability | None = None,
-        analyze: bool = False,
+        self, cells: Sequence[CellSpec], analyze: bool = False
     ) -> list[CellResult]:
         """Run every seed of every cell; merge to cells in input order.
 
         Args:
             cells: the sweep, one spec per experimental cell.
-            obs: optional observability context (see :meth:`map_runs`).
             analyze: also trace + diagnose every run and attach the
                 merged :class:`~repro.obs.analyze.CellAnalysis` to
                 each cell's result.
@@ -493,8 +328,8 @@ class SweepExecutor:
             input order, numerically identical at any worker count.
 
         Raises:
-            SweepError: when any run failed on the pool path; the
-                message lists every failing (cell, seed).
+            SweepError: when any run failed; the message lists every
+                failing (cell, seed).
         """
         cells = list(cells)
         specs = [
@@ -507,7 +342,7 @@ class SweepExecutor:
             for cell_index, cell in enumerate(cells)
             for seed_index, seed in enumerate(cell.config.seeds)
         ]
-        outcomes = self.map_runs(specs, obs=obs, analyze=analyze)
+        outcomes = self.map_runs(specs, analyze=analyze)
         tally = self._tally
         tally.check("sweep")
         results: list[CellResult] = []

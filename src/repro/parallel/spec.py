@@ -220,25 +220,16 @@ class RunSpec:
         seed: the swarm seed of this run.
         cell_index: position of the cell in the sweep (merge key).
         seed_index: position of the seed within the cell (merge key).
-        collect_metrics: when true, a worker process records the run
-            into a fresh metrics-only registry and ships a snapshot
-            back for the deterministic parent-side reduction.
         collect_analysis: when true, the run is traced into a private
             ring buffer and reduced to a picklable
             :class:`~repro.obs.analyze.RunAnalysis` where it executed
             — only the analysis crosses the process boundary, never
             the trace, so attribution is identical at any worker
             count.
-        collect_profile: when true, a worker process times its event
-            loop into a fresh :class:`~repro.obs.profile.EngineProfile`
-            and ships the per-category snapshot back, so a ``--jobs N``
-            sweep's merged profile covers every worker's host time.
     """
 
     cell: CellSpec
     seed: int
     cell_index: int
     seed_index: int
-    collect_metrics: bool = False
     collect_analysis: bool = False
-    collect_profile: bool = False

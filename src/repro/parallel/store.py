@@ -23,11 +23,6 @@ into a disk cache:
 Keys incorporate :data:`STORE_SCHEMA` so a format change never
 misreads old entries: bump the version and every old entry simply
 misses (see ``docs/OBSERVABILITY.md`` for the schema-version policy).
-
-What is *not* cached: traced runs (a trace must be recorded live, on
-one clock, in one process) and profiled runs (an engine profile
-measures *this* machine executing — a cache hit has no host time).
-The executor bypasses the store for both.
 """
 
 from __future__ import annotations
@@ -63,9 +58,8 @@ def run_identity(spec: RunSpec, schema: str = STORE_SCHEMA) -> str:
     cell spec (technique, bandwidth, config — including fidelity,
     seeds, churn —, policy, video identity) and the run's seed.  The
     executor-side merge keys (``cell_index``/``seed_index``) and the
-    observability collection flags do not: the same run requested by
-    two different sweeps, or with different instrumentation, is still
-    the same run.
+    analysis flag do not: the same run requested by two different
+    sweeps, with or without analysis, is still the same run.
     """
     return content_digest((schema, spec.cell, spec.seed))
 
@@ -77,8 +71,7 @@ class StoreStats:
     Attributes:
         hits: lookups served from disk.
         misses: lookups that found no usable entry (including entries
-            lacking a component the caller needs, e.g. a metrics
-            snapshot).
+            lacking a stall analysis the caller needs).
         stores: entries committed.
         invalidations: entries found but rejected — schema mismatch,
             digest mismatch, or a corrupt/unreadable file.
@@ -135,11 +128,7 @@ class ResultStore:
         return self.root / key[:2] / f"{key}.pkl"
 
     def get(
-        self,
-        spec: RunSpec,
-        *,
-        need_metrics: bool = False,
-        need_analysis: bool = False,
+        self, spec: RunSpec, *, need_analysis: bool = False
     ) -> RunOutcome | None:
         """The cached outcome for ``spec``, or ``None`` on a miss.
 
@@ -148,9 +137,6 @@ class ResultStore:
         executor's deterministic (cell, seed) merge.
 
         Args:
-            need_metrics: require a metrics snapshot in the entry (an
-                observability-bearing sweep must reduce every run's
-                counters, cached or not); entries without one miss.
             need_analysis: require a stall diagnosis in the entry;
                 entries without one miss.
         """
@@ -168,9 +154,6 @@ class ResultStore:
         outcome = self._validate(entry, self.run_key(spec))
         if outcome is None:
             self._count(misses=1, invalidations=1)
-            return None
-        if need_metrics and outcome.metrics is None:
-            self._count(misses=1)
             return None
         if need_analysis and outcome.analysis is None:
             self._count(misses=1)
@@ -204,9 +187,7 @@ class ResultStore:
     def put(self, spec: RunSpec, outcome: RunOutcome) -> None:
         """Commit one successful run's outcome.
 
-        Failed outcomes are rejected (a crash is not a result), and
-        the stored entry never carries an engine profile — host time
-        is a property of the machine that ran, not of the run.
+        Failed outcomes are rejected (a crash is not a result).
         """
         if not outcome.ok:
             raise StoreError(
@@ -217,7 +198,7 @@ class ResultStore:
         entry = {
             "schema": self.schema,
             "key": key,
-            "outcome": replace(outcome, profile=None, cached=False),
+            "outcome": replace(outcome, cached=False),
         }
         if self.ops.enabled:
             with self.ops.span(

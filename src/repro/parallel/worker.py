@@ -1,16 +1,16 @@
 """The work a single sweep run performs, parent- or worker-side.
 
-:func:`execute_run` is the one code path that turns a
-:class:`~repro.parallel.spec.RunSpec` into per-seed stats — the
-executor calls it directly for in-process sweeps and via
-:func:`pool_entry` inside pool workers.  Because both paths run the
-same deterministic simulation on the same reconstructed inputs, a
-cell's numbers are identical at any worker count.
+:func:`pool_entry` is the one place a sweep run executes: the executor
+calls it inline at ``jobs=1`` and submits it to pool workers otherwise.
+Both paths run the same deterministic simulation on the same
+reconstructed inputs, so a cell's numbers are identical at any worker
+count.
 
 :func:`pool_entry` must stay a module-level function (pickled by
-reference into worker processes) and never raise: any exception is
-folded into a failed :class:`RunOutcome` naming its cell, so one
-crashed run reports itself instead of killing the sweep.
+reference into worker processes) and never raise on a failed run: any
+``Exception`` is folded into a failed :class:`RunOutcome` naming its
+cell, so one crashed run reports itself instead of killing the sweep.
+A ``KeyboardInterrupt`` is not a failed run; it propagates.
 """
 
 from __future__ import annotations
@@ -23,16 +23,9 @@ from ..experiments.config import make_swarm_config
 from ..experiments.runner import SeedStats, seed_stats
 from ..obs.analyze import RunAnalysis, analyze_observability
 from ..obs.context import Observability
-from ..obs.profile import EngineProfile
 from ..p2p.swarm import Swarm, build_swarm
 from ..units import kB_per_s
-from .cache import memo_counts, publish_memo_delta, splice_for
-from .snapshot import (
-    MetricsSnapshot,
-    ProfileSnapshot,
-    snapshot_profile,
-    snapshot_registry,
-)
+from .cache import splice_for
 from .spec import RunSpec, SquareWave
 
 
@@ -48,19 +41,20 @@ class RunOutcome:
         stats: per-seed scalars (``None`` when the run failed).
         error: ``"ExcType: message"`` when the run failed.
         wall_seconds: wall-clock time the run took where it executed.
-        metrics: registry snapshot (pool runs with metrics collection
-            only).
+        metrics: always ``None``.  Kept, like ``profile``, because
+            slotted dataclasses unpickle by position: dropping a slot
+            would shift every later field of an entry already in a
+            :class:`~repro.parallel.store.ResultStore`.
         analysis: the run's stall diagnosis (analyzing sweeps only);
             computed from the run's private trace where the run
             executed, so it is identical at any worker count.
-        profile: per-category engine wall time measured where the run
-            executed (profiling pool runs only).
+        profile: always ``None`` (see ``metrics``).
         cached: the outcome was served from a
             :class:`~repro.parallel.store.ResultStore` instead of
             being computed this sweep; ``wall_seconds`` then reports
             what the *original* execution cost.
         pid: process id that executed the run (the parent for
-            in-process sweeps, a pool worker otherwise).  Entries
+            inline sweeps, a pool worker otherwise).  Entries
             pickled before the field existed unpickle without the
             slot; the store defaults it to ``0`` on load, which is
             why adding this optional field is not a ``repro.store``
@@ -74,9 +68,9 @@ class RunOutcome:
     stats: SeedStats | None = None
     error: str | None = None
     wall_seconds: float = 0.0
-    metrics: MetricsSnapshot | None = None
+    metrics: None = None
     analysis: RunAnalysis | None = None
-    profile: ProfileSnapshot | None = None
+    profile: None = None
     cached: bool = False
     pid: int = 0
 
@@ -109,17 +103,12 @@ def execute_run(
 
     Args:
         spec: the run to perform.
-        obs: observability context the swarm records into (the parent's
-            own context on the in-process path, a private registry in
-            pool workers).  Exceptions propagate — isolation is
-            :func:`pool_entry`'s job.
+        obs: observability context the swarm records into (a private
+            tracer on analyzing runs).  Exceptions propagate —
+            isolation is :func:`pool_entry`'s job.
     """
     cell = spec.cell
-    if obs is not None:
-        memo_before = memo_counts()
     splice = splice_for(cell)
-    if obs is not None:
-        publish_memo_delta(obs.registry, memo_before)
     swarm_config = make_swarm_config(
         cell.bandwidth_kb, spec.seed, cell.config, cell.policy
     )
@@ -151,40 +140,33 @@ def execute_run(
     )
 
 
+def failed_outcome(spec: RunSpec, error: str) -> RunOutcome:
+    """The outcome of a run that failed with ``error``."""
+    return RunOutcome(
+        cell_index=spec.cell_index,
+        seed_index=spec.seed_index,
+        seed=spec.seed,
+        label=spec.cell.describe(),
+        error=error,
+        pid=os.getpid(),
+    )
+
+
 def pool_entry(spec: RunSpec) -> RunOutcome:
-    """Worker-process entry point: never raises, always an outcome."""
-    if spec.collect_analysis:
-        # Same tracer configuration as the executor's in-process
-        # analyzing path — the trace, and therefore the attribution,
-        # must not depend on where the run executed.
-        obs = Observability.tracing()
-    elif spec.collect_metrics or spec.collect_profile:
-        obs = Observability.metrics_only()
-    else:
-        obs = None
-    if spec.collect_profile and obs is not None:
-        obs.profile = EngineProfile()
+    """Execute one run: a failure becomes an outcome, never a raise.
+
+    An analyzing run (``spec.collect_analysis``) is traced into a
+    private ring buffer and reduced to its
+    :class:`~repro.obs.analyze.RunAnalysis` here, where it executed;
+    only the analysis travels back.
+    """
+    obs = Observability.tracing() if spec.collect_analysis else None
     try:
         outcome = execute_run(spec, obs)
-    except BaseException as exc:  # noqa: BLE001 - isolation boundary
-        return RunOutcome(
-            cell_index=spec.cell_index,
-            seed_index=spec.seed_index,
-            seed=spec.seed,
-            label=spec.cell.describe(),
-            error=f"{type(exc).__name__}: {exc}",
-            pid=os.getpid(),
-        )
-    if obs is not None and spec.collect_metrics:
-        outcome = replace(
-            outcome, metrics=snapshot_registry(obs.registry)
-        )
-    if obs is not None and spec.collect_analysis:
-        outcome = replace(
-            outcome, analysis=analyze_observability(obs)
-        )
-    if obs is not None and obs.profile is not None:
-        outcome = replace(
-            outcome, profile=snapshot_profile(obs.profile)
-        )
+        if obs is not None:
+            outcome = replace(
+                outcome, analysis=analyze_observability(obs)
+            )
+    except Exception as exc:  # noqa: BLE001 - isolation boundary
+        return failed_outcome(spec, f"{type(exc).__name__}: {exc}")
     return outcome

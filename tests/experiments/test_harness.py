@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.policy import FixedPoolPolicy
-from repro.core.splicer import DurationSplicer
 from repro.errors import ExperimentError
 from repro.experiments.config import (
     FIG4_BANDWIDTHS_KB,
@@ -12,7 +11,8 @@ from repro.experiments.config import (
     make_swarm_config,
 )
 from repro.experiments.report import format_cells_csv, format_figure
-from repro.experiments.runner import CellResult, FigureResult, run_cell
+from repro.experiments.runner import CellResult, FigureResult
+from repro.parallel import SplicerSpec, SweepExecutor, cell_for
 from repro.units import kB_per_s
 
 
@@ -21,9 +21,13 @@ def fast_config():
     return ExperimentConfig(n_leechers=3, seeds=(5,), max_time=600.0)
 
 
-@pytest.fixture(scope="module")
-def splice(short_video):
-    return DurationSplicer(4.0).splice(short_video)
+def one_cell(video, bandwidth_kb, config):
+    """One seed-averaged cell, run inline."""
+    (cell,) = SweepExecutor(jobs=1).run_cells(
+        [cell_for(SplicerSpec("duration", 4.0), bandwidth_kb, config,
+                  video=video)]
+    )
+    return cell
 
 
 class TestExperimentConfig:
@@ -68,20 +72,20 @@ class TestMakeSwarmConfig:
 
 
 class TestRunCell:
-    def test_produces_metrics(self, splice, fast_config):
-        cell = run_cell(splice, 512, fast_config)
+    def test_produces_metrics(self, short_video, fast_config):
+        cell = one_cell(short_video, 512, fast_config)
         assert cell.bandwidth_kb == 512
         assert cell.startup_time > 0
         assert cell.finished_fraction == 1.0
         assert cell.stall_count >= 0
 
-    def test_rounded_stalls(self, splice, fast_config):
-        cell = run_cell(splice, 512, fast_config)
+    def test_rounded_stalls(self, short_video, fast_config):
+        cell = one_cell(short_video, 512, fast_config)
         assert cell.rounded_stalls == round(cell.stall_count)
 
-    def test_deterministic(self, splice, fast_config):
-        a = run_cell(splice, 512, fast_config)
-        b = run_cell(splice, 512, fast_config)
+    def test_deterministic(self, short_video, fast_config):
+        a = one_cell(short_video, 512, fast_config)
+        b = one_cell(short_video, 512, fast_config)
         assert a == b
 
 

@@ -15,9 +15,10 @@ from repro.experiments import fig2, fig4, fig5
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reproduce import reproduce_all
 from repro.core.policy import FixedPoolPolicy
-from repro.obs.context import Observability
 from repro.parallel import (
     CellSpec,
+    ResultStore,
+    RunSpec,
     SplicerSpec,
     SquareWave,
     SweepExecutor,
@@ -121,95 +122,12 @@ class TestParity:
         )
 
 
-class TestMetricsReduction:
-    def test_parallel_metrics_match_serial(
-        self, fast_config, short_video
-    ):
-        cells = _figure_cells(fast_config, short_video)[:2]
-        serial_obs = Observability.metrics_only()
-        SweepExecutor(jobs=1).run_cells(cells, obs=serial_obs)
-        parallel_obs = Observability.metrics_only()
-        SweepExecutor(jobs=2).run_cells(cells, obs=parallel_obs)
-
-        serial_counters = {
-            name: counter.value
-            for name, counter in serial_obs.registry.counters().items()
-        }
-        parallel_counters = {
-            name: counter.value
-            for name, counter
-            in parallel_obs.registry.counters().items()
-        }
-        # The parallel.cache.* memo counters describe per-process
-        # cache locality — a pool of N workers legitimately misses up
-        # to N times where the serial path misses once — so they are
-        # compared as an invariant (one splice derivation per run on
-        # any path), not for equality.
-        def split(counters):
-            sim = {
-                name: value
-                for name, value in counters.items()
-                if not name.startswith("parallel.cache.")
-            }
-            memo = sum(
-                value
-                for name, value in counters.items()
-                if name
-                in (
-                    "parallel.cache.splice.hits",
-                    "parallel.cache.splice.misses",
-                )
-            )
-            return sim, memo
-
-        serial_sim, serial_memo = split(serial_counters)
-        parallel_sim, parallel_memo = split(parallel_counters)
-        assert serial_sim == parallel_sim
-        assert serial_memo == parallel_memo == 4  # one per run
-
-        # Histogram weights are time-integrals: serial mode grows one
-        # running sum, parallel merges per-run subtotals, and float
-        # addition is not associative — so these agree to within an
-        # ULP, unlike CellResults which are bit-exact by construction.
-        serial_hists = {
-            name: hist.weights()
-            for name, hist
-            in serial_obs.registry.histograms().items()
-        }
-        parallel_hists = {
-            name: hist.weights()
-            for name, hist
-            in parallel_obs.registry.histograms().items()
-        }
-        assert set(serial_hists) == set(parallel_hists)
-        for name, weights in serial_hists.items():
-            assert parallel_hists[name] == pytest.approx(weights), name
-
-        serial_gauges = {
-            name: gauge.value
-            for name, gauge in serial_obs.registry.gauges().items()
-        }
-        parallel_gauges = {
-            name: gauge.value
-            for name, gauge
-            in parallel_obs.registry.gauges().items()
-        }
-        assert serial_gauges == parallel_gauges
-
-    def test_tracing_obs_forces_in_process(
-        self, fast_config, short_video
-    ):
-        cells = _figure_cells(fast_config, short_video)[:1]
-        obs = Observability.tracing()
-        SweepExecutor(jobs=4).run_cells(cells, obs=obs)
-        # A pooled run cannot feed the parent tracer; events present
-        # proves the sweep ran on the caller's clock in-process.
-        assert len(obs.events()) > 0
-
-
 class TestCrashIsolation:
+    # One failure policy at every worker count: the other runs finish,
+    # then one SweepError names each failed run.
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_run_reports_its_cell(
-        self, fast_config, short_video
+        self, fast_config, short_video, jobs
     ):
         good = _figure_cells(fast_config, short_video)[0]
         bad = CellSpec(
@@ -219,9 +137,9 @@ class TestCrashIsolation:
             video_spec=VideoSpec(seed=1),
             label="bad-cell",
         )
-        executor = SweepExecutor(jobs=2)
+        executor = SweepExecutor(jobs=jobs)
         with pytest.raises(SweepError) as excinfo:
-            executor.run_cells([good, bad])
+            executor.run_cells([bad, good])
         message = str(excinfo.value)
         assert "bad-cell" in message
         assert "target_duration" in message
@@ -262,11 +180,34 @@ class TestCrashIsolation:
         )
         assert executor.stats.failures == executor.stats.runs == runs
 
+    def test_interrupt_stops_an_inline_sweep(
+        self, fast_config, short_video, tmp_path, monkeypatch
+    ):
+        from repro.parallel import worker
+
+        started = []
+
+        def interrupted(spec, obs=None):
+            started.append(spec.seed_index)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(worker, "execute_run", interrupted)
+        cell = _figure_cells(fast_config, short_video)[0]
+        specs = [
+            RunSpec(cell=cell, seed=seed, cell_index=0, seed_index=i)
+            for i, seed in enumerate((5, 9, 13))
+        ]
+        store = ResultStore(tmp_path / "store")
+        executor = SweepExecutor(jobs=1, store=store)
+        with pytest.raises(KeyboardInterrupt):
+            executor.map_runs(specs)
+        # Run 1 was interrupted; runs 2 and 3 never started.
+        assert started == [0]
+        assert len(store) == 0
+
     def test_map_runs_surfaces_outcomes(
         self, fast_config, short_video
     ):
-        from repro.parallel import RunSpec
-
         good = _figure_cells(fast_config, short_video)[0]
         bad = CellSpec(
             splicer=SplicerSpec("duration", -1.0),

@@ -11,21 +11,26 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.core.policy import FixedPoolPolicy
 from repro.errors import StoreError
 from repro.experiments.config import ExperimentConfig
-from repro.obs.context import Observability
+from repro.experiments.runner import SeedStats
 from repro.parallel import (
+    CellSpec,
     ResultStore,
     SplicerSpec,
     SweepExecutor,
+    VideoSpec,
     cell_for,
     run_identity,
 )
 from repro.parallel.spec import RunSpec
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +67,7 @@ class TestRunIdentity:
     ):
         base = _spec(fast_config, short_video)
         moved = replace(base, cell_index=3, seed_index=1)
-        flagged = replace(
-            base, collect_metrics=True, collect_analysis=True
-        )
+        flagged = replace(base, collect_analysis=True)
         assert run_identity(moved) == run_identity(base)
         assert run_identity(flagged) == run_identity(base)
 
@@ -192,20 +195,21 @@ class TestResumability:
 
 
 class TestComponentGating:
-    def test_metrics_less_entry_misses_when_metrics_needed(
+    def test_analysis_less_entry_misses_when_needed(
         self, fast_config, short_video, tmp_path
     ):
         cells = _cells(fast_config, short_video)[:1]
         store = ResultStore(tmp_path / "store")
         SweepExecutor(jobs=1, store=store).run_cells(cells)
-        obs = Observability.metrics_only()
         upgraded = SweepExecutor(jobs=1, store=store)
-        upgraded.run_cells(cells, obs=obs)
-        # Plain entries lack snapshots: the obs sweep recomputed...
+        (result,) = upgraded.run_cells(cells, analyze=True)
+        # Plain entries lack a diagnosis: the analyzing sweep
+        # recomputed...
         assert upgraded.stats.runs_cached == 0
-        # ...and upgraded the entries, so a second obs sweep hits.
+        assert result.analysis is not None
+        # ...and upgraded the entries, so a second one hits.
         second = SweepExecutor(jobs=1, store=store)
-        second.run_cells(cells, obs=Observability.metrics_only())
+        assert second.run_cells(cells, analyze=True) == [result]
         assert second.stats.runs_cached == 2
 
     def test_upgraded_entries_still_serve_plain_sweeps(
@@ -214,11 +218,12 @@ class TestComponentGating:
         cells = _cells(fast_config, short_video)[:1]
         store = ResultStore(tmp_path / "store")
         SweepExecutor(jobs=1, store=store).run_cells(
-            cells, obs=Observability.metrics_only()
+            cells, analyze=True
         )
         plain = SweepExecutor(jobs=1, store=store)
-        plain.run_cells(cells)
+        (result,) = plain.run_cells(cells)
         assert plain.stats.runs_cached == 2
+        assert result.analysis is None
 
 
 class TestInvalidation:
@@ -351,46 +356,45 @@ class TestStoreApi:
         assert len(store) == 0
 
 
-class TestStoreCounters:
-    def test_store_traffic_reaches_obs_registry(
-        self, fast_config, short_video, tmp_path
-    ):
-        cells = _cells(fast_config, short_video)[:1]
+class TestEntryLayout:
+    def test_twelve_slot_entry_still_hits(self, tmp_path):
+        # An entry committed while ``RunOutcome`` carried its
+        # metrics/profile snapshot slots (now always ``None``).
+        # Slotted dataclasses unpickle by position, so the slots stay:
+        # without them ``analysis`` would land in ``cached``.
+        cell = CellSpec(
+            splicer=SplicerSpec("duration", 4.0),
+            bandwidth_kb=256,
+            config=ExperimentConfig(
+                n_leechers=2, seeds=(5,), max_time=300.0
+            ),
+            video_spec=VideoSpec(seed=1, duration=20.0),
+            label="compat/duration-4s @ 256",
+        )
+        spec = RunSpec(cell=cell, seed=5, cell_index=3, seed_index=0)
         store = ResultStore(tmp_path / "store")
-        cold_obs = Observability.metrics_only()
-        SweepExecutor(jobs=1, store=store).run_cells(
-            cells, obs=cold_obs
+        key = store.run_key(spec)
+        path = tmp_path / "store" / key[:2] / f"{key}.pkl"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(
+            (FIXTURES / "store_entry_12_slots.pkl").read_bytes()
         )
-        cold = {
-            name: counter.value
-            for name, counter
-            in cold_obs.registry.counters().items()
-        }
-        assert cold["parallel.cache.store.misses"] == 2
-        assert cold["parallel.cache.store.stores"] == 2
-        # Zero-valued counters are never materialized.
-        assert cold.get("parallel.cache.store.hits", 0) == 0
-        warm_obs = Observability.metrics_only()
-        SweepExecutor(jobs=1, store=store).run_cells(
-            cells, obs=warm_obs
+        hit = store.get(spec, need_analysis=True)
+        assert hit is not None
+        assert (hit.cell_index, hit.cached, hit.pid) == (3, True, 22393)
+        assert hit.stats == SeedStats(
+            stall_count=1.0,
+            stall_duration=1.1049846512611001,
+            startup_time=4.692017059391286,
+            seeder_bytes=3678271.0,
+            peer_bytes=1187617.0,
+            finished_fraction=1.0,
+            events_fired=75,
+            end_time=300.0,
         )
-        warm = {
-            name: counter.value
-            for name, counter
-            in warm_obs.registry.counters().items()
-        }
-        assert warm["parallel.cache.store.hits"] == 2
-        assert warm.get("parallel.cache.store.misses", 0) == 0
-        assert warm.get("parallel.cache.store.stores", 0) == 0
-
-    def test_no_store_no_store_counters(
-        self, fast_config, short_video
-    ):
-        cells = _cells(fast_config, short_video)[:1]
-        obs = Observability.metrics_only()
-        SweepExecutor(jobs=1).run_cells(cells, obs=obs)
-        names = set(obs.registry.counters())
-        assert not any(
-            name.startswith("parallel.cache.store.")
-            for name in names
-        )
+        analysis = hit.analysis
+        assert analysis.stall_count == 2
+        assert analysis.causes["seeder-bottleneck"] == 2
+        assert sorted(analysis.peers) == ["peer-1", "peer-2"]
+        assert analysis.event_count == 66
+        assert hit.metrics is None and hit.profile is None

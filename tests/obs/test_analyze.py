@@ -18,6 +18,7 @@ from repro.obs import (
     PoolResized,
     RequestTimedOut,
     SegmentRequested,
+    SimulationCompleted,
     SimulationStarted,
     StallEnded,
     StallStarted,
@@ -146,9 +147,14 @@ class TestTruncation:
             render_analysis(analysis)  # must not raise either
 
     def test_missing_simulation_started_implies_truncated(self):
+        # The run's SimulationCompleted survived but its head (and
+        # SimulationStarted with it) fell off the ring buffer.
         events = [
             PeerJoined(time=1.0, peer="p"),
             StallEnded(time=4.0, peer="p", segment=2, duration=1.0),
+            SimulationCompleted(
+                time=9.0, events_fired=40, wall_seconds=0.01
+            ),
         ]
         timelines = build_timelines(events)
         assert timelines.truncated
@@ -158,6 +164,32 @@ class TestTruncation:
             v.rule == "stall-end-unmatched"
             for v in timelines.violations
         )
+
+    def test_trace_without_engine_events_is_complete(self):
+        # Recorded without the engine category: no SimulationStarted
+        # to miss, so nothing says the head was lost.
+        events = [
+            PeerJoined(time=0.0, peer="peer-1"),
+            PlaybackStarted(time=2.0, peer="peer-1", startup_time=2.0),
+            StallStarted(time=5.0, peer="peer-1", segment=3),
+            StallEnded(time=6.5, peer="peer-1", segment=3, duration=1.5),
+        ]
+        timelines = build_timelines(events)
+        assert not timelines.truncated
+        assert not any("truncated" in note for note in timelines.notes)
+        assert not timelines.violations
+        # ...so an unmatched StallEnded is reported again.
+        orphan = build_timelines(
+            events[:2]
+            + [StallEnded(time=6.5, peer="peer-1", segment=3,
+                          duration=1.5)]
+        )
+        assert not orphan.truncated
+        assert [v.rule for v in orphan.violations] == [
+            "stall-end-unmatched"
+        ]
+        # The caller's hint still counts on its own.
+        assert build_timelines(events, truncated=True).truncated
 
 
 # -- attribution rules -------------------------------------------------

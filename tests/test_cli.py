@@ -601,6 +601,9 @@ class TestTraceCommand:
         assert "Events by category:" in out
         assert "StallEnded x1, StallStarted x1" in out
         assert "Events by severity:" in out
+        # No engine events were traced, so a missing
+        # SimulationStarted is not evidence of wraparound.
+        assert "truncated" not in out
 
     @pytest.mark.slow
     def test_reproduce_figure_trace_round_trip(self, capsys, tmp_path):
