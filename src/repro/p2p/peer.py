@@ -1,10 +1,10 @@
 """Peer plumbing shared by seeders and leechers.
 
-Control messages (handshakes, haves, requests) are small: they are
-encoded through the real wire codec, then delivered after the
-end-to-end control latency — their bandwidth use is negligible and not
-charged against links.  Segment payloads are large: each one travels as
-its own TCP transfer through the flow network, exactly like the paper's
+Control messages (handshakes, haves, requests) are small: they pass
+through the real wire codec, then are delivered after the end-to-end
+control latency — their bandwidth use is negligible and not charged
+against links.  Segment payloads are large: each one travels as its
+own TCP transfer through the flow network, exactly like the paper's
 per-segment Java-socket connections.
 """
 
@@ -38,12 +38,25 @@ from .wire import FrameDecoder, encode_frame
 
 
 def piece_wire_overhead(peer_id: str, index: int, size: int) -> int:
-    """Bytes of protocol overhead carried with one segment transfer."""
-    return len(encode_frame(encode_message(Piece(peer_id, index, size))))
+    """Bytes of protocol overhead carried with one segment transfer.
+
+    The length of a framed :class:`Piece`, from its wire layout.
+    """
+    return (
+        4  # frame length prefix (u32)
+        + 1  # message id (u8)
+        + 2  # peer_id length (u16)
+        + len(peer_id.encode("utf-8"))  # peer_id bytes
+        + 4  # index (u32)
+        + 8  # size (u64)
+    )
 
 
 class ControlPlane:
     """Latency-delayed, loss-free delivery of encoded control messages.
+
+    Every message is encoded, framed and decoded once per fan-out; the
+    recipients share the decoded (frozen) message object.
 
     Args:
         sim: the simulator.
@@ -63,6 +76,10 @@ class ControlPlane:
         self._topology = topology
         self._extra_latency = extra_latency
         self._peers: dict[str, "PeerBase"] = {}
+        self._decoder = FrameDecoder()
+        # src name -> dst name -> delay(src, dst); cleared on every
+        # membership change.
+        self._delays: dict[str, dict[str, float]] = {}
         self.messages_sent = 0
         self.control_bytes = 0
 
@@ -71,10 +88,12 @@ class ControlPlane:
         if peer.name in self._peers:
             raise PeerError(f"peer name {peer.name!r} already registered")
         self._peers[peer.name] = peer
+        self._delays.clear()
 
     def unregister(self, name: str) -> None:
         """Remove a departed peer (idempotent)."""
         self._peers.pop(name, None)
+        self._delays.clear()
 
     def peer(self, name: str) -> "PeerBase | None":
         """Look a live peer up by name (None if gone)."""
@@ -86,7 +105,18 @@ class ControlPlane:
         return list(self._peers)
 
     def delay(self, src_name: str, dst_name: str) -> float:
-        """Control-message latency from ``src`` to ``dst``, seconds."""
+        """Control-message latency from ``src`` to ``dst``, seconds.
+
+        Memoised per pair (link latencies never change); registering or
+        unregistering a peer clears the memo.
+        """
+        delays = self._delays.setdefault(src_name, {})
+        delay = delays.get(dst_name)
+        if delay is None:
+            delay = delays[dst_name] = self._pair_latency(src_name, dst_name)
+        return delay
+
+    def _pair_latency(self, src_name: str, dst_name: str) -> float:
         src = self._topology.node(src_name)
         dst = self._topology.node(dst_name)
         base = self._topology.one_way_latency(src, dst)
@@ -107,22 +137,50 @@ class ControlPlane:
     ) -> None:
         """:meth:`send` ``message`` to each of ``dst_names`` in order.
 
-        The frame is encoded once; every recipient still counts as one
-        message and gets its own delivery at its own pair latency.
+        The message is encoded, framed and decoded once, so it passes
+        every codec check; every recipient still counts as one message
+        of the frame's size and receives it at its own pair latency.
+        Recipients due at the same instant share one event, which
+        hands the message to each in ``dst_names`` order.  That fires
+        the same handlers in the same order as one event per
+        recipient: one broadcast's same-instant deliveries would hold
+        contiguous sequence numbers, so nothing else could run (and no
+        end-of-timestamp barrier could drain) between them.
         """
         raw = encode_frame(encode_message(message))
-        size = len(raw)
+        (payload,) = self._decoder.feed(raw)
+        decoded = decode_message(payload)
         src_name = src.name
+        now = self._sim.now
+        delays = self._delays.setdefault(src_name, {})
+        groups: dict[float, list[str]] = {}
+        count = 0
         for dst_name in dst_names:
-            self.messages_sent += 1
-            self.control_bytes += size
-            delay = self.delay(src_name, dst_name)
-            self._sim.schedule(delay, self._deliver, src_name, dst_name, raw)
+            delay = delays.get(dst_name)
+            if delay is None:
+                delay = self.delay(src_name, dst_name)
+            # Keyed on the arrival instant, not the delay: two delays
+            # that round to the same time share one event.
+            at = now + delay
+            names = groups.get(at)
+            if names is None:
+                groups[at] = [dst_name]
+            else:
+                names.append(dst_name)
+            count += 1
+        self.messages_sent += count
+        self.control_bytes += count * len(raw)
+        for at, names in groups.items():
+            self._sim.schedule_at(at, self._deliver, src_name, names, decoded)
 
-    def _deliver(self, src_name: str, dst_name: str, raw: bytes) -> None:
-        dst = self._peers.get(dst_name)
-        if dst is not None and dst.alive:
-            dst.receive_control(src_name, raw)
+    def _deliver(
+        self, src_name: str, dst_names: list[str], message: Message
+    ) -> None:
+        peers = self._peers
+        for dst_name in dst_names:
+            dst = peers.get(dst_name)
+            if dst is not None and dst.alive:
+                dst.handle_message(src_name, message)
 
 
 class PeerBase:
@@ -162,7 +220,6 @@ class PeerBase:
         self._topology = topology
         self._control = control
         self._tcp_params = tcp_params or TcpParams()
-        self._decoder = FrameDecoder()
         self.alive = True
         self.owned: set[int] = set()
         self.segment_sizes: dict[int, int] = {}
@@ -202,11 +259,6 @@ class PeerBase:
         if not self.alive:
             return
         self._control.broadcast(self, dst_names, message)
-
-    def receive_control(self, src_name: str, raw: bytes) -> None:
-        """Decode an incoming control frame and dispatch it."""
-        for payload in self._decoder.feed(raw):
-            self.handle_message(src_name, decode_message(payload))
 
     def handle_message(self, src_name: str, message: Message) -> None:
         """Dispatch one decoded message; subclasses extend."""

@@ -36,13 +36,14 @@ class MiniSwarm:
         n_leechers: int = 2,
         bandwidth: float = kB_per_s(512),
         policy: DownloadPolicy | None = None,
+        extra_latency=None,
         **leecher_overrides,
     ) -> None:
         self.splice = splice if splice is not None else make_splice()
         self.sim = Simulator()
         self.network = FlowNetwork(self.sim)
         self.topology = StarTopology()
-        self.control = ControlPlane(self.sim, self.topology)
+        self.control = ControlPlane(self.sim, self.topology, extra_latency)
         self.tracker = Tracker()
         seeder_node = self.topology.add_node(
             "seeder", bandwidth, latency_to_hub=0.0125

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.errors import PeerError
+from repro.errors import PeerError, WireFormatError
+from repro.p2p import peer as peer_module
 from repro.p2p.messages import (
     Goodbye,
     Handshake,
     Have,
+    Piece,
     Request,
     encode_message,
 )
@@ -14,6 +16,11 @@ from repro.p2p.peer import piece_wire_overhead
 from repro.p2p.wire import encode_frame
 
 from .helpers import MiniSwarm
+
+
+def seeder_extra(src, dst):
+    """The swarm's shape: control to or from the seeder takes 0.5 s more."""
+    return 0.5 if "seeder" in (src, dst) else 0.0
 
 
 class TestControlPlane:
@@ -24,12 +31,26 @@ class TestControlPlane:
         )
 
     def test_extra_latency_hook(self):
-        swarm = MiniSwarm()
-        swarm.control._extra_latency = (
-            lambda s, d: 0.5 if "seeder" in (s, d) else 0.0
+        swarm = MiniSwarm(extra_latency=seeder_extra)
+        assert swarm.control.delay("peer-1", "seeder") == pytest.approx(
+            0.525
+        )
+
+    def test_membership_change_clears_delay_memo(self):
+        extra = {"seeder": 0.5}
+        swarm = MiniSwarm(
+            n_leechers=1, extra_latency=lambda s, d: extra.get(d, 0.0)
         )
         assert swarm.control.delay("peer-1", "seeder") == pytest.approx(
             0.525
+        )
+        extra["seeder"] = 1.0
+        assert swarm.control.delay("peer-1", "seeder") == pytest.approx(
+            0.525
+        )
+        swarm.control.unregister("peer-1")
+        assert swarm.control.delay("peer-1", "seeder") == pytest.approx(
+            1.025
         )
 
     def test_duplicate_registration_rejected(self):
@@ -53,15 +74,15 @@ class TestControlPlane:
 
 
 def record_deliveries(swarm):
-    """Replace each peer's frame handler with a log of its deliveries.
+    """Replace each peer's message handler with a log of its deliveries.
 
-    Entries are ``(time, recipient, sender, frame)``.
+    Entries are ``(time, recipient, sender, message)``.
     """
     log = []
     for peer in [swarm.seeder, *swarm.leechers]:
-        peer.receive_control = (
-            lambda src, raw, name=peer.name: log.append(
-                (swarm.sim.now, name, src, raw)
+        peer.handle_message = (
+            lambda src, message, name=peer.name: log.append(
+                (swarm.sim.now, name, src, message)
             )
         )
     return log
@@ -82,18 +103,19 @@ class TestBroadcast:
         assert swarm.control.control_bytes == sent_bytes + 3 * len(frame)
 
     def test_each_recipient_at_its_own_delay(self):
-        swarm = MiniSwarm(n_leechers=3)
-        swarm.control._extra_latency = (
-            lambda s, d: 0.5 if "seeder" in (s, d) else 0.0
-        )
+        swarm = MiniSwarm(n_leechers=3, extra_latency=seeder_extra)
         log = record_deliveries(swarm)
         sender = swarm.leechers[0]
         recipients = ["peer-3", "seeder", "peer-2"]
         sender.broadcast(recipients, Have(peer_id=sender.name, index=0))
         swarm.run()
-        frame = encode_frame(encode_message(Have(sender.name, 0)))
         assert sorted(log) == sorted(
-            (swarm.control.delay(sender.name, name), name, sender.name, frame)
+            (
+                swarm.control.delay(sender.name, name),
+                name,
+                sender.name,
+                Have(sender.name, 0),
+            )
             for name in recipients
         )
         assert dict((name, t) for t, name, _, _ in log)[
@@ -131,13 +153,98 @@ class TestBroadcast:
         leaver = swarm.leechers[1]
         leaver.leave()
         swarm.run()
-        frame = encode_frame(encode_message(Goodbye(leaver.name)))
-        assert sorted(name for _, name, _, raw in log if raw == frame) == [
-            "peer-1",
-            "peer-3",
-            "seeder",
-        ]
+        goodbye = Goodbye(leaver.name)
+        assert sorted(
+            name for _, name, _, message in log if message == goodbye
+        ) == ["peer-1", "peer-3", "seeder"]
         assert leaver.name not in swarm.control.peer_names
+
+
+class TestGroupedDelivery:
+    """A fan-out costs one event per distinct arrival time."""
+
+    def test_have_to_every_peer_is_two_events(self):
+        # The paper's star: 18 other leechers at one latency, the
+        # seeder at its extra control latency.
+        swarm = MiniSwarm(n_leechers=19, extra_latency=seeder_extra)
+        sender = swarm.leechers[0]
+        others = [n for n in swarm.control.peer_names if n != sender.name]
+        message = Have(peer_id=sender.name, index=0)
+        frame = encode_frame(encode_message(message))
+        pending = swarm.sim.pending_events
+        sent = swarm.control.messages_sent
+        sent_bytes = swarm.control.control_bytes
+        sender.broadcast(others, message)
+        assert swarm.sim.pending_events == pending + 2
+        assert swarm.control.messages_sent == sent + 19
+        assert swarm.control.control_bytes == sent_bytes + 19 * len(frame)
+
+    def test_group_handled_in_broadcast_order(self):
+        swarm = MiniSwarm(n_leechers=4)
+        log = record_deliveries(swarm)
+        sender = swarm.leechers[0]
+        recipients = ["peer-4", "peer-2", "peer-3"]
+        pending = swarm.sim.pending_events
+        sender.broadcast(recipients, Have(peer_id=sender.name, index=0))
+        assert swarm.sim.pending_events == pending + 1
+        swarm.run()
+        assert [name for _, name, _, _ in log] == recipients
+        assert len({t for t, _, _, _ in log}) == 1
+
+    def test_recipient_made_to_leave_earlier_in_group_is_skipped(self):
+        swarm = MiniSwarm(n_leechers=4)
+        log = record_deliveries(swarm)
+        sender, first, second, third = swarm.leechers
+
+        def first_handler(src, message):
+            log.append((swarm.sim.now, first.name, src, message))
+            second.leave()
+
+        first.handle_message = first_handler
+        sender.broadcast(
+            [first.name, second.name, third.name],
+            Have(peer_id=sender.name, index=0),
+        )
+        swarm.run()
+        assert [name for _, name, src, _ in log if src == sender.name] == [
+            first.name,
+            third.name,
+        ]
+
+    def test_recipients_share_one_decoded_message(self):
+        swarm = MiniSwarm(n_leechers=4, extra_latency=seeder_extra)
+        log = record_deliveries(swarm)
+        sender = swarm.leechers[0]
+        message = Have(peer_id=sender.name, index=5)
+        sender.broadcast(
+            ["peer-2", "seeder", "peer-3", "peer-4"], message
+        )
+        swarm.run()
+        delivered = [m for _, _, _, m in log]
+        assert len(delivered) == 4
+        assert delivered[0] == message
+        assert delivered[0] is not message  # the codec's copy
+        assert all(m is delivered[0] for m in delivered)
+
+    def test_undecodable_payload_raises_at_broadcast(self, monkeypatch):
+        swarm = MiniSwarm(n_leechers=2)
+        sender, other = swarm.leechers
+        # A truncated body: the frame is well formed, the message not.
+        monkeypatch.setattr(
+            peer_module,
+            "encode_message",
+            lambda message: encode_message(message)[:-1],
+        )
+        pending = swarm.sim.pending_events
+        sent = swarm.control.messages_sent
+        with pytest.raises(WireFormatError):
+            sender.broadcast([other.name], Have(sender.name, 0))
+        assert swarm.sim.pending_events == pending
+        assert swarm.control.messages_sent == sent
+
+
+U32_MAX = 2**32 - 1
+U64_MAX = 2**64 - 1
 
 
 class TestPieceWireOverhead:
@@ -149,6 +256,17 @@ class TestPieceWireOverhead:
         short = piece_wire_overhead("p", 0, 1)
         long = piece_wire_overhead("p" * 30, 0, 1)
         assert long > short
+
+    @pytest.mark.parametrize(
+        "peer_id",
+        ["p" * n for n in range(41)] + ["pair-é", "seeder-λ", "ピア-1"],
+    )
+    @pytest.mark.parametrize(
+        "index,size", [(0, 0), (3, 512_000), (U32_MAX, U64_MAX)]
+    )
+    def test_equals_framed_piece_length(self, peer_id, index, size):
+        framed = encode_frame(encode_message(Piece(peer_id, index, size)))
+        assert piece_wire_overhead(peer_id, index, size) == len(framed)
 
 
 class TestUploads:
