@@ -720,11 +720,15 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     if store is not None:
         stats = executor.stats
         verb = "resumed" if args.resume else "cached"
+        hits = store.stats.hits
+        repeats = stats.runs_cached - hits
         print(
-            f"result store {store.root}: {stats.runs_cached} of "
+            f"result store {store.root}: {hits} of "
             f"{stats.runs} runs {verb}, "
             f"{stats.runs - stats.runs_cached - stats.failures} "
-            f"computed ({len(store)} entries on disk)",
+            f"computed"
+            + (f", {repeats} repeated" if repeats else "")
+            + f" ({len(store)} entries on disk)",
             file=sys.stderr,
         )
     if args.trace is not None:

@@ -30,7 +30,9 @@ _LABELS = {
 
 def _rows() -> dict[str, tuple[SplicerSpec, DownloadPolicy]]:
     # Adaptive pooling is passed explicitly (not left to the config
-    # default): the policy is part of every cell's store identity.
+    # default): the policy is part of every cell's store key.  The
+    # simulation is still fig2's 4 s cell, so a shared executor runs
+    # it once.
     policies = [AdaptivePoolPolicy()] + [
         FixedPoolPolicy(size) for size in PAPER_POOL_SIZES
     ]

@@ -46,8 +46,9 @@ class ReproductionReport:
         elapsed: wall-clock seconds the run took.
         events_fired: simulator callbacks executed across every run.
         jobs: worker processes the sweep used.
-        runs_cached: runs served from the result store instead of
-            being simulated (``--cache``/``--resume``).
+        runs_cached: runs not simulated in this reproduction: served
+            from the result store (``--cache``/``--resume``) or
+            repeating a simulation an earlier figure already ran.
     """
 
     figures: tuple[FigureResult, ...]
@@ -75,7 +76,7 @@ class ReproductionReport:
                 f"{self.events_per_sec:.0f} events/s"
             )
         if self.runs_cached:
-            header += f"; {self.runs_cached} runs from cache"
+            header += f"; {self.runs_cached} runs reused"
         header += ")"
         parts = [
             "# Reproduction report",

@@ -224,7 +224,8 @@ class ShardReport:
         shards: total shards in the plan.
         runs: runs belonging to this shard.
         computed: runs executed here and committed to the store.
-        cached: runs already present in the store (a resumed shard).
+        cached: runs not simulated here: already in the store (a
+            resumed shard), or repeats of a run the shard simulated.
     """
 
     shard: int
@@ -310,7 +311,8 @@ class MergeReport:
             run of the same sweep.
         absorbed: entries copied in from shard stores.
         runs: total runs of the sweep.
-        cached: runs served from the merged store.
+        cached: runs served from the merged store (or repeating a
+            run the merge simulated).
         computed: runs the merge had to compute (missing shards —
             merge doubles as resume).
     """

@@ -33,7 +33,12 @@ from .store import (
     default_store_root,
     run_identity,
 )
-from .worker import RunOutcome, execute_run, pool_entry
+from .worker import (
+    RunOutcome,
+    execute_run,
+    pool_entry,
+    simulation_identity,
+)
 
 __all__ = [
     "CellSpec",
@@ -63,6 +68,7 @@ __all__ = [
     "execute_run",
     "pool_entry",
     "run_identity",
+    "simulation_identity",
     "spec_digest",
     "splice_for",
 ]

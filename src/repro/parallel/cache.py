@@ -48,7 +48,11 @@ def _splice_explicit(
 
 
 def splice_for(cell: CellSpec) -> SpliceResult:
-    """The cell's spliced video, via whichever cache applies."""
+    """The cell's spliced video, via whichever cache applies.
+
+    Also takes a resolved :class:`~repro.parallel.worker.Simulation`,
+    which carries the same ``splicer``/``video_spec``/``video``.
+    """
     if cell.video is not None:
         return _splice_explicit(cell.video, cell.splicer)
     return cached_splice(cell.video_spec, cell.splicer)

@@ -15,6 +15,14 @@ A failed run never kills a sweep: it comes back as a failed
 :class:`~repro.parallel.worker.RunOutcome` naming its cell, and
 :meth:`SweepExecutor.run_cells` raises one :class:`SweepError` listing
 every failure after the surviving runs completed.
+
+An executor simulates each distinct run once for its lifetime.  Runs
+that resolve to the same
+:func:`~repro.parallel.worker.simulation_identity` — fig3 re-reading
+fig2's sessions, a label-only difference, ``policy=None`` beside an
+explicit ``AdaptivePoolPolicy()`` — are served from the first run's
+outcome as repeats (``cached=True``) and committed to the store under
+their own keys.
 """
 
 from __future__ import annotations
@@ -31,10 +39,20 @@ from ..obs.ops import NULL_OPS, OpsLog, ShardHeartbeat
 from .progress import SweepProgress, SweepTally
 from .spec import CellSpec, RunSpec
 from .store import ResultStore
-from .worker import RunOutcome, failed_outcome, pool_entry
+from .worker import (
+    RunOutcome,
+    failed_outcome,
+    pool_entry,
+    simulation_identity,
+)
 
 #: Environment variable overriding the auto-detected worker count.
 JOBS_ENV_VAR = "REPRO_JOBS"
+
+#: What makes two pending runs one simulation: the simulation identity
+#: and whether the run is analyzed (an analyzing request needs an
+#: analysis; a plain one must not receive one).
+RunKey = tuple[str, bool]
 
 
 def default_jobs() -> int:
@@ -68,15 +86,17 @@ class SweepStats:
 
     Built from each sweep's :class:`~repro.parallel.progress.SweepTally`.
     ``events_fired``/``sim_seconds`` count work *this* executor
-    actually performed: runs served from the result store contribute
-    to ``runs``/``runs_cached`` but fired no events now, so a fully
-    warm sweep reports zero events.
+    actually performed: runs served from the result store, and repeats
+    of a simulation already run, contribute to ``runs``/``runs_cached``
+    but fired no events now, so a fully warm sweep reports zero events
+    and a simulation's events count once.
 
     Attributes:
-        runs: swarm runs completed, failed, or served from the store.
+        runs: swarm runs completed, failed, or not simulated now.
         failures: runs that failed.
-        runs_cached: runs served from the result store.
-        cells_cached: cells whose every seed run was a store hit
+        runs_cached: runs not simulated now: store hits and repeats
+            (the store's own ``stats.hits`` tells them apart).
+        cells_cached: cells none of whose seed runs was simulated now
             (maintained by :meth:`SweepExecutor.run_cells`).
         cells_computed: cells where at least one run was computed.
         events_fired: simulator callbacks executed across all runs.
@@ -109,9 +129,9 @@ class SweepExecutor:
             order.  Display only: it never influences results.
         store: optional persistent result store.  Runs whose content
             digest is already committed are served from disk (and
-            reported with ``cached=True``); fresh successful runs are
-            committed as they finish, making interrupted sweeps
-            resumable.
+            reported with ``cached=True``); every other successful
+            run, repeats included, is committed under its own key as
+            it settles, making interrupted sweeps resumable.
         ops: optional wall-clock span log
             (:class:`~repro.obs.ops.OpsLog`); one ``cell-run`` span
             is emitted per settled run, in completion order, under
@@ -145,6 +165,8 @@ class SweepExecutor:
         self._sinks = [s for s in (progress, heartbeat) if s is not None]
         self._tally = SweepTally()
         self._stats = SweepStats()
+        # Successful outcomes by RunKey, for the executor's lifetime.
+        self._simulated: dict[RunKey, RunOutcome] = {}
 
     @property
     def stats(self) -> SweepStats:
@@ -164,9 +186,12 @@ class SweepExecutor:
         Failures are isolated into the returned outcomes at any worker
         count.  When a :class:`~repro.parallel.store.ResultStore` is
         attached, each spec is first looked up by content digest: hits
-        skip execution entirely and join the deterministic merge, and
-        fresh successful runs are committed to the store as they
-        finish.
+        skip execution entirely and join the deterministic merge.  The
+        remaining runs are grouped by simulation identity: the first
+        of each group executes, unless this executor already ran that
+        simulation, and the rest are served from its outcome.  Every
+        successful run that was not a store hit is committed to the
+        store, under its own key, as it settles.
 
         Args:
             analyze: trace every run into a private ring buffer and
@@ -183,24 +208,38 @@ class SweepExecutor:
             sink.begin(specs)
         try:
             outcomes: list[RunOutcome] = []
-            pending: list[RunSpec] = []
+            groups: dict[RunKey, list[RunSpec]] = {}
             for spec in specs:
                 hit = (
                     None
                     if store is None
                     else store.get(spec, need_analysis=analyze)
                 )
-                if hit is None:
-                    pending.append(
-                        replace(spec, collect_analysis=analyze)
-                    )
-                else:
+                if hit is not None:
                     outcomes.append(hit)
-                    self._observe(hit, spec)
+                    self._observe(hit, spec, stored=True)
+                    continue
+                spec = replace(spec, collect_analysis=analyze)
+                try:
+                    key = (simulation_identity(spec), analyze)
+                except Exception as exc:  # noqa: BLE001 - as pool_entry
+                    outcome = failed_outcome(
+                        spec, f"{type(exc).__name__}: {exc}"
+                    )
+                    outcomes.append(outcome)
+                    self._observe(outcome, spec)
+                    continue
+                known = self._simulated.get(key)
+                if known is not None:
+                    repeat = _repeat(known, spec)
+                    outcomes.append(repeat)
+                    self._observe(repeat, spec)
+                else:
+                    groups.setdefault(key, []).append(spec)
             if self.jobs == 1:
-                outcomes += self._map_inline(pending)
+                outcomes += self._map_inline(groups)
             else:
-                outcomes += self._map_pool(pending)
+                outcomes += self._map_pool(groups)
             outcomes.sort(key=lambda o: (o.cell_index, o.seed_index))
         finally:
             for sink in self._sinks:
@@ -216,19 +255,23 @@ class SweepExecutor:
         )
         return outcomes
 
-    def _observe(self, outcome: RunOutcome, spec: RunSpec) -> None:
+    def _observe(
+        self, outcome: RunOutcome, spec: RunSpec, stored: bool = False
+    ) -> None:
         """One settled run: tally it, commit it, notify the sinks.
 
         Called in completion order (non-deterministic on the pool
         path), which is fine: the sinks and the ops log are
-        display/telemetry, never data.  A computed run is committed to
-        the store first — as runs finish, not at sweep end, which is
-        what makes an interrupted sweep resumable.  A cached hit's
-        ``wall_seconds`` reports the *original* compute cost, so its
-        span here has zero duration — serving it cost no wall time now.
+        display/telemetry, never data.  A successful run that is not
+        a store hit (``stored``) — computed or a repeat — is committed
+        to the store first, under its own key: as runs finish, not at
+        sweep end, which is what makes an interrupted sweep resumable.
+        A cached outcome's ``wall_seconds`` reports the *original*
+        compute cost, so its span here has zero duration — serving it
+        cost no wall time now.
         """
         kind = self._tally.update(outcome)
-        if kind == "computed" and self.store is not None:
+        if kind != "failed" and not stored and self.store is not None:
             self.store.put(spec, outcome)
         for sink in self._sinks:
             sink.update(outcome)
@@ -250,26 +293,46 @@ class SweepExecutor:
                 **attrs,
             )
 
-    def _map_inline(self, specs: list[RunSpec]) -> list[RunOutcome]:
-        """Run each spec in this process, one after another."""
+    def _settle(
+        self, key: RunKey, group: list[RunSpec], outcome: RunOutcome
+    ) -> list[RunOutcome]:
+        """Settle a group's executed run and every repeat of it.
+
+        A successful outcome is remembered for later calls; a failed
+        one is not, and its repeats fail with the same error under
+        their own labels.
+        """
+        if outcome.ok:
+            self._simulated[key] = outcome
+        settled = [outcome] + [_repeat(outcome, spec) for spec in group[1:]]
+        for one, spec in zip(settled, group):
+            self._observe(one, spec)
+        return settled
+
+    def _map_inline(
+        self, groups: dict[RunKey, list[RunSpec]]
+    ) -> list[RunOutcome]:
+        """Run each group's first spec in this process, in turn."""
         outcomes: list[RunOutcome] = []
-        for spec in specs:
-            outcome = pool_entry(spec)
-            self._observe(outcome, spec)
-            outcomes.append(outcome)
+        for key, group in groups.items():
+            outcomes += self._settle(key, group, pool_entry(group[0]))
         return outcomes
 
-    def _map_pool(self, specs: list[RunSpec]) -> list[RunOutcome]:
-        """Run the specs in a process pool, observed as they settle."""
-        if not specs:
+    def _map_pool(
+        self, groups: dict[RunKey, list[RunSpec]]
+    ) -> list[RunOutcome]:
+        """Run each group's first spec in a process pool, settling
+        groups as their run finishes."""
+        if not groups:
             return []
-        workers = max(1, min(self.jobs, len(specs)))
+        workers = max(1, min(self.jobs, len(groups)))
         pool = ProcessPoolExecutor(max_workers=workers)
         timed_out = False
         outcomes: list[RunOutcome] = []
         try:
             futures = {
-                pool.submit(pool_entry, spec): spec for spec in specs
+                pool.submit(pool_entry, group[0]): key
+                for key, group in groups.items()
             }
             yielded: set = set()
             try:
@@ -280,31 +343,32 @@ class SweepExecutor:
                     futures, timeout=self.timeout
                 ):
                     yielded.add(future)
-                    spec = futures[future]
-                    outcome = self._settle(future, spec)
-                    outcomes.append(outcome)
-                    self._observe(outcome, spec)
+                    key = futures[future]
+                    group = groups[key]
+                    outcomes += self._settle(
+                        key, group, self._result(future, group[0])
+                    )
             except FuturesTimeout:
                 timed_out = True
-                for future, spec in futures.items():
+                for future, key in futures.items():
                     if future in yielded:
                         continue
+                    group = groups[key]
                     if future.done():
-                        outcome = self._settle(future, spec)
+                        outcome = self._result(future, group[0])
                     else:
                         future.cancel()
                         outcome = failed_outcome(
-                            spec,
+                            group[0],
                             f"TimeoutError: sweep deadline "
                             f"({self.timeout}s) exceeded",
                         )
-                    outcomes.append(outcome)
-                    self._observe(outcome, spec)
+                    outcomes += self._settle(key, group, outcome)
         finally:
             pool.shutdown(wait=not timed_out, cancel_futures=True)
         return outcomes
 
-    def _settle(self, future, spec: RunSpec) -> RunOutcome:
+    def _result(self, future, spec: RunSpec) -> RunOutcome:
         try:
             return future.result()
         except BaseException as exc:  # noqa: BLE001
@@ -370,3 +434,21 @@ class SweepExecutor:
             ),
         )
         return results
+
+
+def _repeat(outcome: RunOutcome, spec: RunSpec) -> RunOutcome:
+    """``spec``'s outcome when it repeats the run that gave ``outcome``.
+
+    A success is the same outcome under ``spec``'s merge keys and
+    label, marked ``cached`` (it was not simulated now); a failure is
+    the same error reported against ``spec``.
+    """
+    if not outcome.ok:
+        return failed_outcome(spec, outcome.error)
+    return replace(
+        outcome,
+        cell_index=spec.cell_index,
+        seed_index=spec.seed_index,
+        label=spec.cell.describe(),
+        cached=True,
+    )

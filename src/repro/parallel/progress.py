@@ -89,7 +89,11 @@ class SweepTally:
 
     @staticmethod
     def kind(outcome: RunOutcome) -> str:
-        """``"failed"``, ``"cached"`` or ``"computed"``."""
+        """``"failed"``, ``"cached"`` or ``"computed"``.
+
+        ``"cached"`` means not simulated now: a result-store hit, or a
+        repeat of a simulation the executor already ran.
+        """
         if not outcome.ok:
             return "failed"
         return "cached" if outcome.cached else "computed"
@@ -107,8 +111,8 @@ class SweepTally:
             return kind
         cell.stalls += outcome.stats.stall_count
         if kind == "cached":
-            # A store hit performed no simulation now; its events
-            # belong to the run that originally computed it.
+            # A store hit or a repeat performed no simulation now; its
+            # events belong to the run that originally computed it.
             self.cached += 1
             cell.cached += 1
         else:
@@ -161,7 +165,7 @@ class SweepTally:
 
     @property
     def cells_cached(self) -> int:
-        """Cells whose every run was served from the result store."""
+        """Cells none of whose runs was simulated now."""
         return sum(
             1 for c in self.cells.values() if c.cached >= c.total
         )
@@ -323,8 +327,8 @@ class SweepProgress:
         final = self.tally.done >= self.tally.total
         if not self.tally.due(self.min_interval, force=final):
             return
-        # A fully-cached cell was served from the store, not computed;
-        # say so instead of presenting it as fresh work.
+        # A fully-cached cell was served from the store or as repeats,
+        # not computed; say so instead of presenting it as fresh work.
         how = "cached" if cell.cached >= cell.total else "done"
         self._write(
             f"sweep: {cell.label} {how}"

@@ -52,14 +52,18 @@ DEFAULT_STORE_DIR = ".repro-store"
 
 
 def run_identity(spec: RunSpec, schema: str = STORE_SCHEMA) -> str:
-    """The content digest that *is* a run's cache identity.
+    """The content digest that *is* a run's store key.
 
-    Only what determines the simulation's output participates: the
-    cell spec (technique, bandwidth, config — including fidelity,
-    seeds, churn —, policy, video identity) and the run's seed.  The
-    executor-side merge keys (``cell_index``/``seed_index``) and the
-    analysis flag do not: the same run requested by two different
-    sweeps, with or without analysis, is still the same run.
+    The key names a *request*: the whole cell spec as written
+    (technique, bandwidth, config — including fidelity, seeds,
+    churn —, the unresolved policy, video identity, and the label)
+    and the run's seed.  So two requests for one simulation, such as
+    fig2's and fig3's cell for the same session, have distinct keys.
+    The executor-side merge keys (``cell_index``/``seed_index``) and
+    the analysis flag do not participate.  Keys stay exactly as they
+    are (``TestStoreKeys`` pins them), so existing stores and sweep
+    plans keep hitting.  Whether two runs are the same simulation is
+    :func:`~repro.parallel.worker.simulation_identity`.
     """
     return content_digest((schema, spec.cell, spec.seed))
 

@@ -23,10 +23,11 @@ from ..experiments.config import make_swarm_config
 from ..experiments.runner import SeedStats, seed_stats
 from ..obs.analyze import RunAnalysis, analyze_observability
 from ..obs.context import Observability
-from ..p2p.swarm import Swarm, build_swarm
-from ..units import kB_per_s
+from ..p2p.swarm import Swarm, SwarmConfig, build_swarm
+from ..video.bitstream import Bitstream
 from .cache import splice_for
-from .spec import RunSpec, SquareWave
+from .digest import content_digest
+from .spec import RunSpec, SplicerSpec, SquareWave, VideoSpec
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,10 +50,11 @@ class RunOutcome:
             computed from the run's private trace where the run
             executed, so it is identical at any worker count.
         profile: always ``None`` (see ``metrics``).
-        cached: the outcome was served from a
-            :class:`~repro.parallel.store.ResultStore` instead of
-            being computed this sweep; ``wall_seconds`` then reports
-            what the *original* execution cost.
+        cached: the run was not simulated now: it was served from a
+            :class:`~repro.parallel.store.ResultStore`, or it repeats
+            a simulation the executor already ran (same
+            :func:`simulation_identity`); ``wall_seconds`` then
+            reports what the *original* execution cost.
         pid: process id that executed the run (the parent for
             inline sweeps, a pool worker otherwise).  Entries
             pickled before the field existed unpickle without the
@@ -96,19 +98,35 @@ def _schedule_square_wave(
     swarm.sim.schedule(wave.period / 2.0, set_level, low, high)
 
 
-def execute_run(
-    spec: RunSpec, obs: Observability | None = None
-) -> RunOutcome:
-    """Run one (cell, seed) swarm and reduce it to an outcome.
+@dataclass(frozen=True, slots=True)
+class Simulation:
+    """Exactly what one run's simulation consumes, resolved from its spec.
 
-    Args:
-        spec: the run to perform.
-        obs: observability context the swarm records into (a private
-            tracer on analyzing runs).  Exceptions propagate —
-            isolation is :func:`pool_entry`'s job.
+    :func:`execute_run` builds from this and nothing else, so two runs
+    that resolve to equal simulations produce bit-identical outcomes.
+    What only names or places a run — the cell label, the merge
+    indices, ``config.seeds`` — does not reach it, and an unresolved
+    ``policy=None`` is already the paper's adaptive pooling here.
+
+    Attributes:
+        splicer: splicing technique.
+        video_spec: the cacheable video description, or ``None``.
+        video: the explicit bitstream, or ``None``.
+        swarm_config: the session parameters, with the cell's
+            pre-roll and fidelity overrides applied.
+        square_wave: optional mid-run bandwidth modulation.
     """
+
+    splicer: SplicerSpec
+    video_spec: VideoSpec | None
+    video: Bitstream | None
+    swarm_config: SwarmConfig
+    square_wave: SquareWave | None
+
+
+def resolve(spec: RunSpec) -> Simulation:
+    """Resolve a run into the inputs its simulation consumes."""
     cell = spec.cell
-    splice = splice_for(cell)
     swarm_config = make_swarm_config(
         cell.bandwidth_kb, spec.seed, cell.config, cell.policy
     )
@@ -118,10 +136,52 @@ def execute_run(
         )
     if cell.fidelity is not None:
         swarm_config = replace(swarm_config, fidelity=cell.fidelity)
-    swarm = build_swarm(splice, swarm_config, obs=obs)
-    if cell.square_wave is not None:
+    return Simulation(
+        splicer=cell.splicer,
+        video_spec=cell.video_spec,
+        video=cell.video,
+        swarm_config=swarm_config,
+        square_wave=cell.square_wave,
+    )
+
+
+def simulation_identity(spec: RunSpec) -> str:
+    """The content digest of the simulation a run performs.
+
+    Two runs with the same identity are the same simulation, however
+    their cells are labelled or placed: the executor runs it once and
+    serves the other as a repeat.  Compare
+    :func:`~repro.parallel.store.run_identity`, which names a
+    *request* and keys the result store.
+
+    Raises:
+        Exception: whatever resolving the spec raises (the same error
+            :func:`execute_run` would fail the run with).
+    """
+    return content_digest(resolve(spec))
+
+
+def execute_run(
+    spec: RunSpec, obs: Observability | None = None
+) -> RunOutcome:
+    """Run one (cell, seed) swarm and reduce it to an outcome.
+
+    Args:
+        spec: the run to perform; only its :func:`resolve`-d
+            :class:`Simulation` and its merge keys and label are used.
+        obs: observability context the swarm records into (a private
+            tracer on analyzing runs).  Exceptions propagate —
+            isolation is :func:`pool_entry`'s job.
+    """
+    simulation = resolve(spec)
+    swarm = build_swarm(
+        splice_for(simulation), simulation.swarm_config, obs=obs
+    )
+    if simulation.square_wave is not None:
         _schedule_square_wave(
-            swarm, kB_per_s(cell.bandwidth_kb), cell.square_wave
+            swarm,
+            simulation.swarm_config.bandwidth,
+            simulation.square_wave,
         )
     started = perf_counter()
     result = swarm.run()
@@ -129,7 +189,7 @@ def execute_run(
         cell_index=spec.cell_index,
         seed_index=spec.seed_index,
         seed=spec.seed,
-        label=cell.describe(),
+        label=spec.cell.describe(),
         stats=seed_stats(
             result,
             events_fired=swarm.sim.events_fired,

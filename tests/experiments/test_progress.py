@@ -20,8 +20,9 @@ from repro.parallel.progress import (
     PROGRESS_MODES,
     SweepProgress,
 )
-from repro.parallel.spec import RunSpec
-from repro.parallel.worker import RunOutcome
+from repro.experiments.config import ExperimentConfig
+from repro.parallel.spec import RunSpec, SplicerSpec, cell_for
+from repro.parallel.worker import RunOutcome, simulation_identity
 
 
 class FakeClock:
@@ -300,20 +301,22 @@ class TestOneTally:
     @given(sweep=settled_sweeps())
     def test_every_consumer_counts_the_same(self, sweep):
         n_cells, n_seeds, kinds, order = sweep
+        # Real cells (resolvable into simulation identities), every
+        # run a distinct simulation, so none is served as a repeat.
+        config = ExperimentConfig(seeds=tuple(range(1, n_seeds + 1)))
         cells = [
-            SimpleNamespace(
-                config=SimpleNamespace(seeds=tuple(range(n_seeds))),
-                bandwidth_kb=128,
-                describe=lambda label=f"cell-{i}": label,
+            cell_for(
+                SplicerSpec("gop"), 128 + c, config, label=f"cell-{c}"
             )
-            for i in range(n_cells)
+            for c in range(n_cells)
         ]
         specs = [
-            RunSpec(cell=cell, seed=seed, cell_index=c, seed_index=seed)
+            RunSpec(cell=cell, seed=seed, cell_index=c, seed_index=s)
             for c, cell in enumerate(cells)
-            for seed in range(n_seeds)
+            for s, seed in enumerate(config.seeds)
         ]
         runs = len(specs)
+        assert len({simulation_identity(spec) for spec in specs}) == runs
         failed = kinds.count("failed")
         cached = kinds.count("cached")
         failed_cells = len(

@@ -1,5 +1,9 @@
 """Tests for peer plumbing: control plane, uploads, choking."""
 
+import math
+from types import SimpleNamespace
+from unittest import mock
+
 import pytest
 
 from repro.errors import PeerError, WireFormatError
@@ -10,6 +14,7 @@ from repro.p2p.messages import (
     Have,
     Piece,
     Request,
+    RequestRejected,
     encode_message,
 )
 from repro.p2p.peer import piece_wire_overhead
@@ -321,17 +326,62 @@ class TestSlotsAndChoking:
         assert leecher.player.buffer.complete
 
     def test_busy_choke_rejects_non_urgent(self):
-        swarm = MiniSwarm(n_leechers=2)
+        # Without the preference for peers the seeder competes with
+        # the other leecher, so only the back-off can keep it out.
+        swarm = MiniSwarm(n_leechers=2, prefer_peers_over_seeder=False)
         swarm.seeder.upload_slots = 1
         a, b = swarm.leechers
+        requests = []  # (time, requester, index, urgent)
+        handle_request = swarm.seeder._handle_request
+
+        def log_request(src, index, urgent=False):
+            requests.append((swarm.sim.now, src, index, urgent))
+            handle_request(src, index, urgent)
+
+        swarm.seeder._handle_request = log_request
+        chokes = []  # (time, leecher, source, index, back-off expiry)
+        for leecher in (a, b):
+            def log_choke(src, message, leecher=leecher,
+                          handle=leecher.handle_message):
+                handle(src, message)
+                if isinstance(message, RequestRejected) and message.busy:
+                    chokes.append((
+                        swarm.sim.now, leecher, src, message.index,
+                        leecher._source_backoff[src],
+                    ))
+
+            leecher.handle_message = log_choke
         swarm.start_all(stagger=0.0)
-        swarm.run(until=0.7)
-        # With one slot and a queue threshold of 1, at least one
-        # non-urgent request got choked and backed off.
-        backoffs = len(a._source_backoff) + len(b._source_backoff)
-        inflight = len(a.inflight) + len(b.inflight)
-        assert backoffs >= 0  # smoke: mechanism does not crash
-        assert inflight >= 1
+        swarm.run(until=2.0)
+
+        # One slot, queue threshold 1: both leechers' non-urgent
+        # requests got choked, and each choke set a back-off.
+        assert {leecher for _, leecher, *_ in chokes} == {a, b}
+        for when, leecher, src, index, expiry in chokes:
+            assert src == "seeder"
+            asked = [
+                urgent for t, who, i, urgent in requests
+                if who == leecher.name and i == index and t <= when
+            ]
+            assert asked and asked[-1] is False
+            assert expiry == when + leecher._config.busy_backoff
+        when, _, _, index, expiry = [c for c in chokes if c[1] is a][-1]
+        assert a._source_backoff["seeder"] == expiry
+        assert swarm.sim.now < expiry
+
+        # The back-off keeps the seeder out of _choose_source until it
+        # expires.  Probe a segment both the seeder and b hold, with
+        # in-flight load cleared so the load balance cannot decide.
+        shared = min(a._availability["seeder"] & a._availability[b.name])
+
+        def picks(now):
+            with mock.patch.object(a, "_inflight", {}), \
+                    mock.patch.object(a, "_sim", SimpleNamespace(now=now)):
+                return {a._choose_source(shared) for _ in range(32)}
+
+        assert picks(swarm.sim.now) == {b.name}
+        assert picks(math.nextafter(expiry, 0.0)) == {b.name}
+        assert picks(expiry) == {"seeder", b.name}
 
     def test_unbounded_slots_serve_all(self):
         swarm = MiniSwarm(n_leechers=3)
