@@ -21,30 +21,7 @@ Quickstart::
     print(result.mean_stall_count(), result.mean_startup_time())
 """
 
-from .core import (
-    AdaptiveDurationPlanner,
-    AdaptivePoolPolicy,
-    DownloadPolicy,
-    DurationSplicer,
-    FixedPoolPolicy,
-    GopSplicer,
-    Segment,
-    SpliceResult,
-    Splicer,
-    adaptive_pool_size,
-    max_cdn_segment_size,
-)
-from .errors import ReproError
-from .obs import Observability
-from .p2p import Swarm, SwarmConfig
-from .player import Player, PlayerState, StreamingMetrics
-from .units import kB_per_s, kbps, kilobytes, mbps, megabytes
-from .video import (
-    Bitstream,
-    EncoderConfig,
-    SyntheticEncoder,
-    encode_paper_video,
-)
+from .lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -78,3 +55,33 @@ __all__ = [
     "megabytes",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "AdaptiveDurationPlanner": "core.segment_size",
+    "AdaptivePoolPolicy": "core.policy",
+    "DownloadPolicy": "core.policy",
+    "DurationSplicer": "core.splicer",
+    "FixedPoolPolicy": "core.policy",
+    "GopSplicer": "core.splicer",
+    "Segment": "core.segments",
+    "SpliceResult": "core.segments",
+    "Splicer": "core.splicer",
+    "adaptive_pool_size": "core.policy",
+    "max_cdn_segment_size": "core.segment_size",
+    "ReproError": "errors",
+    "Observability": "obs.context",
+    "Swarm": "p2p.swarm",
+    "SwarmConfig": "p2p.swarm",
+    "Player": "player.player",
+    "PlayerState": "player.player",
+    "StreamingMetrics": "player.metrics",
+    "kB_per_s": "units",
+    "kbps": "units",
+    "kilobytes": "units",
+    "mbps": "units",
+    "megabytes": "units",
+    "Bitstream": "video.bitstream",
+    "EncoderConfig": "video.encoder",
+    "SyntheticEncoder": "video.encoder",
+    "encode_paper_video": "video.encoder",
+})

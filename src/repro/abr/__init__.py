@@ -13,9 +13,7 @@ and buffer-based), and a client-server streaming session
 (:mod:`repro.abr.session`) reporting stalls *and* delivered quality.
 """
 
-from .ladder import BitrateLadder, Rendition, encode_ladder
-from .policy import AbrPolicy, BufferBasedAbr, ThroughputAbr
-from .session import AbrMetrics, AbrSession, AbrSessionConfig
+from ..lazy import lazy_exports
 
 __all__ = [
     "AbrMetrics",
@@ -28,3 +26,15 @@ __all__ = [
     "ThroughputAbr",
     "encode_ladder",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "BitrateLadder": "ladder",
+    "Rendition": "ladder",
+    "encode_ladder": "ladder",
+    "AbrPolicy": "policy",
+    "BufferBasedAbr": "policy",
+    "ThroughputAbr": "policy",
+    "AbrMetrics": "session",
+    "AbrSession": "session",
+    "AbrSessionConfig": "session",
+})

@@ -11,14 +11,16 @@ delay, packet-loss, and so on".  This package supplies both styles:
 * :class:`MathisEstimator` — model-based ceiling from RTT and loss.
 """
 
-from .estimators import (
-    EwmaThroughputEstimator,
-    MathisEstimator,
-    WindowedThroughputEstimator,
-)
+from ..lazy import lazy_exports
 
 __all__ = [
     "EwmaThroughputEstimator",
     "MathisEstimator",
     "WindowedThroughputEstimator",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "EwmaThroughputEstimator": "estimators",
+    "MathisEstimator": "estimators",
+    "WindowedThroughputEstimator": "estimators",
+})

@@ -11,6 +11,12 @@ exchange segments with each other, and the segment duration can be
 chosen by the Section-IV sizing rule.
 """
 
-from .hybrid import HybridConfig, HybridSession, cdn_segment_duration
+from ..lazy import lazy_exports
 
 __all__ = ["HybridConfig", "HybridSession", "cdn_segment_duration"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "HybridConfig": "hybrid",
+    "HybridSession": "hybrid",
+    "cdn_segment_duration": "hybrid",
+})

@@ -11,26 +11,7 @@
   lists as future work.
 """
 
-from .playlist import MediaPlaylist, parse_m3u8, write_m3u8
-from .segment_files import (
-    deserialize_segment,
-    serialize_segment,
-    write_segment_files,
-)
-from .validate import SpliceValidation, validate_splice
-from .policy import (
-    AdaptivePoolPolicy,
-    DownloadPolicy,
-    FixedPoolPolicy,
-    adaptive_pool_size,
-)
-from .segment_size import (
-    AdaptiveDurationPlanner,
-    max_cdn_segment_size,
-    predicted_download_time,
-)
-from .segments import Segment, SpliceResult
-from .splicer import DurationSplicer, GopSplicer, Splicer
+from ..lazy import lazy_exports
 
 __all__ = [
     "AdaptiveDurationPlanner",
@@ -54,3 +35,26 @@ __all__ = [
     "write_m3u8",
     "write_segment_files",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "MediaPlaylist": "playlist",
+    "parse_m3u8": "playlist",
+    "write_m3u8": "playlist",
+    "deserialize_segment": "segment_files",
+    "serialize_segment": "segment_files",
+    "write_segment_files": "segment_files",
+    "SpliceValidation": "validate",
+    "validate_splice": "validate",
+    "AdaptivePoolPolicy": "policy",
+    "DownloadPolicy": "policy",
+    "FixedPoolPolicy": "policy",
+    "adaptive_pool_size": "policy",
+    "AdaptiveDurationPlanner": "segment_size",
+    "max_cdn_segment_size": "segment_size",
+    "predicted_download_time": "segment_size",
+    "Segment": "segments",
+    "SpliceResult": "segments",
+    "DurationSplicer": "splicer",
+    "GopSplicer": "splicer",
+    "Splicer": "splicer",
+})

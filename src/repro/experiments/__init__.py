@@ -16,15 +16,7 @@ FigureResult`` (bound by :func:`repro.experiments.runner.paper_figure`),
 result prints with :func:`repro.experiments.report.format_figure`.
 """
 
-from .config import (
-    FIG4_BANDWIDTHS_KB,
-    PAPER_BANDWIDTHS_KB,
-    ExperimentConfig,
-    make_paper_video,
-    make_swarm_config,
-)
-from .runner import CellResult, FigureResult
-from .report import format_figure, format_figure_analysis
+from ..lazy import lazy_exports
 
 __all__ = [
     "CellResult",
@@ -37,3 +29,15 @@ __all__ = [
     "make_paper_video",
     "make_swarm_config",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "FIG4_BANDWIDTHS_KB": "config",
+    "PAPER_BANDWIDTHS_KB": "config",
+    "ExperimentConfig": "config",
+    "make_paper_video": "config",
+    "make_swarm_config": "config",
+    "CellResult": "runner",
+    "FigureResult": "runner",
+    "format_figure": "report",
+    "format_figure_analysis": "report",
+})

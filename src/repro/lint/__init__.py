@@ -30,40 +30,7 @@ Programmatic use::
     assert result.clean, result.findings
 """
 
-from .config import (
-    DEFAULT_SIM_PATH,
-    DEFAULT_WALLCLOCK_ALLOW,
-    LintConfig,
-    find_pyproject,
-    load_config,
-)
-from .report import (
-    Finding,
-    UnusedSuppression,
-    render_statistics,
-    render_text,
-)
-from .rules import (
-    CATALOG_VERSION,
-    RULE_CATALOG,
-    Rule,
-    catalog_description,
-    rule_ids,
-)
-from .runner import (
-    LintResult,
-    lint_paths,
-    lint_source,
-    resolve_rules,
-)
-from .schema import (
-    LINT_SCHEMA,
-    build_payload,
-    load_payload,
-    validate_payload,
-)
-from .suppressions import Suppression, parse_suppressions
-from .walker import ModuleContext, discover, in_scope, module_name
+from ..lazy import lazy_exports
 
 __all__ = [
     "CATALOG_VERSION",
@@ -95,3 +62,34 @@ __all__ = [
     "rule_ids",
     "validate_payload",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "DEFAULT_SIM_PATH": "config",
+    "DEFAULT_WALLCLOCK_ALLOW": "config",
+    "LintConfig": "config",
+    "find_pyproject": "config",
+    "load_config": "config",
+    "Finding": "report",
+    "UnusedSuppression": "report",
+    "render_statistics": "report",
+    "render_text": "report",
+    "CATALOG_VERSION": "rules",
+    "RULE_CATALOG": "rules",
+    "Rule": "rules",
+    "catalog_description": "rules",
+    "rule_ids": "rules",
+    "LintResult": "runner",
+    "lint_paths": "runner",
+    "lint_source": "runner",
+    "resolve_rules": "runner",
+    "LINT_SCHEMA": "schema",
+    "build_payload": "schema",
+    "load_payload": "schema",
+    "validate_payload": "schema",
+    "Suppression": "suppressions",
+    "parse_suppressions": "suppressions",
+    "ModuleContext": "walker",
+    "discover": "walker",
+    "in_scope": "walker",
+    "module_name": "walker",
+})

@@ -13,12 +13,7 @@ A flow-level model of the paper's GENI star topology:
 * :mod:`repro.net.topology` — nodes, star topology, routing.
 """
 
-from .engine import EventHandle, Simulator
-from .flownet import Flow, FlowNetwork
-from .link import Link
-from .monitor import LinkMonitor, LinkUtilization
-from .tcp import TcpParams, TcpTransfer, ppspp_params, start_tcp_transfer
-from .topology import Node, StarTopology
+from ..lazy import lazy_exports
 
 __all__ = [
     "EventHandle",
@@ -35,3 +30,19 @@ __all__ = [
     "ppspp_params",
     "start_tcp_transfer",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "EventHandle": "engine",
+    "Simulator": "engine",
+    "Flow": "flownet",
+    "FlowNetwork": "flownet",
+    "Link": "link",
+    "LinkMonitor": "monitor",
+    "LinkUtilization": "monitor",
+    "TcpParams": "tcp",
+    "TcpTransfer": "tcp",
+    "ppspp_params": "tcp",
+    "start_tcp_transfer": "tcp",
+    "Node": "topology",
+    "StarTopology": "topology",
+})

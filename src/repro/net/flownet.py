@@ -196,11 +196,9 @@ class FlowNetwork:
         self._flow_ids = itertools.count(1)
         self._last_update = 0.0
         self._completion_event: EventHandle | None = None
+        # Bytes carried per link by flows that have left the network;
+        # active flows' progress is added on read.
         self._link_bytes: dict[str, float] = {}
-        # Aggregate allocated rate per link, refreshed at solve time so
-        # byte accounting is O(links) per advance instead of
-        # O(flows x route).
-        self._link_rates: dict[str, float] = {}
         self._comps: dict[_Component, None] = {}
         self._comp_of: dict[Flow, _Component] = {}
         self._link_comp: dict[str, _Component] = {}
@@ -249,7 +247,13 @@ class FlowNetwork:
     def bytes_carried(self, link: Link) -> float:
         """Cumulative bytes this link has carried (for utilization)."""
         self._advance()
-        return self._link_bytes.get(link.name, 0.0)
+        name = link.name
+        carried = self._link_bytes.get(name, 0.0)
+        comp = self._link_comp.get(name)
+        if comp is not None:
+            for flow in comp.members[name]:
+                carried += flow.size - flow.remaining
+        return carried
 
     def start_flow(
         self,
@@ -404,9 +408,12 @@ class FlowNetwork:
             comp.routes[route] = parallel
         else:
             del comp.routes[route]
+        moved = flow.size - flow.remaining
+        link_bytes = self._link_bytes
         idle = 0
         for link in route:
             name = link.name
+            link_bytes[name] = link_bytes.get(name, 0.0) + moved
             crossing = comp.members[name]
             del crossing[flow]
             if not crossing:
@@ -414,7 +421,6 @@ class FlowNetwork:
                 del comp.members[name]
                 del comp.links[name]
                 del self._link_comp[name]
-                self._link_rates.pop(name, None)
         if not comp.flows:
             self._dissolve(comp)
             return
@@ -615,9 +621,7 @@ class FlowNetwork:
                     else:
                         del loads[name]
 
-        # Cache what the rest of the network needs from this solve:
-        # per-link aggregate rates and the ETA bounds the completion
-        # machinery consults.
+        # Cache the ETA bounds the completion machinery consults.
         now = self._sim.now
         eps = _COMPLETION_EPSILON
         eta_flow: Flow | None = None
@@ -645,12 +649,6 @@ class FlowNetwork:
                     eps_eta = crossing_at
         comp.eta_flow = eta_flow
         comp.eps_eta = eps_eta
-        link_rates = self._link_rates
-        for name, crossing in members.items():
-            total = 0.0
-            for flow in crossing:
-                total += flow._rate
-            link_rates[name] = total
 
         if self._resolves is not None:
             self._resolves.inc()
@@ -665,8 +663,8 @@ class FlowNetwork:
         Rates are constant across the advanced interval: dirty
         components can only exist within the current timestamp (the
         engine barrier flushes them before the clock moves), so the
-        cached ``_rate``/``_link_rates`` values are exactly the rates
-        that applied since ``_last_update``.
+        cached ``_rate`` values are exactly the rates that applied
+        since ``_last_update``.
         """
         now = self._sim.now
         elapsed = now - self._last_update
@@ -674,12 +672,6 @@ class FlowNetwork:
             for flow in self._flows:
                 left = flow.remaining - flow._rate * elapsed
                 flow.remaining = left if left > 0.0 else 0.0
-            link_bytes = self._link_bytes
-            for name, rate in self._link_rates.items():
-                if rate:
-                    link_bytes[name] = (
-                        link_bytes.get(name, 0.0) + rate * elapsed
-                    )
         self._last_update = now
 
     def _reschedule_completion(self) -> None:

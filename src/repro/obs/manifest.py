@@ -25,6 +25,7 @@ import os
 import platform
 import subprocess
 from datetime import datetime, timezone
+from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
 #: Version tag of the benchmark-artifact schema.  Bump the integer on
@@ -48,19 +49,18 @@ def usable_cores() -> int:
 
 
 def numpy_version() -> str | None:
-    """The numpy version in use, or ``None`` when unavailable.
+    """The installed numpy version, or ``None`` when it is absent.
 
     numpy is a runtime dependency of the cohort/fluid swarm tiers
     (see ``docs/SCALING.md``), so perf numbers depend on which build
-    ran; the import is gated so environments without it (exact-tier
-    only) still produce manifests.
+    ran.  The version is read from the installed package metadata, not
+    by importing numpy, so a manifest of an exact-tier run does not
+    load it, and environments without it still produce manifests.
     """
     try:
-        import numpy
-    except Exception:  # noqa: BLE001 - any broken install counts as absent
+        return version("numpy")
+    except PackageNotFoundError:
         return None
-    version = getattr(numpy, "__version__", None)
-    return str(version) if version is not None else None
 
 
 def environment_block() -> dict:

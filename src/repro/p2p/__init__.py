@@ -15,33 +15,7 @@ peer both leeches and seeds.  This package is that application:
   10³–10⁶-peer sessions (``SwarmConfig.fidelity``).
 """
 
-from .churn import ChurnModel
-from .leecher import Leecher, LeecherConfig
-from .messages import (
-    Bitfield,
-    Goodbye,
-    Handshake,
-    Have,
-    Manifest,
-    ManifestRequest,
-    Message,
-    Piece,
-    Request,
-    RequestRejected,
-    decode_message,
-    encode_message,
-)
-from .scale import CohortSwarm, FluidSwarm
-from .seeder import Seeder
-from .selection import (
-    PieceSelector,
-    RarestFirstSelector,
-    SequentialSelector,
-    WindowedRarestSelector,
-)
-from .swarm import FIDELITY_TIERS, Swarm, SwarmConfig, build_swarm
-from .tracker import Tracker
-from .wire import FrameDecoder, encode_frame
+from ..lazy import lazy_exports
 
 __all__ = [
     "Bitfield",
@@ -74,3 +48,35 @@ __all__ = [
     "encode_frame",
     "encode_message",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "ChurnModel": "churn",
+    "Leecher": "leecher",
+    "LeecherConfig": "leecher",
+    "Bitfield": "messages",
+    "Goodbye": "messages",
+    "Handshake": "messages",
+    "Have": "messages",
+    "Manifest": "messages",
+    "ManifestRequest": "messages",
+    "Message": "messages",
+    "Piece": "messages",
+    "Request": "messages",
+    "RequestRejected": "messages",
+    "decode_message": "messages",
+    "encode_message": "messages",
+    "CohortSwarm": "scale",
+    "FluidSwarm": "scale",
+    "Seeder": "seeder",
+    "PieceSelector": "selection",
+    "RarestFirstSelector": "selection",
+    "SequentialSelector": "selection",
+    "WindowedRarestSelector": "selection",
+    "FIDELITY_TIERS": "swarm",
+    "Swarm": "swarm",
+    "SwarmConfig": "swarm",
+    "build_swarm": "swarm",
+    "Tracker": "tracker",
+    "FrameDecoder": "wire",
+    "encode_frame": "wire",
+})

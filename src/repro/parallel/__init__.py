@@ -7,38 +7,7 @@ bit-identical to the serial path.  See ``docs/PERFORMANCE.md`` for the
 design and determinism guarantees.
 """
 
-from .cache import cached_splice, cached_video, clear_caches, splice_for
-from .digest import canonical_data, content_digest, spec_digest
-from .executor import (
-    JOBS_ENV_VAR,
-    SweepExecutor,
-    SweepStats,
-    default_jobs,
-)
-from .progress import SweepProgress, SweepTally
-from .spec import (
-    CellSpec,
-    RunSpec,
-    SplicerSpec,
-    SquareWave,
-    VideoSpec,
-    cell_for,
-)
-from .store import (
-    DEFAULT_STORE_DIR,
-    STORE_ENV_VAR,
-    STORE_SCHEMA,
-    ResultStore,
-    StoreStats,
-    default_store_root,
-    run_identity,
-)
-from .worker import (
-    RunOutcome,
-    execute_run,
-    pool_entry,
-    simulation_identity,
-)
+from ..lazy import lazy_exports
 
 __all__ = [
     "CellSpec",
@@ -72,3 +41,36 @@ __all__ = [
     "spec_digest",
     "splice_for",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "cached_splice": "cache",
+    "cached_video": "cache",
+    "clear_caches": "cache",
+    "splice_for": "cache",
+    "canonical_data": "digest",
+    "content_digest": "digest",
+    "spec_digest": "digest",
+    "JOBS_ENV_VAR": "executor",
+    "SweepExecutor": "executor",
+    "SweepStats": "executor",
+    "default_jobs": "executor",
+    "SweepProgress": "progress",
+    "SweepTally": "progress",
+    "CellSpec": "spec",
+    "RunSpec": "spec",
+    "SplicerSpec": "spec",
+    "SquareWave": "spec",
+    "VideoSpec": "spec",
+    "cell_for": "spec",
+    "DEFAULT_STORE_DIR": "store",
+    "STORE_ENV_VAR": "store",
+    "STORE_SCHEMA": "store",
+    "ResultStore": "store",
+    "StoreStats": "store",
+    "default_store_root": "store",
+    "run_identity": "store",
+    "RunOutcome": "worker",
+    "execute_run": "worker",
+    "pool_entry": "worker",
+    "simulation_identity": "worker",
+})

@@ -7,9 +7,7 @@ in simulated real time (the paper cites that 95 % of P2P TV users watch
 sequentially).
 """
 
-from .buffer import PlaybackBuffer
-from .metrics import StallEvent, StreamingMetrics
-from .player import Player, PlayerState
+from ..lazy import lazy_exports
 
 __all__ = [
     "PlaybackBuffer",
@@ -18,3 +16,11 @@ __all__ = [
     "StallEvent",
     "StreamingMetrics",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "PlaybackBuffer": "buffer",
+    "StallEvent": "metrics",
+    "StreamingMetrics": "metrics",
+    "Player": "player",
+    "PlayerState": "player",
+})

@@ -11,15 +11,7 @@ package reproduces that layer:
   :class:`~repro.p2p.swarm.SwarmConfig` from the document.
 """
 
-from .geni import InstaGeniRack, swarm_config_from_rspec
-from .rspec import (
-    RSpecDocument,
-    RSpecLink,
-    RSpecNode,
-    SoftwareInstall,
-    parse_rspec,
-    star_rspec,
-)
+from ..lazy import lazy_exports
 
 __all__ = [
     "InstaGeniRack",
@@ -31,3 +23,14 @@ __all__ = [
     "star_rspec",
     "swarm_config_from_rspec",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "InstaGeniRack": "geni",
+    "swarm_config_from_rspec": "geni",
+    "RSpecDocument": "rspec",
+    "RSpecLink": "rspec",
+    "RSpecNode": "rspec",
+    "SoftwareInstall": "rspec",
+    "parse_rspec": "rspec",
+    "star_rspec": "rspec",
+})

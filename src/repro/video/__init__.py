@@ -20,13 +20,7 @@ Public entry points:
 * :mod:`~repro.video.container` — byte-level serialization.
 """
 
-from .analysis import BitrateProfile, bitrate_profile, sustainable_bandwidth
-from .bitstream import Bitstream, BitstreamStats
-from .container import deserialize_bitstream, serialize_bitstream
-from .encoder import EncoderConfig, SyntheticEncoder, encode_paper_video
-from .frames import Frame, FrameType
-from .gop import Gop
-from .scene import Scene, SceneKind, ScenePlan, generate_scene_plan
+from ..lazy import lazy_exports
 
 __all__ = [
     "BitrateProfile",
@@ -47,3 +41,23 @@ __all__ = [
     "generate_scene_plan",
     "serialize_bitstream",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "BitrateProfile": "analysis",
+    "bitrate_profile": "analysis",
+    "sustainable_bandwidth": "analysis",
+    "Bitstream": "bitstream",
+    "BitstreamStats": "bitstream",
+    "deserialize_bitstream": "container",
+    "serialize_bitstream": "container",
+    "EncoderConfig": "encoder",
+    "SyntheticEncoder": "encoder",
+    "encode_paper_video": "encoder",
+    "Frame": "frames",
+    "FrameType": "frames",
+    "Gop": "gop",
+    "Scene": "scene",
+    "SceneKind": "scene",
+    "ScenePlan": "scene",
+    "generate_scene_plan": "scene",
+})

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.obs.manifest import (
     ARTIFACT_SCHEMA,
@@ -39,6 +42,33 @@ class TestEnvironmentBlock:
             assert env["numpy"] is None
         else:
             assert env["numpy"] == numpy.__version__
+
+    def test_numpy_version_does_not_import_numpy(self):
+        program = (
+            "import json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from repro.obs.manifest import numpy_version\n"
+            "version = numpy_version()\n"
+            "loaded = 'numpy' in sys.modules\n"
+            "try:\n"
+            "    import numpy\n"
+            "except ImportError:\n"
+            "    installed = None\n"
+            "else:\n"
+            "    installed = numpy.__version__\n"
+            "print(json.dumps([version, loaded, installed]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", program, src],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        version, loaded, installed = json.loads(proc.stdout)
+        assert not loaded
+        assert version == installed
 
     def test_usable_cores_positive(self):
         assert usable_cores() >= 1

@@ -2,7 +2,9 @@
 
 Every name in each package's ``__all__`` must resolve, and the core
 entry points used throughout the README/docs must exist with their
-documented signatures.
+documented signatures.  Packages resolve their exports on first access
+(:mod:`repro.lazy`); the lazy tables must behave like the eager
+imports they replace.
 """
 
 import importlib
@@ -34,6 +36,53 @@ def test_all_exports_resolve(package_name):
     assert hasattr(package, "__all__"), package_name
     for name in package.__all__:
         assert hasattr(package, name), f"{package_name}.{name}"
+
+
+#: ``__all__`` names a package defines itself instead of re-exporting.
+DEFINED_LOCALLY = {"repro": {"__version__"}}
+
+
+def _export_table(package):
+    return inspect.getclosurevars(package.__getattr__).nonlocals["table"]
+
+
+@pytest.mark.parametrize("package_name", PACKAGES)
+class TestLazyExports:
+    def test_table_covers_exactly_the_reexports(self, package_name):
+        package = importlib.import_module(package_name)
+        local = DEFINED_LOCALLY.get(package_name, set())
+        assert set(_export_table(package)) == set(package.__all__) - local
+
+    def test_dir_lists_every_export(self, package_name):
+        package = importlib.import_module(package_name)
+        assert set(package.__all__) <= set(dir(package))
+
+    def test_star_import_binds_every_export(self, package_name):
+        namespace = {}
+        exec(f"from {package_name} import *", namespace)
+        package = importlib.import_module(package_name)
+        assert set(package.__all__) <= set(namespace)
+
+    def test_unknown_name_is_an_attribute_error(self, package_name):
+        package = importlib.import_module(package_name)
+        assert not hasattr(package, "no_such_export")
+        with pytest.raises(AttributeError, match="no_such_export"):
+            package.no_such_export
+
+    def test_export_is_the_defining_module_attribute(self, package_name):
+        package = importlib.import_module(package_name)
+        for name, submodule in _export_table(package).items():
+            defining = importlib.import_module(f"{package_name}.{submodule}")
+            assert getattr(package, name) is getattr(defining, name), name
+
+
+def test_first_access_caches_in_package_globals():
+    import repro.p2p as package
+
+    namespace = vars(package)
+    namespace.pop("Tracker", None)
+    value = package.Tracker
+    assert namespace["Tracker"] is value
 
 
 def test_version_string():
