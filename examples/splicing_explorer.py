@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Explore a video's structure and what each splicer makes of it.
 
-Shows the bitrate profile the scene model produces, the offline
-sustainable-bandwidth analysis, the segment statistics of every
-splicing technique, and a generated HLS playlist — the artifact a real
-CDN would serve for the duration-spliced variants.
+Prints the paper video's GOP structure and the segment statistics of
+every splicing technique: segment count, mean and largest segment,
+and the I-frame overhead duration-based splicing pays.
 
 Usage::
 
@@ -14,21 +13,7 @@ Usage::
 from __future__ import annotations
 
 from repro.core import DurationSplicer, GopSplicer
-from repro.core.playlist import parse_m3u8, write_m3u8
-from repro.units import as_kB_per_s
-from repro.video import (
-    bitrate_profile,
-    encode_paper_video,
-    sustainable_bandwidth,
-)
-
-
-def spark(rates, levels=" .:-=+*#%@") -> str:
-    top = max(rates)
-    return "".join(
-        levels[min(len(levels) - 1, int(r / top * (len(levels) - 1)))]
-        for r in rates
-    )
+from repro.video import encode_paper_video
 
 
 def main() -> None:
@@ -39,22 +24,6 @@ def main() -> None:
         f"{stats.bitrate / 1e6:.2f} Mbps, {stats.gop_count} GOPs "
         f"({stats.gop_duration_min:.2f}s..{stats.gop_duration_max:.1f}s)"
     )
-
-    profile = bitrate_profile(video, window=2.0)
-    print(f"\nBitrate over time (2 s windows, peak/mean = "
-          f"{profile.peak_to_mean:.2f}):")
-    print(f"  {spark(profile.rates)}")
-    print(
-        f"  peak {profile.peak / 1e6:.2f} Mbps, "
-        f"trough {profile.trough / 1e6:.2f} Mbps"
-    )
-
-    for buffer in (0.0, 4.0, 8.0):
-        need = sustainable_bandwidth(video, startup_buffer=buffer)
-        print(
-            f"  constant bandwidth to avoid stalls with {buffer:.0f}s "
-            f"pre-roll: {as_kB_per_s(need):.0f} kB/s"
-        )
 
     print("\nSplicing comparison:")
     print(
@@ -75,16 +44,6 @@ def main() -> None:
             f"{max(sizes) / 1000:7.0f} "
             f"{100 * splice.overhead_ratio:8.1f}%"
         )
-
-    splice = DurationSplicer(4.0).splice(video)
-    playlist_text = write_m3u8(splice)
-    playlist = parse_m3u8(playlist_text)
-    print(
-        f"\nHLS playlist for duration-4s: {len(playlist.entries)} "
-        f"entries, target duration {playlist.target_duration}s, "
-        f"total {playlist.total_duration:.0f}s"
-    )
-    print("  " + "\n  ".join(playlist_text.splitlines()[:7]) + "\n  ...")
 
 
 if __name__ == "__main__":

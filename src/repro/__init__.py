@@ -5,8 +5,9 @@ The package implements the paper's full stack in pure Python: a
 synthetic MPEG-4 video model, GOP- and duration-based splicers, the
 adaptive download-pool policy (Eq. 1), a discrete-event flow/TCP
 network simulator, a BitTorrent-like streaming swarm, playback metrics
-(stalls / startup), a hybrid CDN mode, a GENI-style RSpec testbed
-layer, and an experiment harness regenerating every figure.
+(stalls / startup), the Section IV one-request-at-a-time origin with
+its ``B·T`` segment bound, GENI-style RSpec documents, and an
+experiment harness regenerating every figure.
 
 Quickstart::
 

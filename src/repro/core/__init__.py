@@ -7,8 +7,9 @@
 * :mod:`repro.core.policy` — the adaptive download-pool formula, Eq. 1
   (paper Section III), plus the fixed-pool baseline.
 * :mod:`repro.core.segment_size` — hybrid-CDN segment sizing (paper
-  Section IV) and the duration-adaptive splicing planner the paper
-  lists as future work.
+  Section IV: ``max_cdn_segment_size`` gives the ``B·T`` bound for a
+  swarm built with ``SwarmConfig(origin_one_at_a_time=True)``) and the
+  duration-adaptive splicing planner the paper lists as future work.
 """
 
 from ..lazy import lazy_exports
@@ -20,29 +21,17 @@ __all__ = [
     "DurationSplicer",
     "FixedPoolPolicy",
     "GopSplicer",
-    "MediaPlaylist",
     "Segment",
     "SpliceResult",
     "SpliceValidation",
     "Splicer",
     "adaptive_pool_size",
-    "deserialize_segment",
     "max_cdn_segment_size",
-    "parse_m3u8",
     "predicted_download_time",
-    "serialize_segment",
     "validate_splice",
-    "write_m3u8",
-    "write_segment_files",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "MediaPlaylist": "playlist",
-    "parse_m3u8": "playlist",
-    "write_m3u8": "playlist",
-    "deserialize_segment": "segment_files",
-    "serialize_segment": "segment_files",
-    "write_segment_files": "segment_files",
     "SpliceValidation": "validate",
     "validate_splice": "validate",
     "AdaptivePoolPolicy": "policy",

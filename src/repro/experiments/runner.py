@@ -19,14 +19,15 @@ import statistics
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from .. import obs
 from ..core.policy import DownloadPolicy
 from ..errors import ExperimentError
-from ..obs.analyze import CellAnalysis, RunAnalysis, merge_analyses
 from ..p2p.swarm import SwarmResult
 from ..video.bitstream import Bitstream
 from .config import ExperimentConfig
 
 if TYPE_CHECKING:
+    from ..obs.analyze import CellAnalysis, RunAnalysis
     from ..parallel import CellSpec, SplicerSpec, SweepExecutor
 
 
@@ -157,7 +158,7 @@ def merge_cell(
         finished_fraction=statistics.fmean(
             s.finished_fraction for s in stats
         ),
-        analysis=merge_analyses(analyses) if analyses else None,
+        analysis=obs.merge_analyses(analyses) if analyses else None,
     )
 
 

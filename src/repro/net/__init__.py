@@ -20,8 +20,6 @@ __all__ = [
     "Flow",
     "FlowNetwork",
     "Link",
-    "LinkMonitor",
-    "LinkUtilization",
     "Node",
     "Simulator",
     "StarTopology",
@@ -37,8 +35,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "Flow": "flownet",
     "FlowNetwork": "flownet",
     "Link": "link",
-    "LinkMonitor": "monitor",
-    "LinkUtilization": "monitor",
     "TcpParams": "tcp",
     "TcpTransfer": "tcp",
     "ppspp_params": "tcp",

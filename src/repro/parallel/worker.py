@@ -18,16 +18,20 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from time import perf_counter
+from typing import TYPE_CHECKING
 
+from .. import obs
 from ..experiments.config import make_swarm_config
 from ..experiments.runner import SeedStats, seed_stats
-from ..obs.analyze import RunAnalysis, analyze_observability
 from ..obs.context import Observability
 from ..p2p.swarm import Swarm, SwarmConfig, build_swarm
 from ..video.bitstream import Bitstream
 from .cache import splice_for
 from .digest import content_digest
 from .spec import RunSpec, SplicerSpec, SquareWave, VideoSpec
+
+if TYPE_CHECKING:
+    from ..obs.analyze import RunAnalysis
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,12 +224,12 @@ def pool_entry(spec: RunSpec) -> RunOutcome:
     :class:`~repro.obs.analyze.RunAnalysis` here, where it executed;
     only the analysis travels back.
     """
-    obs = Observability.tracing() if spec.collect_analysis else None
+    tracing = Observability.tracing() if spec.collect_analysis else None
     try:
-        outcome = execute_run(spec, obs)
-        if obs is not None:
+        outcome = execute_run(spec, tracing)
+        if tracing is not None:
             outcome = replace(
-                outcome, analysis=analyze_observability(obs)
+                outcome, analysis=obs.analyze_observability(tracing)
             )
     except Exception as exc:  # noqa: BLE001 - isolation boundary
         return failed_outcome(spec, f"{type(exc).__name__}: {exc}")

@@ -16,18 +16,14 @@ Public entry points:
 * :class:`~repro.video.encoder.EncoderConfig` /
   :class:`~repro.video.encoder.SyntheticEncoder` — produce a
   :class:`~repro.video.bitstream.Bitstream` from a scene plan;
-* :func:`~repro.video.scene.generate_scene_plan` — content model;
-* :mod:`~repro.video.container` — byte-level serialization.
+* :func:`~repro.video.scene.generate_scene_plan` — content model.
 """
 
 from ..lazy import lazy_exports
 
 __all__ = [
-    "BitrateProfile",
     "Bitstream",
     "BitstreamStats",
-    "bitrate_profile",
-    "sustainable_bandwidth",
     "EncoderConfig",
     "Frame",
     "FrameType",
@@ -36,20 +32,13 @@ __all__ = [
     "SceneKind",
     "ScenePlan",
     "SyntheticEncoder",
-    "deserialize_bitstream",
     "encode_paper_video",
     "generate_scene_plan",
-    "serialize_bitstream",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "BitrateProfile": "analysis",
-    "bitrate_profile": "analysis",
-    "sustainable_bandwidth": "analysis",
     "Bitstream": "bitstream",
     "BitstreamStats": "bitstream",
-    "deserialize_bitstream": "container",
-    "serialize_bitstream": "container",
     "EncoderConfig": "encoder",
     "SyntheticEncoder": "encoder",
     "encode_paper_video": "encoder",

@@ -1,19 +1,12 @@
-"""Tests for splice validation and per-segment container files."""
+"""Tests for splice validation."""
 
 import dataclasses
 
 import pytest
 
-from repro.core.playlist import parse_m3u8, write_m3u8
-from repro.core.segment_files import (
-    deserialize_segment,
-    serialize_segment,
-    write_segment_files,
-)
 from repro.core.segments import SpliceResult
 from repro.core.splicer import DurationSplicer, GopSplicer
 from repro.core.validate import validate_splice
-from repro.errors import SpliceError
 
 
 @pytest.fixture(scope="module")
@@ -72,51 +65,3 @@ class TestValidateSplice:
         report = validate_splice(splice, tiny_video)
         assert not report.valid
 
-
-class TestSegmentFiles:
-    def test_roundtrip(self, splice):
-        original = splice.segments[1]
-        restored = deserialize_segment(serialize_segment(original))
-        assert restored.index == original.index
-        assert restored.inserted_i_frame == original.inserted_i_frame
-        assert len(restored.frames) == len(original.frames)
-        assert restored.size == original.size
-        for a, b in zip(restored.frames, original.frames):
-            assert a.index == b.index
-            assert a.frame_type == b.frame_type
-            assert a.size == b.size
-
-    def test_roundtrip_rebases_time(self, splice):
-        original = splice.segments[2]
-        restored = deserialize_segment(serialize_segment(original))
-        assert restored.start_pts == 0.0
-        assert restored.duration == pytest.approx(
-            original.duration, abs=1e-4
-        )
-
-    def test_payload_inflates_size(self, splice):
-        segment = splice.segments[0]
-        bare = serialize_segment(segment)
-        full = serialize_segment(segment, include_payload=True)
-        assert len(full) - len(bare) == segment.size
-
-    def test_bad_magic_rejected(self, splice):
-        data = bytearray(serialize_segment(splice.segments[0]))
-        data[:4] = b"XXXX"
-        with pytest.raises(SpliceError):
-            deserialize_segment(bytes(data))
-
-    def test_truncation_rejected(self, splice):
-        data = serialize_segment(splice.segments[0])
-        with pytest.raises(SpliceError):
-            deserialize_segment(data[: len(data) // 2])
-
-    def test_uris_match_playlist(self, splice):
-        files = write_segment_files(splice)
-        playlist = parse_m3u8(write_m3u8(splice))
-        assert set(files) == {entry.uri for entry in playlist.entries}
-
-    def test_full_asset_sizes(self, splice):
-        files = write_segment_files(splice, include_payload=True)
-        payload_total = sum(len(blob) for blob in files.values())
-        assert payload_total > splice.total_size  # payload + tables

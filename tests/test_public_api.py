@@ -19,7 +19,6 @@ PACKAGES = [
     "repro.net",
     "repro.p2p",
     "repro.player",
-    "repro.cdn",
     "repro.abr",
     "repro.bwest",
     "repro.testbed",

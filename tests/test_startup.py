@@ -22,13 +22,17 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 UNREACHED = (
     "numpy",
     "repro.p2p.scale",
-    "repro.net.monitor",
-    "repro.video.container",
-    "repro.video.analysis",
-    "repro.core.playlist",
-    "repro.core.segment_files",
     "repro.obs.bench",
     "repro.obs.compare",
+)
+
+#: The stall-diagnosis layer, which only ``--analyze`` sweeps and
+#: ``repro analyze`` use.
+DIAGNOSIS = (
+    "repro.obs.analyze",
+    "repro.obs.causes",
+    "repro.obs.timeline",
+    "repro.obs.export",
 )
 
 _QUICK_FIG2 = ["reproduce", "--quick", "--figure", "2", "--jobs", "1"]
@@ -57,6 +61,23 @@ def test_command_path_imports_leave_unreached_modules_unloaded():
     loaded = set(json.loads(_python(program)))
     assert "repro.cli" in loaded
     assert [name for name in UNREACHED if name in loaded] == []
+
+
+def test_sweep_imports_leave_the_diagnosis_layer_unloaded():
+    # The figure modules and the sweep machinery that perfbench
+    # imports; ``repro.cli`` is left out because ``repro analyze``
+    # needs the diagnosis layer.
+    program = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import repro\n"
+        "from repro.experiments import fig2, fig3, fig4, fig5, runner\n"
+        "from repro.parallel import cache, executor, store, worker\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    loaded = set(json.loads(_python(program)))
+    assert "repro.parallel.worker" in loaded
+    assert [name for name in DIAGNOSIS if name in loaded] == []
 
 
 def test_exact_tier_reproduce_runs_without_numpy():
