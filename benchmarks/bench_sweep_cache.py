@@ -1,9 +1,9 @@
 """Cold vs warm sweep wall time through the content-addressed store.
 
-Runs the combined fig2-fig5 cell grid twice against one
-``ResultStore``: the ``cold`` case computes and commits every run, the
-``warm`` case re-runs the byte-identical sweep and must serve *every*
-run from disk — zero cells recomputed, a warm/cold speedup well past
+Runs the combined fig2-fig5 cell grid through a ``ResultStore``: each
+``cold`` round computes and commits every run into a fresh store, and
+each ``warm`` round re-runs the byte-identical sweep against one filled
+store and must serve *every* run from disk — zero cells recomputed, a warm/cold speedup well past
 an order of magnitude, and results exactly equal to the cold pass.
 
 Case digests deliberately exclude the scale (quick vs full): the hit
@@ -43,6 +43,9 @@ from repro.obs.ops import (
 )
 from repro.parallel import ResultStore, SweepExecutor, default_jobs
 
+#: Timed rounds per case; every cold round commits into a fresh store.
+ROUNDS = 5
+
 #: Minimum warm-over-cold speedup the full-scale suite must show.
 MIN_WARM_SPEEDUP = 10.0
 
@@ -75,54 +78,57 @@ def run_suite(harness, quick=False):
     cells = _all_cells(config, quick)
     jobs = max(2, default_jobs())
 
+    def _sweep(root):
+        executor = SweepExecutor(jobs=jobs, store=ResultStore(root))
+        start = time.perf_counter()
+        results = executor.run_cells(cells)
+        elapsed = time.perf_counter() - start
+        return (results, executor.stats), elapsed
+
+    def _cold():
+        with tempfile.TemporaryDirectory() as root:
+            return _sweep(root)
+
+    params = {
+        "jobs": jobs,
+        "cells": len(cells),
+        "runs": cold_runs(config, cells),
+        "quick": quick,
+    }
+    cold_results, cold_stats = harness.case(
+        "cold",
+        _cold,
+        rounds=ROUNDS,
+        self_timed=True,
+        params=params,
+        digest_of=("sweep_cache", "cold", "v1"),
+    )
+    cold_s = harness.cases[-1].timing.best_s
+    harness.annotate(
+        events_fired=cold_stats.events_fired,
+        sim_seconds=cold_stats.sim_seconds,
+        hit_rate=0.0,
+        cells_recomputed=float(cold_stats.cells_computed),
+    )
+
     with tempfile.TemporaryDirectory() as root:
-        def _sweep():
-            executor = SweepExecutor(
-                jobs=jobs, store=ResultStore(root)
-            )
-            start = time.perf_counter()
-            results = executor.run_cells(cells)
-            elapsed = time.perf_counter() - start
-            return (results, executor.stats), elapsed
-
-        cold_results, cold_stats = harness.case(
-            "cold",
-            _sweep,
-            self_timed=True,
-            params={
-                "jobs": jobs,
-                "cells": len(cells),
-                "runs": cold_runs(config, cells),
-                "quick": quick,
-            },
-            digest_of=("sweep_cache", "cold", "v1"),
-        )
-        cold_s = harness.cases[-1].timing.best_s
-        harness.annotate(
-            events_fired=cold_stats.events_fired,
-            sim_seconds=cold_stats.sim_seconds,
-            hit_rate=0.0,
-            cells_recomputed=float(cold_stats.cells_computed),
-        )
-
+        # The one warmup call is a cold sweep that fills the store.
         warm_results, warm_stats = harness.case(
             "warm",
             _sweep,
+            root,
+            rounds=ROUNDS,
+            warmup=1,
             self_timed=True,
-            params={
-                "jobs": jobs,
-                "cells": len(cells),
-                "runs": cold_runs(config, cells),
-                "quick": quick,
-            },
+            params=params,
             digest_of=("sweep_cache", "warm", "v1"),
         )
-        warm_s = harness.cases[-1].timing.best_s
-        hit_rate = warm_stats.runs_cached / max(1, warm_stats.runs)
-        harness.annotate(
-            hit_rate=hit_rate,
-            cells_recomputed=float(warm_stats.cells_computed),
-        )
+    warm_s = harness.cases[-1].timing.best_s
+    hit_rate = warm_stats.runs_cached / max(1, warm_stats.runs)
+    harness.annotate(
+        hit_rate=hit_rate,
+        cells_recomputed=float(warm_stats.cells_computed),
+    )
 
     # The store's contract, asserted where the numbers are made:
     # a byte-identical re-run recomputes nothing and changes nothing.

@@ -40,20 +40,11 @@ import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .core.splicer import DurationSplicer, GopSplicer
 from .errors import ReproError, SweepError
-from .experiments.ablations import run_overhead
-from .experiments.config import (
-    ExperimentConfig,
-    figure_axis,
-    make_swarm_config,
-    sweep_config,
-)
-from .experiments.report import format_figure, format_overhead
-from .experiments.reproduce import FIGURES
 from .obs import (
     Observability,
     analyze_events,
@@ -66,10 +57,15 @@ from .obs import (
     render_gantt,
 )
 from .obs.render import render_timeline
-from .p2p.swarm import Swarm, SwarmConfig
 from .testbed.rspec import star_rspec
 from .units import kB_per_s
 from .video.encoder import encode_paper_video
+
+if TYPE_CHECKING:
+    from .experiments.config import ExperimentConfig
+
+#: The keys of :data:`repro.experiments.reproduce.FIGURES`.
+_FIGURE_IDS = ("2", "3", "4", "5")
 
 #: Segment duration of the representative run ``--trace`` records.
 _TRACE_SEGMENT_DURATION = 4.0
@@ -163,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reproduce.add_argument(
         "--figure",
-        choices=("2", "3", "4", "5"),
+        choices=_FIGURE_IDS,
         default=None,
         help="regenerate only this figure",
     )
@@ -258,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # figN = reproduce --figure N, every other option at its default.
     alias_defaults = vars(reproduce.parse_args([]))
-    for name in FIGURES:
+    for name in _FIGURE_IDS:
         figure = sub.add_parser(
             f"fig{name}",
             help=f"regenerate fig{name} (= reproduce --figure {name})",
@@ -603,6 +599,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 def _run_swarm(args: argparse.Namespace, splice, n_leechers: int):
     """One swarm over ``splice`` at ``--bandwidth``/``--seed`` (the
     seeder gets 8x the peer bandwidth)."""
+    from .p2p.swarm import Swarm, SwarmConfig
+
     config = SwarmConfig(
         bandwidth=kB_per_s(args.bandwidth),
         seeder_bandwidth=kB_per_s(8 * args.bandwidth),
@@ -633,6 +631,9 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
+    from .experiments.ablations import run_overhead
+    from .experiments.report import format_overhead
+
     print(format_overhead(run_overhead()))
     return 0
 
@@ -673,7 +674,9 @@ def _progress(args: argparse.Namespace):
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    from .experiments.reproduce import reproduce_all
+    from .experiments.config import figure_axis, sweep_config
+    from .experiments.report import format_figure, format_figure_analysis
+    from .experiments.reproduce import FIGURES, reproduce_all
     from .parallel import SweepExecutor
 
     if args.analyze and args.figure is None:
@@ -702,8 +705,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         )
         text = format_figure(result)
         if args.analyze:
-            from .experiments.report import format_figure_analysis
-
             text += "\n\n" + format_figure_analysis(result)
     else:
         report = reproduce_all(
@@ -746,13 +747,14 @@ def _write_run_manifest(
 ) -> None:
     """Record one ``reproduce`` invocation as a JSON manifest."""
     from .obs import dump_json, run_manifest
+    from .parallel.store import STORE_SCHEMA
 
     stats = executor.stats
     if store is not None:
         cache = {
             "enabled": True,
             "root": str(store.root),
-            "schema": store.schema,
+            "schema": STORE_SCHEMA,
             **asdict(store.stats),
             "runs_cached": stats.runs_cached,
         }
@@ -789,14 +791,16 @@ def _write_representative_trace(
     first bandwidth, the first configured seed, and 4-second duration
     splicing (the paper's middle technique).
     """
-    if args.figure == "4":
-        from .experiments.config import FIG4_BANDWIDTHS_KB
+    from .experiments.config import (
+        FIG4_BANDWIDTHS_KB,
+        PAPER_BANDWIDTHS_KB,
+        make_swarm_config,
+    )
+    from .p2p.swarm import Swarm
 
-        bandwidth_kb = FIG4_BANDWIDTHS_KB[0]
-    else:
-        from .experiments.config import PAPER_BANDWIDTHS_KB
-
-        bandwidth_kb = PAPER_BANDWIDTHS_KB[0]
+    bandwidth_kb = (
+        FIG4_BANDWIDTHS_KB if args.figure == "4" else PAPER_BANDWIDTHS_KB
+    )[0]
     video = encode_paper_video(seed=config.video_seed)
     splice = DurationSplicer(_TRACE_SEGMENT_DURATION).splice(video)
     obs = Observability.tracing(profile=True)
@@ -1002,6 +1006,7 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep_merge(args: argparse.Namespace) -> int:
     from .experiments import sweep_service
+    from .experiments.report import format_figure
     from .parallel import ResultStore
 
     report = sweep_service.merge_plan(

@@ -27,7 +27,7 @@ from ..video.bitstream import Bitstream
 from .config import ExperimentConfig
 
 if TYPE_CHECKING:
-    from ..obs.analyze import CellAnalysis, RunAnalysis
+    from ..obs.analyze import CellAnalysis
     from ..parallel import CellSpec, SplicerSpec, SweepExecutor
 
 
@@ -134,7 +134,7 @@ def seed_stats(
 def merge_cell(
     bandwidth_kb: float,
     stats: Sequence[SeedStats],
-    analyses: Sequence[RunAnalysis] | None = None,
+    analyses: Sequence[CellAnalysis] | None = None,
 ) -> CellResult:
     """Average per-seed stats (in seed order) into one cell.
 
@@ -143,8 +143,8 @@ def merge_cell(
     of worker count.
 
     Args:
-        analyses: per-seed stall diagnoses (in seed order) from an
-            analyzing sweep; merged onto the cell when given.
+        analyses: per-seed one-run diagnosis rollups (in seed order)
+            from an analyzing sweep; merged onto the cell when given.
     """
     if not stats:
         raise ExperimentError("cannot merge a cell with no seed runs")

@@ -6,18 +6,12 @@
 * **JSON** — the one encoder for versioned machine-readable artifacts.
 * **CSV** — every registry timeseries flattened to
   ``metric,time,value`` rows.
-
-The per-peer session record :class:`PeerTraceSummary` is defined here
-because result-store entries that carry a stall diagnosis pickle it by
-this module path.  The summaries themselves, and the human-readable
-run report, come from :mod:`repro.obs.analyze`.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
 from typing import IO, Iterable, TextIO
 
 from ..errors import TraceError
@@ -115,33 +109,3 @@ def timeseries_csv(registry: MetricsRegistry) -> str:
             lines.append(f"{name},{time!r},{value!r}")
     return "\n".join(lines) + "\n"
 
-
-# -- per-peer session record -------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class PeerTraceSummary:
-    """One peer's session, reconstructed purely from trace events.
-
-    Matches :class:`~repro.player.metrics.StreamingMetrics` field for
-    field when the trace is complete — the cross-check the integration
-    tests enforce.
-
-    Attributes:
-        peer: the peer's name.
-        joined: sim time the peer joined (None if never seen joining).
-        startup_time: join-to-first-frame seconds (None = never
-            started).
-        stall_count: completed stalls (paired start/end events).
-        total_stall_duration: summed stall seconds.
-        finished: whether playback reached the end.
-        departed: whether the peer churned out.
-    """
-
-    peer: str
-    joined: float | None
-    startup_time: float | None
-    stall_count: int
-    total_stall_duration: float
-    finished: bool
-    departed: bool

@@ -195,7 +195,8 @@ class SweepExecutor:
 
         Args:
             analyze: trace every run into a private ring buffer and
-                attach a :class:`~repro.obs.analyze.RunAnalysis` to
+                attach its one-run
+                :class:`~repro.obs.analyze.CellAnalysis` rollup to
                 its outcome.  Each analysis is computed from that
                 run's own trace where the run executed, so verdicts
                 are identical at any worker count.
@@ -280,7 +281,7 @@ class SweepExecutor:
                 "cell": outcome.label,
                 "seed": outcome.seed,
                 "cached": outcome.cached,
-                "pid": getattr(outcome, "pid", 0),
+                "pid": outcome.pid,
             }
             if outcome.error is not None:
                 attrs["error"] = outcome.error
@@ -415,14 +416,11 @@ class SweepExecutor:
             count = len(cell.config.seeds)
             group = outcomes[position : position + count]
             position += count
-            analyses = [
-                o.analysis for o in group if o.analysis is not None
-            ]
             results.append(
                 merge_cell(
                     cell.bandwidth_kb,
                     [o.stats for o in group],
-                    analyses=analyses if analyze else None,
+                    [o.analysis for o in group] if analyze else None,
                 )
             )
         stats = self._stats

@@ -221,9 +221,9 @@ class RunSpec:
         cell_index: position of the cell in the sweep (merge key).
         seed_index: position of the seed within the cell (merge key).
         collect_analysis: when true, the run is traced into a private
-            ring buffer and reduced to a picklable
-            :class:`~repro.obs.analyze.RunAnalysis` where it executed
-            — only the analysis crosses the process boundary, never
+            ring buffer, diagnosed, and reduced to a one-run
+            :class:`~repro.obs.analyze.CellAnalysis` where it executed
+            — only that rollup crosses the process boundary, never
             the trace, so attribution is identical at any worker
             count.
     """

@@ -2,46 +2,41 @@
 
 A sweep cell is a pure function of its spec: the same
 :class:`~repro.parallel.spec.CellSpec` and seed always produce the
-same :class:`~repro.experiments.runner.SeedStats`.  PR 6's canonical
-JSON :func:`~repro.parallel.digest.content_digest` turns that purity
-into an *identity* — two processes, two machines, or two weeks compute
-the same digest for the same spec — and this module turns the identity
-into a disk cache:
+same :class:`~repro.experiments.runner.SeedStats`.  The canonical JSON
+:func:`~repro.parallel.digest.content_digest` turns that purity into
+an *identity* — two processes, two machines, or two weeks compute the
+same digest for the same spec — and this module turns the identity
+into a disk cache of one checked JSON document per run:
 
-* **warm re-runs**: re-running a sweep only computes cells whose spec
-  changed; unchanged cells are disk hits whose merged results are
-  byte-identical at any ``--jobs`` count (the cached object *is* the
-  :class:`~repro.parallel.worker.RunOutcome` the original run
-  produced);
+* **warm re-runs**: only cells whose spec changed are computed;
+  unchanged cells are disk hits whose merged results are
+  byte-identical at any ``--jobs`` count (entries keep floats exact);
 * **resumability**: the executor commits each successful run as it
-  finishes, so an interrupted sweep re-run against the same store
-  picks up exactly where it left off;
-* **sharding**: stores are plain directories of digest-named files —
-  any shard of a sweep can run on any machine and the shard stores
-  merge by file union (``repro sweep merge``).
-
-Keys incorporate :data:`STORE_SCHEMA` so a format change never
-misreads old entries: bump the version and every old entry simply
-misses (see ``docs/OBSERVABILITY.md`` for the schema-version policy).
+  finishes, so an interrupted sweep resumes where it left off;
+* **sharding**: stores are plain directories of digest-named files
+  that merge by file union (``repro sweep merge``).
 """
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
+from .. import obs, schema
 from ..errors import StoreError
+from ..experiments.runner import SeedStats
 from ..obs.ops import NULL_OPS, OpsLog
 from .digest import content_digest
 from .spec import RunSpec
 from .worker import RunOutcome
 
-#: Version tag of the result-store entry layout.  Bump the integer on
-#: any change to what an entry contains or how it is keyed; old
-#: entries then miss instead of being misread (the policy mirrors
-#: ``repro.bench/1``, see ``docs/OBSERVABILITY.md``).
+#: Version tag of the result-store entry layout, part of every key.
+#: Bump the integer on any change to what an entry contains or how it
+#: is keyed; old entries then miss instead of being misread (policy:
+#: ``docs/OBSERVABILITY.md``).  An entry of the earlier pickle layout
+#: (``<k>.pkl``) is never read either: it misses and is recomputed.
 STORE_SCHEMA = "repro.store/1"
 
 #: Environment variable naming a default store directory.
@@ -50,22 +45,54 @@ STORE_ENV_VAR = "REPRO_STORE"
 #: Default store directory (relative to the working directory).
 DEFAULT_STORE_DIR = ".repro-store"
 
+#: The fields of :class:`~repro.experiments.runner.SeedStats`.
+_STATS = dict.fromkeys(
+    ("stall_count", "stall_duration", "startup_time", "seeder_bytes",
+     "peer_bytes", "finished_fraction", "end_time"),
+    schema.NUMBER,
+) | {"events_fired": schema.COUNT}
 
-def run_identity(spec: RunSpec, schema: str = STORE_SCHEMA) -> str:
+#: The fields of a one-run :class:`~repro.obs.analyze.CellAnalysis`.
+_ANALYSIS = {
+    "causes": schema.map_of(schema.COUNT),
+    "stall_count": schema.COUNT,
+    "runs": schema.integer(1),
+    "mean_transfer_efficiency": schema.nullable(schema.NUMBER),
+    "mean_pool_deficit": schema.nullable(schema.NUMBER),
+    "violation_count": schema.COUNT,
+    "truncated_runs": schema.COUNT,
+}
+
+
+def _one_run(analysis: dict) -> None:
+    if analysis["runs"] != 1:
+        raise schema.Invalid("analysis.runs", "expected 1")
+
+
+#: One entry.  The run's label, seed and merge keys are not stored: a
+#: hit takes them from the request, whose key names them.
+ENTRY = schema.table({
+    "schema": schema.tag(STORE_SCHEMA),
+    "key": schema.STR,
+    "wall_seconds": schema.NUMBER,
+    "pid": schema.COUNT,
+    "stats": schema.table(_STATS),
+    "analysis": schema.nullable(schema.table(_ANALYSIS, _one_run)),
+})
+
+
+def run_identity(spec: RunSpec) -> str:
     """The content digest that *is* a run's store key.
 
-    The key names a *request*: the whole cell spec as written
-    (technique, bandwidth, config — including fidelity, seeds,
-    churn —, the unresolved policy, video identity, and the label)
-    and the run's seed.  So two requests for one simulation, such as
-    fig2's and fig3's cell for the same session, have distinct keys.
-    The executor-side merge keys (``cell_index``/``seed_index``) and
-    the analysis flag do not participate.  Keys stay exactly as they
-    are (``TestStoreKeys`` pins them), so existing stores and sweep
-    plans keep hitting.  Whether two runs are the same simulation is
+    The key names a *request*: the whole cell spec as written (label
+    and unresolved policy included) and the run's seed, under
+    :data:`STORE_SCHEMA`, so fig2's and fig3's request for one session
+    have distinct keys.  The merge keys and the analysis flag do not
+    participate.  ``TestStoreKeys`` pins the keys.  Whether two runs
+    are the same simulation is
     :func:`~repro.parallel.worker.simulation_identity`.
     """
-    return content_digest((schema, spec.cell, spec.seed))
+    return content_digest((STORE_SCHEMA, spec.cell, spec.seed))
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,8 +104,9 @@ class StoreStats:
         misses: lookups that found no usable entry (including entries
             lacking a stall analysis the caller needs).
         stores: entries committed.
-        invalidations: entries found but rejected — schema mismatch,
-            digest mismatch, or a corrupt/unreadable file.
+        invalidations: entries found but rejected — not UTF-8 JSON,
+            not fitting :data:`ENTRY` (schema tag included), or
+            holding another key.
     """
 
     hits: int = 0
@@ -88,19 +116,19 @@ class StoreStats:
 
 
 class ResultStore:
-    """A directory of :class:`RunOutcome` entries keyed by content.
+    """A directory of JSON run entries keyed by content.
 
-    Layout: ``<root>/<k[:2]>/<k>.pkl`` where ``k`` is
-    :func:`run_identity` of the run.  Entries are committed atomically
-    (temp file + ``os.replace``), so concurrent writers — pool
-    workers, parallel shards on a shared filesystem — can only ever
-    race to write equivalent entries, never corrupt one.
+    Layout: ``<root>/<k[:2]>/<k>.json`` where ``k`` is
+    :func:`run_identity` of the run and the document fits
+    :data:`ENTRY`.  Entries are committed atomically (temp file +
+    ``os.replace``), so concurrent writers — pool workers, parallel
+    shards on a shared filesystem — can only ever race to write
+    equivalent entries, never corrupt one.  ``json`` writes floats by
+    ``repr``, so they read back bit-identical; NaN and ±inf become the
+    ``NaN``/``Infinity``/``-Infinity`` tokens it reads back.
 
     Args:
         root: store directory; created on first commit.
-        schema: entry-layout version (tests inject a fake one to
-            exercise invalidation); everything else should use the
-            default :data:`STORE_SCHEMA`.
         ops: optional wall-clock span log; each commit emits a
             ``store-commit`` span and each :meth:`absorb` source a
             ``store-absorb`` span, parented under whatever span the
@@ -108,14 +136,8 @@ class ResultStore:
             construction (the sweep service attaches its shard log).
     """
 
-    def __init__(
-        self,
-        root: str | Path,
-        schema: str = STORE_SCHEMA,
-        ops: OpsLog | None = None,
-    ) -> None:
+    def __init__(self, root: str | Path, ops: OpsLog | None = None) -> None:
         self.root = Path(root)
-        self.schema = schema
         self.ops = ops if ops is not None else NULL_OPS
         self._stats = StoreStats()
 
@@ -124,12 +146,8 @@ class ResultStore:
         """Cumulative hit/miss/store/invalidation totals."""
         return self._stats
 
-    def run_key(self, spec: RunSpec) -> str:
-        """The run's cache key (see :func:`run_identity`)."""
-        return run_identity(spec, self.schema)
-
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
+        return self.root / key[:2] / f"{key}.json"
 
     def get(
         self, spec: RunSpec, *, need_analysis: bool = False
@@ -137,56 +155,49 @@ class ResultStore:
         """The cached outcome for ``spec``, or ``None`` on a miss.
 
         A returned outcome has ``cached=True`` and the *caller's*
-        merge keys patched in, so it drops straight into the
-        executor's deterministic (cell, seed) merge.
+        merge keys, seed and label, so it drops straight into the
+        executor's deterministic (cell, seed) merge.  An entry that
+        does not load as :data:`ENTRY` misses as an invalidation; it
+        never raises.
 
         Args:
             need_analysis: require a stall diagnosis in the entry;
                 entries without one miss.
         """
-        path = self._path(self.run_key(spec))
+        key = run_identity(spec)
         try:
-            payload = path.read_bytes()
+            raw = self._path(key).read_bytes()
         except OSError:
             self._count(misses=1)
             return None
         try:
-            entry = pickle.loads(payload)
-        except Exception:  # noqa: BLE001 - any corrupt entry misses
+            entry = schema.validate(
+                json.loads(raw.decode("utf-8")), ENTRY, StoreError, "entry"
+            )
+        except (ValueError, StoreError):
+            entry = None
+        if entry is None or entry["key"] != key:
             self._count(misses=1, invalidations=1)
             return None
-        outcome = self._validate(entry, self.run_key(spec))
-        if outcome is None:
-            self._count(misses=1, invalidations=1)
-            return None
-        if need_analysis and outcome.analysis is None:
+        analysis = entry["analysis"]
+        if need_analysis and analysis is None:
             self._count(misses=1)
             return None
         self._count(hits=1)
-        return replace(
-            outcome,
+        stats = entry["stats"]
+        return RunOutcome(
             cell_index=spec.cell_index,
             seed_index=spec.seed_index,
+            seed=spec.seed,
+            label=spec.cell.describe(),
+            stats=SeedStats(**{name: stats[name] for name in _STATS}),
+            wall_seconds=entry["wall_seconds"],
+            analysis=None if analysis is None else obs.CellAnalysis(
+                **{name: analysis[name] for name in _ANALYSIS}
+            ),
             cached=True,
+            pid=entry["pid"],
         )
-
-    def _validate(self, entry: object, key: str) -> RunOutcome | None:
-        if not isinstance(entry, dict):
-            return None
-        if entry.get("schema") != self.schema:
-            return None
-        if entry.get("key") != key:
-            return None
-        outcome = entry.get("outcome")
-        if not isinstance(outcome, RunOutcome) or not outcome.ok:
-            return None
-        # Entries pickled before the optional ``pid`` field existed
-        # unpickle with that slot unset; default it so field access
-        # and ``dataclasses.replace`` keep working (this is why the
-        # addition was not a schema bump).
-        if getattr(outcome, "pid", None) is None:
-            object.__setattr__(outcome, "pid", 0)
-        return outcome
 
     def put(self, spec: RunSpec, outcome: RunOutcome) -> None:
         """Commit one successful run's outcome.
@@ -198,57 +209,37 @@ class ResultStore:
                 f"refusing to cache a failed run: {outcome.label!r} "
                 f"({outcome.error})"
             )
-        key = self.run_key(spec)
+        key = run_identity(spec)
         entry = {
-            "schema": self.schema,
+            "schema": STORE_SCHEMA,
             "key": key,
-            "outcome": replace(outcome, cached=False),
+            "wall_seconds": outcome.wall_seconds,
+            "pid": outcome.pid,
+            "stats": asdict(outcome.stats),
+            "analysis": (
+                None if outcome.analysis is None
+                else asdict(outcome.analysis)
+            ),
         }
-        if self.ops.enabled:
-            with self.ops.span(
-                "store-commit",
-                key=key,
-                cell=outcome.label,
-                seed=outcome.seed,
-            ):
-                self._commit(key, entry)
-        else:
-            self._commit(key, entry)
+        with self.ops.span(
+            "store-commit", key=key, cell=outcome.label, seed=outcome.seed
+        ):
+            self._write(key, json.dumps(entry).encode("utf-8"))
         self._count(stores=1)
 
-    def _commit(self, key: str, entry: dict) -> None:
+    def _write(self, key: str, payload: bytes) -> None:
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        tmp.write_bytes(
-            pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
-        )
+        tmp.write_bytes(payload)
         os.replace(tmp, path)
 
     def keys(self) -> list[str]:
         """Every entry key in the store, sorted."""
-        if not self.root.is_dir():
-            return []
-        found = [
-            path.stem
-            for path in self.root.glob("??/*.pkl")
-        ]
-        found.sort()
-        return found
+        return sorted(path.stem for path in self.root.glob("??/*.json"))
 
     def __len__(self) -> int:
         return len(self.keys())
-
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        for key in self.keys():
-            try:
-                self._path(key).unlink()
-                removed += 1
-            except OSError:
-                continue
-        return removed
 
     def absorb(self, source: "ResultStore | str | Path") -> int:
         """Copy entries from ``source`` into this store (shard merge).
@@ -257,50 +248,23 @@ class ResultStore:
         keys make both copies equivalent).  Returns the number of
         entries copied.
         """
-        other = (
-            source
-            if isinstance(source, ResultStore)
-            else ResultStore(source, schema=self.schema)
-        )
-        if self.ops.enabled:
-            with self.ops.span(
-                "store-absorb", source=str(other.root)
-            ) as span:
-                copied = self._absorb(other)
-                span.attrs["copied"] = copied
-        else:
-            copied = self._absorb(other)
+        if not isinstance(source, ResultStore):
+            source = ResultStore(source)
+        with self.ops.span("store-absorb", source=str(source.root)) as span:
+            copied = 0
+            for key in source.keys():
+                if not self._path(key).exists():
+                    self._write(key, source._path(key).read_bytes())
+                    copied += 1
+            span.attrs["copied"] = copied
         return copied
 
-    def _absorb(self, other: "ResultStore") -> int:
-        copied = 0
-        for key in other.keys():
-            target = self._path(key)
-            if target.exists():
-                continue
-            target.parent.mkdir(parents=True, exist_ok=True)
-            tmp = target.with_name(
-                f"{target.name}.tmp.{os.getpid()}"
-            )
-            tmp.write_bytes(other._path(key).read_bytes())
-            os.replace(tmp, target)
-            copied += 1
-        return copied
-
-    def _count(
-        self,
-        hits: int = 0,
-        misses: int = 0,
-        stores: int = 0,
-        invalidations: int = 0,
-    ) -> None:
+    def _count(self, **deltas: int) -> None:
         stats = self._stats
-        self._stats = StoreStats(
-            hits=stats.hits + hits,
-            misses=stats.misses + misses,
-            stores=stats.stores + stores,
-            invalidations=stats.invalidations + invalidations,
-        )
+        self._stats = replace(stats, **{
+            name: getattr(stats, name) + delta
+            for name, delta in deltas.items()
+        })
 
 
 def default_store_root() -> Path:

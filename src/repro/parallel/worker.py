@@ -31,7 +31,7 @@ from .digest import content_digest
 from .spec import RunSpec, SplicerSpec, SquareWave, VideoSpec
 
 if TYPE_CHECKING:
-    from ..obs.analyze import RunAnalysis
+    from ..obs.analyze import CellAnalysis
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,25 +46,17 @@ class RunOutcome:
         stats: per-seed scalars (``None`` when the run failed).
         error: ``"ExcType: message"`` when the run failed.
         wall_seconds: wall-clock time the run took where it executed.
-        metrics: always ``None``.  Kept, like ``profile``, because
-            slotted dataclasses unpickle by position: dropping a slot
-            would shift every later field of an entry already in a
-            :class:`~repro.parallel.store.ResultStore`.
-        analysis: the run's stall diagnosis (analyzing sweeps only);
-            computed from the run's private trace where the run
-            executed, so it is identical at any worker count.
-        profile: always ``None`` (see ``metrics``).
+        analysis: the run's stall diagnosis as a one-run rollup
+            (analyzing sweeps only); computed from the run's private
+            trace where the run executed, so it is identical at any
+            worker count.
         cached: the run was not simulated now: it was served from a
             :class:`~repro.parallel.store.ResultStore`, or it repeats
             a simulation the executor already ran (same
             :func:`simulation_identity`); ``wall_seconds`` then
             reports what the *original* execution cost.
         pid: process id that executed the run (the parent for
-            inline sweeps, a pool worker otherwise).  Entries
-            pickled before the field existed unpickle without the
-            slot; the store defaults it to ``0`` on load, which is
-            why adding this optional field is not a ``repro.store``
-            schema bump.
+            inline sweeps, a pool worker otherwise).
     """
 
     cell_index: int
@@ -74,9 +66,7 @@ class RunOutcome:
     stats: SeedStats | None = None
     error: str | None = None
     wall_seconds: float = 0.0
-    metrics: None = None
-    analysis: RunAnalysis | None = None
-    profile: None = None
+    analysis: CellAnalysis | None = None
     cached: bool = False
     pid: int = 0
 
@@ -220,16 +210,17 @@ def pool_entry(spec: RunSpec) -> RunOutcome:
     """Execute one run: a failure becomes an outcome, never a raise.
 
     An analyzing run (``spec.collect_analysis``) is traced into a
-    private ring buffer and reduced to its
-    :class:`~repro.obs.analyze.RunAnalysis` here, where it executed;
-    only the analysis travels back.
+    private ring buffer, diagnosed, and reduced to a one-run
+    :class:`~repro.obs.analyze.CellAnalysis` here, where it executed;
+    only that rollup travels back.
     """
     tracing = Observability.tracing() if spec.collect_analysis else None
     try:
         outcome = execute_run(spec, tracing)
         if tracing is not None:
             outcome = replace(
-                outcome, analysis=obs.analyze_observability(tracing)
+                outcome,
+                analysis=obs.analyze_observability(tracing).rollup(),
             )
     except Exception as exc:  # noqa: BLE001 - isolation boundary
         return failed_outcome(spec, f"{type(exc).__name__}: {exc}")

@@ -1,24 +1,29 @@
 """Content-addressed result store: identity, parity, resumability.
 
-The store's contract is threefold: (1) a run's cache key changes iff
+The store's contract is fourfold: (1) a run's cache key changes iff
 something that determines the simulation's output changes, (2) a warm
 sweep's merged results are byte-identical to the cold run at any
-worker count, and (3) entries commit as runs finish, so an interrupted
-sweep resumes from disk.
+worker count, (3) entries commit as runs finish, so an interrupted
+sweep resumes from disk, and (4) an entry is a checked JSON document:
+whatever is wrong with one makes it a miss, never an exception.
 """
 
 from __future__ import annotations
 
+import json
 import pickle
-from dataclasses import replace
-from pathlib import Path
+from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.policy import FixedPoolPolicy
 from repro.errors import StoreError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import SeedStats
+from repro.obs.analyze import CellAnalysis
+from repro.obs.causes import STALL_CAUSES
 from repro.parallel import (
     CellSpec,
     ResultStore,
@@ -28,9 +33,49 @@ from repro.parallel import (
     cell_for,
     run_identity,
 )
+from repro.parallel import store as store_module
 from repro.parallel.spec import RunSpec
+from repro.parallel.worker import RunOutcome
 
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
+#: A run whose key needs no video: its spec names the video by seed.
+SPEC = RunSpec(
+    cell=CellSpec(
+        splicer=SplicerSpec("duration", 4.0), bandwidth_kb=256,
+        config=ExperimentConfig(n_leechers=2, seeds=(5,), max_time=300.0),
+        video_spec=VideoSpec(seed=1, duration=20.0), label="entry",
+    ),
+    seed=5, cell_index=3, seed_index=0,
+)
+STATS = SeedStats(1.0, 1.1049846512611001, 4.692017059391286, 3678271.0,
+                  1187617.0, 1.0, events_fired=75, end_time=300.0)
+ROLLUP = CellAnalysis(
+    causes=dict.fromkeys(STALL_CAUSES, 0) | {"seeder-bottleneck": 2},
+    stall_count=2, runs=1, mean_transfer_efficiency=0.9733333333333334,
+    mean_pool_deficit=None, violation_count=0, truncated_runs=0,
+)
+COUNTS = st.integers(min_value=0)
+#: Unpickling a :class:`_Tripwire` records the call in ``UNPICKLED``.
+UNPICKLED: list[bool] = []
+
+
+def _unpickled() -> None:
+    UNPICKLED.append(True)
+
+
+class _Tripwire:
+    def __reduce__(self):
+        return _unpickled, ()
+
+
+def _outcome(stats=STATS, analysis=ROLLUP) -> RunOutcome:
+    return RunOutcome(
+        cell_index=0, seed_index=0, seed=5, label="entry", stats=stats,
+        wall_seconds=0.0625, analysis=analysis, pid=4242,
+    )
+
+
+def _entry_path(store: ResultStore, key: str):
+    return store.root / key[:2] / f"{key}.json"
 
 
 @pytest.fixture(scope="module")
@@ -100,11 +145,13 @@ class TestRunIdentity:
         )
         assert run_identity(pooled) != run_identity(base)
 
-    def test_schema_changes_identity(self, fast_config, short_video):
+    def test_schema_changes_identity(
+        self, fast_config, short_video, monkeypatch
+    ):
         base = _spec(fast_config, short_video)
-        assert run_identity(base, schema="repro.store/999") != (
-            run_identity(base)
-        )
+        current = run_identity(base)
+        monkeypatch.setattr(store_module, "STORE_SCHEMA", "repro.store/999")
+        assert run_identity(base) != current
 
 
 class TestWarmSweep:
@@ -228,11 +275,13 @@ class TestComponentGating:
 
 class TestInvalidation:
     def test_schema_bump_orphans_old_entries(
-        self, fast_config, short_video, tmp_path
+        self, fast_config, short_video, tmp_path, monkeypatch
     ):
         cells = _cells(fast_config, short_video)[:1]
-        old = ResultStore(tmp_path / "store", schema="repro.store/0")
-        SweepExecutor(jobs=1, store=old).run_cells(cells)
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "STORE_SCHEMA", "repro.store/0")
+            old = ResultStore(tmp_path / "store")
+            SweepExecutor(jobs=1, store=old).run_cells(cells)
         # Same directory, current schema: the schema participates in
         # the key, so every old entry simply misses (different path).
         new = ResultStore(tmp_path / "store")
@@ -243,22 +292,22 @@ class TestInvalidation:
         assert new.stats.stores == 2
 
     def test_schema_mismatch_inside_entry_invalidates(
-        self, fast_config, short_video, tmp_path
+        self, tmp_path, monkeypatch
     ):
-        cell = _cells(fast_config, short_video)[1]
-        spec = RunSpec(cell=cell, seed=5, cell_index=0, seed_index=0)
-        old = ResultStore(tmp_path / "store", schema="repro.store/0")
-        SweepExecutor(jobs=1, store=old).run_cells([cell])
-        old_key = old.run_key(spec)
-        new = ResultStore(tmp_path / "store")
-        new_key = new.run_key(spec)
-        # Plant the old-schema entry where the new schema looks.
-        source = tmp_path / "store" / old_key[:2] / f"{old_key}.pkl"
-        target = tmp_path / "store" / new_key[:2] / f"{new_key}.pkl"
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(source.read_bytes())
-        assert new.get(spec) is None
-        assert new.stats.invalidations == 1
+        store = ResultStore(tmp_path / "store")
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "STORE_SCHEMA", "repro.store/0")
+            store.put(SPEC, _outcome())
+            old = _entry_path(store, run_identity(SPEC))
+        # Plant the old-schema entry, its key field rewritten to the
+        # current key, where the current schema looks.
+        entry = json.loads(old.read_text())
+        assert entry["schema"] == "repro.store/0"
+        key = run_identity(SPEC)
+        _entry_path(store, key).parent.mkdir(exist_ok=True)
+        _entry_path(store, key).write_text(json.dumps({**entry, "key": key}))
+        assert store.get(SPEC) is None
+        assert store.stats.invalidations == 1
 
     def test_corrupt_entry_invalidates(
         self, fast_config, short_video, tmp_path
@@ -267,66 +316,49 @@ class TestInvalidation:
         store = ResultStore(tmp_path / "store")
         SweepExecutor(jobs=1, store=store).run_cells(cells)
         for key in store.keys():
-            (tmp_path / "store" / key[:2] / f"{key}.pkl").write_bytes(
-                b"not a pickle"
-            )
+            _entry_path(store, key).write_bytes(b"not json")
         rerun = SweepExecutor(jobs=1, store=store)
         outcome = rerun.run_cells(cells)
         assert rerun.stats.runs_cached == 0
         assert store.stats.invalidations == 2
         assert outcome  # recomputed fine
 
-    def test_wrong_key_entry_invalidates(
-        self, fast_config, short_video, tmp_path
-    ):
-        cell = _cells(fast_config, short_video)[0]
-        spec_a = RunSpec(
-            cell=cell, seed=5, cell_index=0, seed_index=0
-        )
-        spec_b = RunSpec(
-            cell=cell, seed=9, cell_index=0, seed_index=1
-        )
+    def test_wrong_key_entry_invalidates(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        SweepExecutor(jobs=1, store=store).run_cells([cell])
-        key_a = store.run_key(spec_a)
-        key_b = store.run_key(spec_b)
-        path_a = tmp_path / "store" / key_a[:2] / f"{key_a}.pkl"
-        path_b = tmp_path / "store" / key_b[:2] / f"{key_b}.pkl"
+        other = replace(SPEC, seed=9)
+        store.put(other, _outcome())
         # Splice one run's entry under the other's key.
-        path_a.parent.mkdir(parents=True, exist_ok=True)
-        path_a.write_bytes(path_b.read_bytes())
-        before = store.stats.invalidations
-        assert store.get(spec_a) is None
-        assert store.stats.invalidations == before + 1
+        path = _entry_path(store, run_identity(SPEC))
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(_entry_path(store, run_identity(other)).read_bytes())
+        assert store.get(SPEC) is None
+        assert store.stats.invalidations == 1
 
 
 class TestStoreApi:
-    def test_put_rejects_failed_outcome(
-        self, fast_config, short_video, tmp_path
-    ):
-        from repro.parallel.worker import RunOutcome
-
+    def test_put_rejects_failed_outcome(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        failed = RunOutcome(
-            cell_index=0, seed_index=0, seed=5, label="x",
-            error="boom",
-        )
         with pytest.raises(StoreError):
-            store.put(_spec(fast_config, short_video), failed)
+            store.put(SPEC, replace(_outcome(), error="boom"))
 
     def test_entries_never_carry_profiles(
         self, fast_config, short_video, tmp_path
     ):
         cells = _cells(fast_config, short_video)[:1]
         store = ResultStore(tmp_path / "store")
-        SweepExecutor(jobs=1, store=store).run_cells(cells)
+        SweepExecutor(jobs=1, store=store).run_cells(cells, analyze=True)
+        assert len(store) == 2
         for key in store.keys():
-            raw = (
-                tmp_path / "store" / key[:2] / f"{key}.pkl"
-            ).read_bytes()
-            entry = pickle.loads(raw)
-            assert entry["outcome"].profile is None
-            assert entry["outcome"].cached is False
+            entry = json.loads(_entry_path(store, key).read_text())
+            assert list(entry) == [
+                "schema", "key", "wall_seconds", "pid", "stats",
+                "analysis",
+            ]
+            assert list(entry["stats"]) == list(asdict(STATS))
+            assert list(entry["analysis"]) == list(asdict(ROLLUP))
+            assert (entry["schema"], entry["key"]) == (
+                store_module.STORE_SCHEMA, key
+            )
 
     def test_absorb_unions_stores(
         self, fast_config, short_video, tmp_path
@@ -345,56 +377,67 @@ class TestStoreApi:
         warm.run_cells(cells)
         assert warm.stats.runs_cached == 4
 
-    def test_clear_empties_the_store(
-        self, fast_config, short_video, tmp_path
-    ):
-        store = ResultStore(tmp_path / "store")
-        SweepExecutor(jobs=1, store=store).run_cells(
-            _cells(fast_config, short_video)[:1]
-        )
-        assert store.clear() == 2
-        assert len(store) == 0
 
+class TestEntryFormat:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # Fields typed ``float`` draw every float, NaN and +-inf included.
+        stats=st.builds(SeedStats, events_fired=COUNTS, end_time=st.floats()),
+        analysis=st.none() | st.builds(
+            CellAnalysis, causes=st.dictionaries(st.text(), COUNTS),
+            stall_count=COUNTS, runs=st.just(1), violation_count=COUNTS,
+            truncated_runs=COUNTS,
+        ),
+    )
+    def test_round_trip_is_exact(self, tmp_path_factory, stats, analysis):
+        # A hit takes its merge keys, seed and label from the request.
+        store = ResultStore(tmp_path_factory.mktemp("store"))
+        outcome = _outcome(stats, analysis)
+        store.put(SPEC, outcome)
+        expected = replace(outcome, cell_index=3, cached=True)
+        assert repr(store.get(SPEC)) == repr(expected)
 
-class TestEntryLayout:
-    def test_twelve_slot_entry_still_hits(self, tmp_path):
-        # An entry committed while ``RunOutcome`` carried its
-        # metrics/profile snapshot slots (now always ``None``).
-        # Slotted dataclasses unpickle by position, so the slots stay:
-        # without them ``analysis`` would land in ``cached``.
-        cell = CellSpec(
-            splicer=SplicerSpec("duration", 4.0),
-            bandwidth_kb=256,
-            config=ExperimentConfig(
-                n_leechers=2, seeds=(5,), max_time=300.0
-            ),
-            video_spec=VideoSpec(seed=1, duration=20.0),
-            label="compat/duration-4s @ 256",
-        )
-        spec = RunSpec(cell=cell, seed=5, cell_index=3, seed_index=0)
+    def test_non_finite_floats_use_the_json_module_tokens(self, tmp_path):
+        # Not JSON numbers: entries hold the tokens Python's json reads.
         store = ResultStore(tmp_path / "store")
-        key = store.run_key(spec)
-        path = tmp_path / "store" / key[:2] / f"{key}.pkl"
-        path.parent.mkdir(parents=True)
-        path.write_bytes(
-            (FIXTURES / "store_entry_12_slots.pkl").read_bytes()
-        )
-        hit = store.get(spec, need_analysis=True)
-        assert hit is not None
-        assert (hit.cell_index, hit.cached, hit.pid) == (3, True, 22393)
-        assert hit.stats == SeedStats(
-            stall_count=1.0,
-            stall_duration=1.1049846512611001,
-            startup_time=4.692017059391286,
-            seeder_bytes=3678271.0,
-            peer_bytes=1187617.0,
-            finished_fraction=1.0,
-            events_fired=75,
-            end_time=300.0,
-        )
-        analysis = hit.analysis
-        assert analysis.stall_count == 2
-        assert analysis.causes["seeder-bottleneck"] == 2
-        assert sorted(analysis.peers) == ["peer-1", "peer-2"]
-        assert analysis.event_count == 66
-        assert hit.metrics is None and hit.profile is None
+        nan, inf = float("nan"), float("inf")
+        stats = replace(STATS, stall_count=nan, startup_time=inf,
+                        end_time=-inf)
+        store.put(SPEC, _outcome(stats))
+        text = _entry_path(store, run_identity(SPEC)).read_text()
+        assert '"stall_count": NaN, ' in text
+        assert '"startup_time": Infinity, ' in text
+        assert '"end_time": -Infinity}' in text
+        assert repr(store.get(SPEC).stats) == repr(stats)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc, raw: {**doc, "stats": {**doc["stats"], "peer_bytes": "1"}},
+        lambda doc, raw: {k: v for k, v in doc.items() if k != "pid"},
+        lambda doc, raw: {**doc, "analysis": {**doc["analysis"], "runs": 2}},
+        lambda doc, raw: raw[: len(raw) // 2],
+        lambda doc, raw: b"\xff" + raw,
+        lambda doc, raw: [doc],
+    ], ids=["wrong-type", "missing-field", "two-run-rollup", "truncated",
+            "not-utf-8", "array"])
+    def test_corrupt_entry_is_an_invalidation(self, tmp_path, corrupt):
+        store = ResultStore(tmp_path / "store")
+        store.put(SPEC, _outcome())
+        path = _entry_path(store, run_identity(SPEC))
+        raw = path.read_bytes()
+        bad = corrupt(json.loads(raw), raw)
+        path.write_bytes(bad if isinstance(bad, bytes) else
+                         json.dumps(bad).encode())
+        assert store.get(SPEC) is None
+        assert (store.stats.misses, store.stats.invalidations) == (1, 1)
+
+    def test_legacy_pickle_entry_is_ignored(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        key = run_identity(SPEC)
+        legacy = store.root / key[:2] / f"{key}.pkl"
+        legacy.parent.mkdir(parents=True)
+        legacy.write_bytes(pickle.dumps({"outcome": _Tripwire()}))
+        assert store.get(SPEC) is None
+        assert (store.stats.misses, store.stats.invalidations) == (1, 0)
+        merged = ResultStore(tmp_path / "merged")
+        assert (len(store), merged.absorb(store)) == (0, 0)
+        assert not merged.root.exists() and UNPICKLED == []

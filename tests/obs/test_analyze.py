@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.splicer import DurationSplicer
+from repro.errors import TraceError
 from repro.experiments.config import ExperimentConfig
 from repro.obs import (
     STALL_CAUSES,
@@ -29,6 +31,7 @@ from repro.obs import (
     build_timelines,
     cause_histogram,
     dump_jsonl,
+    merge_analyses,
     render_analysis,
     render_gantt,
 )
@@ -406,6 +409,18 @@ class TestSweepDeterminism:
         ]
         (result,) = SweepExecutor(jobs=1).run_cells(cells)
         assert result.analysis is None
+
+
+class TestMergeAnalyses:
+    def test_folds_one_run_rollups_only(self, short_video):
+        analysis = analyze_observability(_stream(short_video)[1])
+        rollup = analysis.rollup()
+        assert (rollup.runs, rollup.mean_transfer_efficiency) == (
+            1, analysis.transfer_efficiency
+        )
+        assert merge_analyses([rollup]) == rollup
+        with pytest.raises(TraceError, match="runs=2"):
+            merge_analyses([merge_analyses([rollup, rollup])])
 
 
 # -- rendering ---------------------------------------------------------

@@ -53,6 +53,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["reproduce", "--figure", "9"])
 
+    def test_figure_ids_match_the_figure_table(self):
+        from repro import cli
+        from repro.experiments.reproduce import FIGURES
+
+        assert cli._FIGURE_IDS == tuple(FIGURES)
+
     def test_every_leaf_subcommand_has_a_handler(self):
         leaves = dict(leaf_parsers(build_parser()))
         assert ("fig2",) in leaves

@@ -49,33 +49,41 @@ def _python(program: str, *args: str) -> str:
     return proc.stdout
 
 
-def test_command_path_imports_leave_unreached_modules_unloaded():
+def _loaded(code: str) -> set[str]:
+    """The modules loaded once ``code`` ran in a fresh interpreter."""
     program = (
-        "import json, sys\n"
+        "import atexit, json, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
+        "atexit.register(lambda: print(json.dumps(sorted(sys.modules))))\n"
+    )
+    return set(json.loads(_python(program + code).splitlines()[-1]))
+
+
+def test_command_path_imports_leave_unreached_modules_unloaded():
+    loaded = _loaded(
         "import repro\n"
         "import repro.experiments.reproduce\n"
         "from repro.cli import main\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
     )
-    loaded = set(json.loads(_python(program)))
     assert "repro.cli" in loaded
     assert [name for name in UNREACHED if name in loaded] == []
+
+
+def test_version_leaves_the_simulator_unloaded():
+    loaded = _loaded("from repro.cli import main\nmain(['--version'])\n")
+    assert "repro.cli" in loaded
+    assert not loaded & {"repro.p2p.swarm", "repro.experiments.ablations"}
 
 
 def test_sweep_imports_leave_the_diagnosis_layer_unloaded():
     # The figure modules and the sweep machinery that perfbench
     # imports; ``repro.cli`` is left out because ``repro analyze``
     # needs the diagnosis layer.
-    program = (
-        "import json, sys\n"
-        "sys.path.insert(0, sys.argv[1])\n"
+    loaded = _loaded(
         "import repro\n"
         "from repro.experiments import fig2, fig3, fig4, fig5, runner\n"
         "from repro.parallel import cache, executor, store, worker\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
     )
-    loaded = set(json.loads(_python(program)))
     assert "repro.parallel.worker" in loaded
     assert [name for name in DIAGNOSIS if name in loaded] == []
 
