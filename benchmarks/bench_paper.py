@@ -446,7 +446,8 @@ CASES: tuple[Case, ...] = (
     Case(
         "selection@256", "ablation_piece_selection",
         run=lambda config, video, quick, executor: selection_study.run(
-            config, video, bandwidth_kb=256, churn_fraction=0.5
+            config, video, bandwidth_kb=256, churn_fraction=0.5,
+            executor=executor,
         ),
         digest=lambda config, quick: ("selection", config, 256, 0.5),
         check=_check_selection,
@@ -505,7 +506,8 @@ CASES: tuple[Case, ...] = (
     Case(
         "tcp_vs_ppspp", "ablation_transport",
         run=lambda config, video, quick, executor: transport_study.run(
-            config, video, bandwidths_kb=_axis("transport_kb", quick)
+            config, video, bandwidths_kb=_axis("transport_kb", quick),
+            executor=executor,
         ),
         digest=lambda config, quick: (
             "transport", config, _axis("transport_kb", quick)

@@ -82,15 +82,6 @@ class AbrMetrics:
             1 for a, b in zip(self.rungs, self.rungs[1:]) if a != b
         )
 
-    @property
-    def lowest_rung_fraction(self) -> float:
-        """Fraction of segments delivered at the bottom rung."""
-        if not self.rungs:
-            return 0.0
-        return sum(1 for rung in self.rungs if rung == 0) / len(
-            self.rungs
-        )
-
 
 class AbrSession:
     """One ABR client against one CDN server.

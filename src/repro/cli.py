@@ -45,18 +45,6 @@ from typing import TYPE_CHECKING, Sequence
 from . import __version__
 from .core.splicer import DurationSplicer, GopSplicer
 from .errors import ReproError, SweepError
-from .obs import (
-    Observability,
-    analyze_events,
-    attribute_stalls,
-    build_timelines,
-    dump_jsonl,
-    load_jsonl,
-    render_analysis,
-    render_event_counts,
-    render_gantt,
-)
-from .obs.render import render_timeline
 from .testbed.rspec import star_rspec
 from .units import kB_per_s
 from .video.encoder import encode_paper_video
@@ -624,6 +612,8 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
+    from .obs.render import render_timeline
+
     video = encode_paper_video(seed=1)
     splice = DurationSplicer(args.duration).splice(video)
     print(render_timeline(_run_swarm(args, splice, args.peers)))
@@ -796,6 +786,7 @@ def _write_representative_trace(
         PAPER_BANDWIDTHS_KB,
         make_swarm_config,
     )
+    from .obs import Observability, dump_jsonl
     from .p2p.swarm import Swarm
 
     bandwidth_kb = (
@@ -817,6 +808,16 @@ def _write_representative_trace(
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .obs import (
+        analyze_events,
+        attribute_stalls,
+        build_timelines,
+        load_jsonl,
+        render_analysis,
+        render_event_counts,
+        render_gantt,
+    )
+
     events = load_jsonl(args.path)
     print(render_analysis(analyze_events(events)))
     print("## Events")

@@ -57,11 +57,6 @@ class CellResult:
     finished_fraction: float
     analysis: CellAnalysis | None = None
 
-    @property
-    def rounded_stalls(self) -> int:
-        """Stall count as the paper reports it ("rounded average")."""
-        return round(self.stall_count)
-
 
 @dataclass(frozen=True, slots=True)
 class FigureResult:

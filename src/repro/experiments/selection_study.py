@@ -8,20 +8,18 @@ should matter most.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import replace
 
-from ..core.splicer import DurationSplicer
 from ..p2p.churn import ChurnConfig
 from ..p2p.selection import (
     PieceSelector,
     SequentialSelector,
     WindowedRarestSelector,
 )
-from ..p2p.swarm import Swarm
+from ..parallel import SplicerSpec, SweepExecutor, cell_for
 from ..video.bitstream import Bitstream
-from .config import ExperimentConfig, make_paper_video, make_swarm_config
-from .runner import CellResult, FigureResult
+from .config import ExperimentConfig
+from .runner import FigureResult, run_figure
 
 
 def selectors() -> list[PieceSelector]:
@@ -37,6 +35,7 @@ def run(
     video: Bitstream | None = None,
     bandwidth_kb: int = 256,
     churn_fraction: float = 0.5,
+    executor: SweepExecutor | None = None,
 ) -> FigureResult:
     """Compare selectors with and without churn at one bandwidth.
 
@@ -46,55 +45,38 @@ def run(
         bandwidth_kb: peer bandwidth, kB/s.
         churn_fraction: fraction of peers that depart in the churny
             variant.
+        executor: sweep executor; ``None`` runs serially in-process.
 
     Returns:
         One series per (selector, churn) combination; the single cell
         of each series carries the seed-averaged metrics.
     """
     cfg = config or ExperimentConfig()
-    stream = video if video is not None else make_paper_video(cfg)
-    splice = DurationSplicer(4.0).splice(stream)
-    series: dict[str, list[CellResult]] = {}
+    churny = replace(
+        cfg, churn=ChurnConfig(mean_lifetime=45.0, fraction=churn_fraction)
+    )
+    series = {}
     for selector in selectors():
-        for churny in (False, True):
-            churn = (
-                ChurnConfig(
-                    mean_lifetime=45.0, fraction=churn_fraction
-                )
-                if churny
-                else None
-            )
-            scenario_cfg = replace(cfg, churn=churn)
-            stalls, durations, startups = [], [], []
-            for seed in scenario_cfg.seeds:
-                swarm_config = make_swarm_config(
-                    bandwidth_kb, seed, scenario_cfg
-                )
-                swarm_config = replace(
-                    swarm_config, selector=selector
-                )
-                result = Swarm(splice, swarm_config).run()
-                stalls.append(result.mean_stall_count())
-                durations.append(result.mean_stall_duration())
-                startups.append(result.mean_startup_time())
-            label = selector.name + (" +churn" if churny else "")
+        for suffix, scenario in (
+            ("", replace(cfg, churn=None)),
+            (" +churn", churny),
+        ):
+            label = selector.name + suffix
             series[label] = [
-                CellResult(
-                    bandwidth_kb=bandwidth_kb,
-                    stall_count=statistics.fmean(stalls),
-                    stall_duration=statistics.fmean(durations),
-                    startup_time=statistics.fmean(startups),
-                    seeder_bytes=0.0,
-                    peer_bytes=0.0,
-                    finished_fraction=1.0,
+                cell_for(
+                    SplicerSpec("duration", 4.0),
+                    bandwidth_kb,
+                    scenario,
+                    video=video,
+                    selector=selector,
+                    label=f"A6/{label}",
                 )
             ]
-    return FigureResult(
-        figure="A6",
-        title=(
-            f"Piece selection at {bandwidth_kb} kB/s "
-            f"(churn = {int(churn_fraction * 100)}%)"
-        ),
-        metric="stall_count",
-        series=series,
+    return run_figure(
+        "A6",
+        f"Piece selection at {bandwidth_kb} kB/s "
+        f"(churn = {int(churn_fraction * 100)}%)",
+        "stall_count",
+        series,
+        executor,
     )

@@ -9,72 +9,57 @@ so the low-bandwidth pathologies of small segments should soften.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from ..core.splicer import DurationSplicer, GopSplicer, Splicer
 from ..net.tcp import TcpParams, ppspp_params
+from ..parallel import SplicerSpec, SweepExecutor, cell_for
 from ..video.bitstream import Bitstream
-from .config import ExperimentConfig, make_paper_video, make_swarm_config
-from .runner import CellResult, FigureResult
-from ..p2p.swarm import Swarm
-
-import statistics
+from .config import ExperimentConfig
+from .runner import FigureResult, run_figure
 
 
 def run(
     config: ExperimentConfig | None = None,
     video: Bitstream | None = None,
     bandwidths_kb: tuple[int, ...] = (128, 256, 512),
-    splicer: Splicer | None = None,
+    executor: SweepExecutor | None = None,
 ) -> FigureResult:
-    """Compare transports across bandwidths for one splicing.
+    """Compare transports across bandwidths.
+
+    Splicing is fixed at 2-second duration, the one TCP punishes
+    hardest.
 
     Args:
         config: shared experiment parameters.
         video: pre-encoded video.
         bandwidths_kb: x-axis points.
-        splicer: splicing technique (default: 2-second duration — the
-            one TCP punishes hardest).
+        executor: sweep executor; ``None`` runs serially in-process.
 
     Returns:
         One series per transport.
     """
     cfg = config or ExperimentConfig()
-    stream = video if video is not None else make_paper_video(cfg)
-    splice = (splicer or DurationSplicer(2.0)).splice(stream)
+    splicer = SplicerSpec("duration", 2.0)
     transports: dict[str, TcpParams] = {
         "tcp": TcpParams(),
         "ppspp-udp": ppspp_params(),
     }
-    series: dict[str, list[CellResult]] = {}
-    for label, params in transports.items():
-        cells = []
-        for bandwidth_kb in bandwidths_kb:
-            stalls, durations, startups = [], [], []
-            for seed in cfg.seeds:
-                swarm_config = replace(
-                    make_swarm_config(bandwidth_kb, seed, cfg),
-                    tcp_params=params,
-                )
-                result = Swarm(splice, swarm_config).run()
-                stalls.append(result.mean_stall_count())
-                durations.append(result.mean_stall_duration())
-                startups.append(result.mean_startup_time())
-            cells.append(
-                CellResult(
-                    bandwidth_kb=bandwidth_kb,
-                    stall_count=statistics.fmean(stalls),
-                    stall_duration=statistics.fmean(durations),
-                    startup_time=statistics.fmean(startups),
-                    seeder_bytes=0.0,
-                    peer_bytes=0.0,
-                    finished_fraction=1.0,
-                )
+    series = {
+        label: [
+            cell_for(
+                splicer,
+                bw,
+                cfg,
+                video=video,
+                tcp_params=params,
+                label=f"A9/{label} @ {bw} kB/s",
             )
-        series[label] = cells
-    return FigureResult(
-        figure="A9",
-        title=f"Transport comparison ({splice.technique})",
-        metric="stall_count",
-        series=series,
+            for bw in bandwidths_kb
+        ]
+        for label, params in transports.items()
+    }
+    return run_figure(
+        "A9",
+        f"Transport comparison ({splicer.technique})",
+        "stall_count",
+        series,
+        executor,
     )

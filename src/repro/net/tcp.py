@@ -168,11 +168,6 @@ class TcpTransfer:
             return 0.0 if self.active else self.size
         return self._flow.transferred
 
-    @property
-    def current_rate(self) -> float:
-        """Instantaneous allocated rate in bytes/second."""
-        return self._flow.rate if self._flow is not None else 0.0
-
     def cancel(self) -> None:
         """Abort the transfer; no completion callback will fire."""
         if not self.active:

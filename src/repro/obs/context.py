@@ -65,11 +65,6 @@ class Observability:
         """A context that aggregates metrics but records no events."""
         return cls(tracer=NULL_TRACER)
 
-    @property
-    def tracing_enabled(self) -> bool:
-        """Whether the tracer records events."""
-        return self.tracer.enabled
-
     def events(self) -> list:
         """The tracer's retained events (empty when disabled)."""
         return self.tracer.events()

@@ -73,8 +73,6 @@ class LeecherConfig:
             replaces the hint.
         selector: piece-selection strategy; the paper's client is
             strictly sequential (the default).
-        prefer_peers_over_seeder: request from fellow leechers when
-            they hold the segment, falling back to the seeder.
         cdn_sources: names of CDN origins.  Per the paper's Section IV,
             a peer keeps at most **one** request in flight to a CDN at
             a time ("peers can download one segment at a time" from the
@@ -102,7 +100,6 @@ class LeecherConfig:
     bandwidth_hint: float
     estimator: BandwidthEstimator | None = None
     selector: PieceSelector = field(default_factory=SequentialSelector)
-    prefer_peers_over_seeder: bool = True
     cdn_sources: frozenset[str] = frozenset()
     seed: int = 0
     batch_mode: bool = True
@@ -644,12 +641,7 @@ class Leecher(PeerBase):
         ]
         if not_backed_off:
             holders = not_backed_off
-        peers = [h for h in holders if h != self._seeder_name]
-        pool = (
-            peers
-            if (self._config.prefer_peers_over_seeder and peers)
-            else holders
-        )
+        pool = [h for h in holders if h != self._seeder_name] or holders
         load: dict[str, int] = {}
         for source in self._inflight.values():
             load[source] = load.get(source, 0) + 1

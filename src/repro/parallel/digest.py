@@ -9,7 +9,10 @@ canonical JSON encoding instead:
 
 * dataclasses flatten to ``{"__type__": name, field: value, ...}`` in
   declaration order (the type name guards against two specs with the
-  same field soup colliding);
+  same field soup colliding); a field declared with
+  :data:`OMIT_AT_DEFAULT` metadata is left out while it holds its
+  default, so adding such a field to a spec keeps every existing
+  digest;
 * dicts become sorted key/value pair lists (keys may be any digestible
   value, as in histogram ``value -> weight`` maps);
 * sets are sorted by their encoded form; tuples and lists are equal;
@@ -38,6 +41,13 @@ DIGEST_LENGTH = 16
 
 _MAX_DEPTH = 32
 
+_OMIT_KEY = "repro.digest.omit_at_default"
+
+#: Field metadata for an optional spec field the digest leaves out
+#: while it holds its default: ``field(default=None,
+#: metadata=OMIT_AT_DEFAULT)``.
+OMIT_AT_DEFAULT = {_OMIT_KEY: True}
+
 
 def canonical_data(obj: Any, _depth: int = 0) -> Any:
     """Reduce ``obj`` to a JSON-encodable canonical form.
@@ -61,9 +71,10 @@ def canonical_data(obj: Any, _depth: int = 0) -> Any:
     if is_dataclass(obj) and not isinstance(obj, type):
         encoded: dict[str, Any] = {"__type__": type(obj).__qualname__}
         for field in fields(obj):
-            encoded[field.name] = canonical_data(
-                getattr(obj, field.name), _depth + 1
-            )
+            value = getattr(obj, field.name)
+            if value is field.default and _OMIT_KEY in field.metadata:
+                continue
+            encoded[field.name] = canonical_data(value, _depth + 1)
         return encoded
     if isinstance(obj, dict):
         pairs = [

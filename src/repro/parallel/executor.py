@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -118,11 +117,6 @@ class SweepExecutor:
     Args:
         jobs: worker processes; ``None`` auto-detects via
             :func:`default_jobs`.  ``1`` never creates a pool.
-        timeout: optional wall-clock deadline in seconds for one
-            parallel sweep; runs still unfinished at the deadline are
-            reported as failed outcomes naming their cell (best
-            effort: already-running workers are abandoned, not
-            killed).
         progress: optional progress sink (:class:`SweepProgress`, or
             any object with ``begin(specs)``, ``update(outcome)`` and
             ``finish()``), notified once per settled run in completion
@@ -146,7 +140,6 @@ class SweepExecutor:
     def __init__(
         self,
         jobs: int | None = None,
-        timeout: float | None = None,
         progress: SweepProgress | None = None,
         store: ResultStore | None = None,
         ops: OpsLog | None = None,
@@ -154,12 +147,7 @@ class SweepExecutor:
     ) -> None:
         if jobs is not None and jobs < 1:
             raise ExperimentError(f"jobs must be >= 1: {jobs}")
-        if timeout is not None and timeout <= 0:
-            raise ExperimentError(
-                f"timeout must be positive: {timeout}"
-            )
         self.jobs = jobs if jobs is not None else default_jobs()
-        self.timeout = timeout
         self.store = store
         self.ops = ops if ops is not None else NULL_OPS
         self._sinks = [s for s in (progress, heartbeat) if s is not None]
@@ -328,45 +316,23 @@ class SweepExecutor:
             return []
         workers = max(1, min(self.jobs, len(groups)))
         pool = ProcessPoolExecutor(max_workers=workers)
-        timed_out = False
         outcomes: list[RunOutcome] = []
         try:
             futures = {
                 pool.submit(pool_entry, group[0]): key
                 for key, group in groups.items()
             }
-            yielded: set = set()
-            try:
-                # Consume in completion order so the progress reporter
-                # sees runs as workers finish; determinism comes from
-                # the caller's (cell, seed) sort afterwards.
-                for future in as_completed(
-                    futures, timeout=self.timeout
-                ):
-                    yielded.add(future)
-                    key = futures[future]
-                    group = groups[key]
-                    outcomes += self._settle(
-                        key, group, self._result(future, group[0])
-                    )
-            except FuturesTimeout:
-                timed_out = True
-                for future, key in futures.items():
-                    if future in yielded:
-                        continue
-                    group = groups[key]
-                    if future.done():
-                        outcome = self._result(future, group[0])
-                    else:
-                        future.cancel()
-                        outcome = failed_outcome(
-                            group[0],
-                            f"TimeoutError: sweep deadline "
-                            f"({self.timeout}s) exceeded",
-                        )
-                    outcomes += self._settle(key, group, outcome)
+            # Consume in completion order so the progress reporter sees
+            # runs as workers finish; determinism comes from the
+            # caller's (cell, seed) sort afterwards.
+            for future in as_completed(futures):
+                key = futures[future]
+                group = groups[key]
+                outcomes += self._settle(
+                    key, group, self._result(future, group[0])
+                )
         finally:
-            pool.shutdown(wait=not timed_out, cancel_futures=True)
+            pool.shutdown(cancel_futures=True)
         return outcomes
 
     def _result(self, future, spec: RunSpec) -> RunOutcome:

@@ -15,15 +15,18 @@ cross-process cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..core.policy import DownloadPolicy
 from ..core.splicer import DurationSplicer, GopSplicer, Splicer
 from ..errors import ExperimentError
+from ..net.tcp import TcpParams
+from ..p2p.selection import PieceSelector
 from ..p2p.swarm import FIDELITY_TIERS
 from ..video.bitstream import Bitstream
 from ..video.encoder import encode_paper_video
 from ..experiments.config import ExperimentConfig
+from .digest import OMIT_AT_DEFAULT
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,6 +141,12 @@ class CellSpec:
             defers to ``config.fidelity``).  Part of the cell's
             content digest: changing the backend changes the spec
             identity, so manifests and caches never conflate tiers.
+        selector: piece-selection override (``None``: the swarm's
+            sequential default).
+        tcp_params: transport override (``None``: the swarm's TCP
+            default).  This field and ``selector`` are left out of the
+            content digest while ``None``, so cells without them keep
+            the keys they had before the fields existed.
         label: human-readable cell identity used in failure reports
             (e.g. ``"fig2/gop @ 128 kB/s"``).
     """
@@ -151,6 +160,12 @@ class CellSpec:
     preroll_segments: int | None = None
     square_wave: SquareWave | None = None
     fidelity: str | None = None
+    selector: PieceSelector | None = field(
+        default=None, metadata=OMIT_AT_DEFAULT
+    )
+    tcp_params: TcpParams | None = field(
+        default=None, metadata=OMIT_AT_DEFAULT
+    )
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -186,6 +201,8 @@ def cell_for(
     preroll_segments: int | None = None,
     square_wave: SquareWave | None = None,
     fidelity: str | None = None,
+    selector: PieceSelector | None = None,
+    tcp_params: TcpParams | None = None,
     label: str = "",
 ) -> CellSpec:
     """Build a cell, picking the cacheable path when possible.
@@ -207,6 +224,8 @@ def cell_for(
         preroll_segments=preroll_segments,
         square_wave=square_wave,
         fidelity=fidelity,
+        selector=selector,
+        tcp_params=tcp_params,
         label=label,
     )
 

@@ -107,7 +107,8 @@ class Simulation:
         video_spec: the cacheable video description, or ``None``.
         video: the explicit bitstream, or ``None``.
         swarm_config: the session parameters, with the cell's
-            pre-roll and fidelity overrides applied.
+            pre-roll, fidelity, selector and transport overrides
+            applied.
         square_wave: optional mid-run bandwidth modulation.
     """
 
@@ -130,6 +131,10 @@ def resolve(spec: RunSpec) -> Simulation:
         )
     if cell.fidelity is not None:
         swarm_config = replace(swarm_config, fidelity=cell.fidelity)
+    if cell.selector is not None:
+        swarm_config = replace(swarm_config, selector=cell.selector)
+    if cell.tcp_params is not None:
+        swarm_config = replace(swarm_config, tcp_params=cell.tcp_params)
     return Simulation(
         splicer=cell.splicer,
         video_spec=cell.video_spec,

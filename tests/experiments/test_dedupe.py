@@ -22,7 +22,9 @@ from repro.experiments.config import (
     figure_axis,
     sweep_config,
 )
+from repro.net.tcp import ppspp_params
 from repro.p2p.churn import ChurnConfig
+from repro.p2p.selection import WindowedRarestSelector
 from repro.parallel import (
     CellSpec,
     ResultStore,
@@ -151,6 +153,13 @@ class TestSimulationIdentity:
                 id="square-wave",
             ),
             pytest.param(
+                lambda: _run(selector=WindowedRarestSelector()),
+                id="selector",
+            ),
+            pytest.param(
+                lambda: _run(tcp_params=ppspp_params()), id="transport"
+            ),
+            pytest.param(
                 lambda: _run(video_spec=VideoSpec(seed=2)), id="video"
             ),
             pytest.param(
@@ -183,6 +192,7 @@ class TestSimulationIdentity:
         assert simulation_identity(changed()) != simulation_identity(
             _run()
         )
+        assert run_identity(changed()) != run_identity(_run())
 
     def test_explicit_videos_separate(self, short_video, tiny_video):
         spec = _run()

@@ -79,10 +79,6 @@ class TestRunCell:
         assert cell.finished_fraction == 1.0
         assert cell.stall_count >= 0
 
-    def test_rounded_stalls(self, short_video, fast_config):
-        cell = one_cell(short_video, 512, fast_config)
-        assert cell.rounded_stalls == round(cell.stall_count)
-
     def test_deterministic(self, short_video, fast_config):
         a = one_cell(short_video, 512, fast_config)
         b = one_cell(short_video, 512, fast_config)

@@ -1,5 +1,7 @@
 """Smoke tests for the selection, transport, and ABR studies."""
 
+import random
+
 import pytest
 
 from repro.experiments import ExperimentConfig
@@ -8,11 +10,25 @@ from repro.experiments.abr_study import run as run_abr
 from repro.experiments.selection_study import run as run_selection
 from repro.experiments.transport_study import run as run_transport
 from repro.errors import ExperimentError
+from repro.parallel import SweepExecutor
+from repro.video.encoder import EncoderConfig, SyntheticEncoder
+from repro.video.scene import generate_scene_plan
 
 
 @pytest.fixture(scope="module")
 def fast_config():
     return ExperimentConfig(n_leechers=3, seeds=(5,), max_time=600.0)
+
+
+@pytest.fixture(scope="module")
+def minute_video():
+    """A 60-second video: long enough that churn (mean lifetime 45 s)
+    departs a peer before its playback ends."""
+    rng = random.Random(42)
+    plan = generate_scene_plan(60.0, rng)
+    return SyntheticEncoder(
+        EncoderConfig(bitrate=950_000.0)
+    ).encode(plan, rng)
 
 
 class TestSelectionStudy:
@@ -24,6 +40,46 @@ class TestSelectionStudy:
         assert "sequential" in labels
         assert "sequential +churn" in labels
         assert any("windowed" in label for label in labels)
+
+    def test_churn_cells_count_departed_peers(
+        self, fast_config, minute_video
+    ):
+        result = run_selection(
+            fast_config, video=minute_video, bandwidth_kb=512
+        )
+        for label, cells in result.series.items():
+            if label.endswith("+churn"):
+                assert cells[0].finished_fraction < 1.0, label
+            else:
+                assert cells[0].finished_fraction == 1.0, label
+
+
+class TestStudyParity:
+    @pytest.mark.parametrize(
+        "study",
+        [
+            pytest.param(
+                lambda config, video, executor: run_selection(
+                    config, video=video, bandwidth_kb=512,
+                    executor=executor,
+                ),
+                id="A6",
+            ),
+            pytest.param(
+                lambda config, video, executor: run_transport(
+                    config, video=video, bandwidths_kb=(256, 512),
+                    executor=executor,
+                ),
+                id="A9",
+            ),
+        ],
+    )
+    def test_serial_and_parallel_results_identical(
+        self, fast_config, short_video, study
+    ):
+        serial = study(fast_config, short_video, SweepExecutor(jobs=1))
+        parallel = study(fast_config, short_video, SweepExecutor(jobs=2))
+        assert serial == parallel
 
 
 class TestTransportStudy:

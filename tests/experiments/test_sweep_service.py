@@ -15,12 +15,14 @@ import os
 import pytest
 
 from repro.errors import StoreError
-from repro.experiments import fig2, sweep_service
+from repro.experiments import ablations, fig2, sweep_service
+from repro.experiments.config import sweep_config
 from repro.experiments.report import format_figure
 from repro.experiments.sweep_service import (
     SWEEP_SCHEMA,
     build_plan,
     dump_plan,
+    expand_runs,
     load_plan,
     merge_plan,
     run_shard,
@@ -36,7 +38,7 @@ from repro.obs.ops import (
     read_heartbeat,
     shard_ops_path,
 )
-from repro.parallel import ResultStore, SweepExecutor
+from repro.parallel import ResultStore, SweepExecutor, run_identity
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +128,59 @@ class TestStoreKeys:
         assert (
             hashlib.sha256(payload).hexdigest()
             == STORE_KEYS[(figure, quick)]
+        )
+
+
+#: sha256 of the JSON list of ordered run digests of each swarm
+#: ablation at quick scale and its default axes, as ``repro reproduce
+#: --quick`` requests them.  Recorded before cells could carry a piece
+#: selector or transport: those optional ``CellSpec`` fields must not
+#: move an existing key.
+ABLATION_KEYS = {
+    "A1": "e25331ca28ad4a96f7e8e17bbd7b35cf"
+    "21fc4024f1d318c8537866ac6eced871",
+    "A2": "3c4eebe31dae9a02ae278bdaf0fe55d6"
+    "40aa89ff047f9825dcd444335fc5265f",
+    "A4": "975658002bc6a6c41d956a4b09c9383a"
+    "20d22588bf25dd1575dd3714b0fab339",
+    "A5": "94884d78ee71f969c934e34e2731f7d0"
+    "8b64c03d6d16fac75d134cf04192abcd",
+    "A7": "48762c0de85de3eac029a28a6e49a128"
+    "26f90deaf5cbdda70aa3d7817381d422",
+    "A8": "c345b648fd3ad44c46ed28c537c193da"
+    "4908f14b806d63bb74db66fe699edcb3",
+}
+
+ABLATIONS = {
+    "A1": ablations.run_segment_size_sweep,
+    "A2": ablations.run_churn,
+    "A4": ablations.run_variable_bandwidth,
+    "A5": ablations.run_adaptive_splicing,
+    "A7": ablations.run_preroll,
+    "A8": ablations.run_swarm_scaling,
+}
+
+
+class _CellRecorder:
+    """Stands in for a :class:`SweepExecutor`: records, runs nothing."""
+
+    def __init__(self):
+        self.cells = []
+
+    def run_cells(self, cells, analyze=False):
+        self.cells.extend(cells)
+        return [None] * len(cells)
+
+
+class TestAblationStoreKeys:
+    @pytest.mark.parametrize("figure", sorted(ABLATION_KEYS))
+    def test_ablation_store_keys_are_pinned(self, figure):
+        recorder = _CellRecorder()
+        ABLATIONS[figure](sweep_config(True), executor=recorder)
+        digests = [run_identity(spec) for spec in expand_runs(recorder.cells)]
+        payload = json.dumps(digests).encode("utf-8")
+        assert (
+            hashlib.sha256(payload).hexdigest() == ABLATION_KEYS[figure]
         )
 
 

@@ -326,9 +326,7 @@ class TestSlotsAndChoking:
         assert leecher.player.buffer.complete
 
     def test_busy_choke_rejects_non_urgent(self):
-        # Without the preference for peers the seeder competes with
-        # the other leecher, so only the back-off can keep it out.
-        swarm = MiniSwarm(n_leechers=2, prefer_peers_over_seeder=False)
+        swarm = MiniSwarm(n_leechers=2)
         swarm.seeder.upload_slots = 1
         a, b = swarm.leechers
         requests = []  # (time, requester, index, urgent)
@@ -369,19 +367,23 @@ class TestSlotsAndChoking:
         assert a._source_backoff["seeder"] == expiry
         assert swarm.sim.now < expiry
 
-        # The back-off keeps the seeder out of _choose_source until it
-        # expires.  Probe a segment both the seeder and b hold, with
-        # in-flight load cleared so the load balance cannot decide.
+        # Leechers prefer each other to the seeder, so a back-off
+        # against b is what sends a segment b holds to the seeder:
+        # say b chokes a just as the seeder's back-off expires.  Probe
+        # a segment both the seeder and b hold, with in-flight load
+        # cleared so the load balance cannot decide.
         shared = min(a._availability["seeder"] & a._availability[b.name])
+        b_expiry = expiry + a._config.busy_backoff
 
         def picks(now):
-            with mock.patch.object(a, "_inflight", {}), \
+            with mock.patch.dict(a._source_backoff, {b.name: b_expiry}), \
+                    mock.patch.object(a, "_inflight", {}), \
                     mock.patch.object(a, "_sim", SimpleNamespace(now=now)):
                 return {a._choose_source(shared) for _ in range(32)}
 
-        assert picks(swarm.sim.now) == {b.name}
-        assert picks(math.nextafter(expiry, 0.0)) == {b.name}
-        assert picks(expiry) == {"seeder", b.name}
+        assert picks(expiry) == {"seeder"}
+        assert picks(math.nextafter(b_expiry, 0.0)) == {"seeder"}
+        assert picks(b_expiry) == {b.name}
 
     def test_unbounded_slots_serve_all(self):
         swarm = MiniSwarm(n_leechers=3)

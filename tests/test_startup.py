@@ -73,6 +73,7 @@ def test_version_leaves_the_simulator_unloaded():
     loaded = _loaded("from repro.cli import main\nmain(['--version'])\n")
     assert "repro.cli" in loaded
     assert not loaded & {"repro.p2p.swarm", "repro.experiments.ablations"}
+    assert [name for name in DIAGNOSIS if name in loaded] == []
 
 
 def test_sweep_imports_leave_the_diagnosis_layer_unloaded():
