@@ -49,11 +49,8 @@ __all__ = [
     "adaptive_pool_size",
     "encode_paper_video",
     "kB_per_s",
-    "kbps",
-    "kilobytes",
     "max_cdn_segment_size",
     "mbps",
-    "megabytes",
     "__version__",
 ]
 
@@ -77,10 +74,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "PlayerState": "player.player",
     "StreamingMetrics": "player.metrics",
     "kB_per_s": "units",
-    "kbps": "units",
-    "kilobytes": "units",
     "mbps": "units",
-    "megabytes": "units",
     "Bitstream": "video.bitstream",
     "EncoderConfig": "video.encoder",
     "SyntheticEncoder": "video.encoder",

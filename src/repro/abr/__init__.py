@@ -7,9 +7,9 @@ bit-rates, it will degrade the video quality ...  Instead of varying
 the bit-rate, we can vary the segment duration."
 
 To quantify that argument, this package implements the contrasted
-baseline: a multi-bitrate ladder (:mod:`repro.abr.ladder`), the two
-classic client policies (:mod:`repro.abr.policy` — throughput-based
-and buffer-based), and a client-server streaming session
+baseline: a multi-bitrate ladder (:mod:`repro.abr.ladder`), the
+buffer-based client policy and a fixed-rung control
+(:mod:`repro.abr.policy`), and a client-server streaming session
 (:mod:`repro.abr.session`) reporting stalls *and* delivered quality.
 """
 
@@ -23,7 +23,6 @@ __all__ = [
     "BitrateLadder",
     "BufferBasedAbr",
     "Rendition",
-    "ThroughputAbr",
     "encode_ladder",
 ]
 
@@ -33,7 +32,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "encode_ladder": "ladder",
     "AbrPolicy": "policy",
     "BufferBasedAbr": "policy",
-    "ThroughputAbr": "policy",
     "AbrMetrics": "session",
     "AbrSession": "session",
     "AbrSessionConfig": "session",

@@ -76,11 +76,6 @@ class BitrateLadder:
         """The highest-quality rung."""
         return self._renditions[-1]
 
-    @property
-    def bottom(self) -> Rendition:
-        """The lowest-quality rung."""
-        return self._renditions[0]
-
     def rung(self, index: int) -> Rendition:
         """The ``index``-th rung (ascending bitrate)."""
         return self._renditions[index]

@@ -1,12 +1,10 @@
 """ABR rendition-selection policies.
 
-The two families the measurement literature (the paper's reference
-[7], "Confused, Timid, and Unstable") contrasts:
-
-* **throughput-based** — pick the highest bitrate below a safety
-  fraction of the estimated throughput;
-* **buffer-based** (BBA-style) — map the buffer level linearly from a
-  reservoir to a cushion onto the ladder, ignoring throughput.
+The measurement literature (the paper's reference [7], "Confused,
+Timid, and Unstable") contrasts throughput-based policies with
+**buffer-based** (BBA-style) ones, which map the buffer level linearly
+from a reservoir to a cushion onto the ladder, ignoring throughput.
+The study runs the buffer-based policy against a fixed-rung control.
 """
 
 from __future__ import annotations
@@ -41,41 +39,6 @@ class AbrPolicy(abc.ABC):
             throughput_estimate: recent bytes/second, None early on.
             current_rung: the rung of the previous segment.
         """
-
-
-class ThroughputAbr(AbrPolicy):
-    """Highest bitrate under ``safety * estimated throughput``.
-
-    Args:
-        safety: fraction of the estimate considered spendable.
-    """
-
-    def __init__(self, safety: float = 0.8) -> None:
-        if not 0.0 < safety <= 1.0:
-            raise ConfigurationError(
-                f"safety must be in (0, 1], got {safety}"
-            )
-        self._safety = safety
-
-    @property
-    def name(self) -> str:
-        return f"throughput-{self._safety:g}"
-
-    def choose(
-        self,
-        ladder: BitrateLadder,
-        buffer_level: float,
-        throughput_estimate: float | None,
-        current_rung: int,
-    ) -> int:
-        if throughput_estimate is None:
-            return 0  # start cautious, like real players
-        budget = self._safety * throughput_estimate * 8  # bits/s
-        chosen = 0
-        for index, bitrate in enumerate(ladder.bitrates):
-            if bitrate <= budget:
-                chosen = index
-        return chosen
 
 
 class BufferBasedAbr(AbrPolicy):

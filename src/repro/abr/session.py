@@ -24,6 +24,9 @@ from ..player.player import Player, PlayerState
 from .ladder import BitrateLadder
 from .policy import AbrPolicy
 
+#: Stop fetching above this many buffered seconds.
+MAX_BUFFER = 30.0
+
 
 @dataclass(frozen=True, slots=True)
 class AbrSessionConfig:
@@ -34,7 +37,6 @@ class AbrSessionConfig:
         server_bandwidth: CDN bandwidth; ``None`` uses 8x the client.
         rtt: client-server round-trip time, seconds.
         path_loss: end-to-end loss probability.
-        max_buffer: stop fetching above this many buffered seconds.
         tcp_params: transport model parameters.
     """
 
@@ -42,17 +44,12 @@ class AbrSessionConfig:
     server_bandwidth: float | None = None
     rtt: float = 0.05
     path_loss: float = 0.05
-    max_buffer: float = 30.0
     tcp_params: TcpParams = field(default_factory=TcpParams)
 
     def __post_init__(self) -> None:
         if self.bandwidth <= 0:
             raise ConfigurationError(
                 f"bandwidth must be positive, got {self.bandwidth}"
-            )
-        if self.max_buffer <= 0:
-            raise ConfigurationError(
-                f"max_buffer must be positive, got {self.max_buffer}"
             )
 
 
@@ -154,12 +151,12 @@ class AbrSession:
         if self._next_segment >= self._ladder.segment_count:
             return
         buffer_level = self._buffer_level()
-        if buffer_level >= self._config.max_buffer:
+        if buffer_level >= MAX_BUFFER:
             # Buffer full: resume when one segment's worth drained.
             self.sim.schedule(
                 max(
                     0.1,
-                    buffer_level - self._config.max_buffer + 1.0,
+                    buffer_level - MAX_BUFFER + 1.0,
                 ),
                 self._fetch_next,
             )

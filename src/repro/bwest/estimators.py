@@ -66,45 +66,6 @@ class WindowedThroughputEstimator:
         return total / span
 
 
-class EwmaThroughputEstimator:
-    """Exponentially-weighted moving average of inter-arrival throughput.
-
-    Each arrival contributes an instantaneous rate (bytes since the
-    previous arrival divided by the gap), smoothed with factor
-    ``alpha``.
-
-    Args:
-        alpha: smoothing factor in (0, 1]; higher reacts faster.
-    """
-
-    def __init__(self, alpha: float = 0.3) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigurationError(f"alpha must be in (0, 1]: {alpha}")
-        self._alpha = alpha
-        self._last_time: float | None = None
-        self._value: float | None = None
-
-    def record(self, time: float, num_bytes: float) -> None:
-        """Record ``num_bytes`` arriving at ``time``."""
-        if num_bytes < 0:
-            raise ConfigurationError(
-                f"num_bytes must be >= 0, got {num_bytes}"
-            )
-        if self._last_time is not None and time > self._last_time:
-            rate = num_bytes / (time - self._last_time)
-            if self._value is None:
-                self._value = rate
-            else:
-                self._value = (
-                    self._alpha * rate + (1.0 - self._alpha) * self._value
-                )
-        self._last_time = time
-
-    def estimate(self, now: float) -> float | None:
-        """Smoothed bytes/second, or None before two arrivals."""
-        return self._value
-
-
 class MathisEstimator:
     """Model-based ceiling: ``MSS / (RTT * sqrt(2p/3))``.
 

@@ -52,10 +52,6 @@ class WireFormatError(ProtocolError):
     """Bytes on the wire could not be decoded into a message."""
 
 
-class HandshakeError(ProtocolError):
-    """Peers failed to agree on a session during handshake."""
-
-
 class PeerError(ReproError):
     """A peer was driven into an invalid state."""
 

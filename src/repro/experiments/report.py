@@ -136,17 +136,6 @@ def format_figure_analysis(result: FigureResult) -> str:
     return "\n".join(lines)
 
 
-def format_cells_csv(result: FigureResult) -> str:
-    """Render a figure's data as CSV (series,bandwidth_kb,value)."""
-    lines = ["series,bandwidth_kb,value"]
-    for label, cells in result.series.items():
-        for cell in cells:
-            lines.append(
-                f"{label},{cell.bandwidth_kb:g},{result.value(cell):g}"
-            )
-    return "\n".join(lines)
-
-
 def format_overhead(rows: Sequence[OverheadRow]) -> str:
     """Render the A3 byte-overhead rows as a technique table."""
     lines = [

@@ -163,15 +163,6 @@ _PLAN = schema.table(
 )
 
 
-def validate_plan(payload: object) -> dict:
-    """Check a plan document's shape; returns it on success.
-
-    Raises:
-        StoreError: on schema drift or a structurally invalid plan.
-    """
-    return schema.validate(payload, _PLAN, StoreError, "sweep plan")
-
-
 def load_plan(path: str | Path) -> dict:
     """Read and validate a plan written by ``repro sweep plan``."""
     return schema.load_json(path, _PLAN, StoreError, "sweep plan")

@@ -53,14 +53,12 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "load_config",
-    "load_payload",
     "module_name",
     "parse_suppressions",
     "render_statistics",
     "render_text",
     "resolve_rules",
     "rule_ids",
-    "validate_payload",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -84,8 +82,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "resolve_rules": "runner",
     "LINT_SCHEMA": "schema",
     "build_payload": "schema",
-    "load_payload": "schema",
-    "validate_payload": "schema",
     "Suppression": "suppressions",
     "parse_suppressions": "suppressions",
     "ModuleContext": "walker",

@@ -58,9 +58,6 @@ class EventHandle:
         """Whether :meth:`cancel` was called."""
         return self._cancelled
 
-    def _fire(self) -> None:
-        self._callback(*self._args)
-
 
 class Simulator:
     """The simulated clock and event queue.
@@ -247,18 +244,4 @@ class Simulator:
                     events_fired=fired,
                     wall_seconds=perf_counter() - wall_started,
                 )
-            )
-
-    def run_until_idle(self, max_time: float = 1e9) -> None:
-        """Run until no events remain, guarding against runaway loops.
-
-        Raises:
-            SimulationError: if the clock exceeds ``max_time`` with
-                events still pending (almost always a scheduling bug).
-        """
-        self.run(until=max_time)
-        if self.pending_events:
-            raise SimulationError(
-                f"simulation still has {self.pending_events} events pending "
-                f"at the {max_time}s safety limit"
             )

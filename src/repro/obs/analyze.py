@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..errors import TraceError
 from .causes import (
@@ -31,7 +31,6 @@ from .causes import (
 )
 from .context import Observability
 from .events import TraceEvent
-from .export import load_jsonl
 from .timeline import InvariantViolation, PeerTimeline, build_timelines
 
 _EPS = 1e-9
@@ -249,16 +248,6 @@ def analyze_observability(obs: Observability) -> RunAnalysis:
     """
     evicted = getattr(obs.tracer, "evicted", 0)
     return analyze_events(obs.events(), truncated=evicted > 0)
-
-
-def analyze_file(path: str | IO[str]) -> RunAnalysis:
-    """Load a JSONL trace and analyze it.
-
-    Raises:
-        TraceError: when the file is missing or malformed — callers
-            (the CLI) turn this into exit code 2.
-    """
-    return analyze_events(load_jsonl(path))
 
 
 def merge_analyses(rollups: Sequence[CellAnalysis]) -> CellAnalysis:

@@ -24,7 +24,6 @@ the committed artifact, and fail the job on exit code 1.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -99,14 +98,6 @@ class Comparison:
     def regressions(self) -> tuple[MetricDelta, ...]:
         return tuple(
             row for row in self.rows if row.verdict == VERDICT_REGRESSION
-        )
-
-    @property
-    def improvements(self) -> tuple[MetricDelta, ...]:
-        return tuple(
-            row
-            for row in self.rows
-            if row.verdict == VERDICT_IMPROVEMENT
         )
 
     @property
@@ -310,11 +301,3 @@ def _verdict_counts(rows: Iterable[MetricDelta]) -> dict[str, int]:
     for row in rows:
         counts[row.verdict] += 1
     return counts
-
-
-def mean_delta_pct(rows: Iterable[MetricDelta]) -> float | None:
-    """Mean percentage delta over rows (None when empty)."""
-    values = [row.delta_pct for row in rows]
-    if not values:
-        return None
-    return statistics.fmean(values)

@@ -60,11 +60,6 @@ class Observability:
             profile=EngineProfile() if profile else None,
         )
 
-    @classmethod
-    def metrics_only(cls) -> "Observability":
-        """A context that aggregates metrics but records no events."""
-        return cls(tracer=NULL_TRACER)
-
     def events(self) -> list:
         """The tracer's retained events (empty when disabled)."""
         return self.tracer.events()

@@ -1,22 +1,18 @@
-"""Exporters: JSONL traces, JSON documents, CSV timeseries.
+"""Exporters: JSONL traces and JSON documents.
 
 * **JSONL** — one event per line, for tooling (``jq``, pandas) and for
   ``repro analyze``.  Round-trips losslessly: loading a dump yields
   events equal to the originals.
 * **JSON** — the one encoder for versioned machine-readable artifacts.
-* **CSV** — every registry timeseries flattened to
-  ``metric,time,value`` rows.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from typing import IO, Iterable, TextIO
 
 from ..errors import TraceError
 from .events import TraceEvent, event_from_dict
-from .metrics import MetricsRegistry
 
 # -- JSONL -------------------------------------------------------------
 
@@ -73,13 +69,6 @@ def load_jsonl(source: str | IO[str]) -> list[TraceEvent]:
     return events
 
 
-def events_to_jsonl(events: Iterable[TraceEvent]) -> str:
-    """The JSONL text for ``events`` (convenience for tests/examples)."""
-    buffer = io.StringIO()
-    dump_jsonl(events, buffer)
-    return buffer.getvalue()
-
-
 # -- JSON documents ----------------------------------------------------
 
 
@@ -96,16 +85,4 @@ def dump_json(payload: dict, destination: str | TextIO) -> None:
         return
     json.dump(payload, destination, indent=2, sort_keys=True)
     destination.write("\n")
-
-
-# -- CSV ---------------------------------------------------------------
-
-
-def timeseries_csv(registry: MetricsRegistry) -> str:
-    """Flatten every registry timeseries to ``metric,time,value`` CSV."""
-    lines = ["metric,time,value"]
-    for name in sorted(registry.all_timeseries()):
-        for time, value in registry.timeseries(name).samples:
-            lines.append(f"{name},{time!r},{value!r}")
-    return "\n".join(lines) + "\n"
 

@@ -15,7 +15,6 @@ Three primitives cover the stack's needs:
   per-decision mean would mislead.  Multiple independent keys (one per
   peer) may feed one histogram; each key's value is weighted by its
   own holding time, so the result reads as *peer-seconds at value v*.
-* :class:`Timeseries` — raw ``(time, value)`` samples for CSV export.
 """
 
 from __future__ import annotations
@@ -161,27 +160,6 @@ class TimeWeightedHistogram:
         )
 
 
-class Timeseries:
-    """Raw ``(sim_time, value)`` samples, in arrival order."""
-
-    __slots__ = ("name", "samples")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.samples: list[tuple[float, float]] = []
-
-    def sample(self, time: float, value: float) -> None:
-        """Append one sample."""
-        self.samples.append((time, value))
-
-    def values(self) -> list[float]:
-        """Just the sampled values, in order."""
-        return [value for _, value in self.samples]
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
 class MetricsRegistry:
     """Get-or-create home for every metric of a run.
 
@@ -194,15 +172,9 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, TimeWeightedHistogram] = {}
-        self._timeseries: dict[str, Timeseries] = {}
 
     def _claim(self, name: str, kind: dict) -> None:
-        for registry in (
-            self._counters,
-            self._gauges,
-            self._histograms,
-            self._timeseries,
-        ):
+        for registry in (self._counters, self._gauges, self._histograms):
             if registry is not kind and name in registry:
                 raise TraceError(
                     f"metric name {name!r} already used by another kind"
@@ -232,14 +204,6 @@ class MetricsRegistry:
             metric = self._histograms[name] = TimeWeightedHistogram(name)
         return metric
 
-    def timeseries(self, name: str) -> Timeseries:
-        """The timeseries called ``name`` (created on first use)."""
-        metric = self._timeseries.get(name)
-        if metric is None:
-            self._claim(name, self._timeseries)
-            metric = self._timeseries[name] = Timeseries(name)
-        return metric
-
     def counters(self) -> dict[str, Counter]:
         """All counters, by name (a copy)."""
         return dict(self._counters)
@@ -252,14 +216,7 @@ class MetricsRegistry:
         """All histograms, by name (a copy)."""
         return dict(self._histograms)
 
-    def all_timeseries(self) -> dict[str, Timeseries]:
-        """All timeseries, by name (a copy)."""
-        return dict(self._timeseries)
-
     def __len__(self) -> int:
         return (
-            len(self._counters)
-            + len(self._gauges)
-            + len(self._histograms)
-            + len(self._timeseries)
+            len(self._counters) + len(self._gauges) + len(self._histograms)
         )

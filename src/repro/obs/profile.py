@@ -69,11 +69,6 @@ class EngineProfile:
         """Total callbacks timed across all categories."""
         return sum(self.counts.values())
 
-    @property
-    def total_wall_seconds(self) -> float:
-        """Total host seconds spent inside handlers."""
-        return sum(self.wall_seconds.values())
-
     def publish(self, registry) -> None:
         """Copy the totals into a metrics registry.
 

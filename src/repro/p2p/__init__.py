@@ -34,7 +34,6 @@ __all__ = [
     "Message",
     "Piece",
     "PieceSelector",
-    "RarestFirstSelector",
     "Request",
     "RequestRejected",
     "Seeder",
@@ -69,7 +68,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "FluidSwarm": "scale",
     "Seeder": "seeder",
     "PieceSelector": "selection",
-    "RarestFirstSelector": "selection",
     "SequentialSelector": "selection",
     "WindowedRarestSelector": "selection",
     "FIDELITY_TIERS": "swarm",

@@ -46,6 +46,21 @@ from .messages import (
 from .peer import ControlPlane, PeerBase
 from .selection import PieceSelector, SequentialSelector, TracingSelector
 
+#: Floor of a request's timeout, seconds.
+REQUEST_TIMEOUT_BASE = 4.0
+
+#: A request's timeout also scales with the segment's expected transfer
+#: time at ``bandwidth_hint``: after ``base + factor * size / hint``
+#: seconds with no data, the leecher cancels and re-requests from
+#: another holder.
+REQUEST_TIMEOUT_FACTOR = 3.0
+
+#: Seconds to avoid a source after it choked us.
+BUSY_BACKOFF = 2.0
+
+#: Seconds between manifest-request retries while no manifest arrived.
+MANIFEST_RETRY_INTERVAL = 5.0
+
 
 class BandwidthEstimator(Protocol):
     """Interface for live bandwidth estimation (see :mod:`repro.bwest`)."""
@@ -78,20 +93,6 @@ class LeecherConfig:
             a time ("peers can download one segment at a time" from the
             CDN), relying on segment sizing rather than parallelism.
         seed: per-leecher RNG seed for tie-breaking among sources.
-        batch_mode: refill discipline.  ``True`` reproduces the paper's
-            client: fill the pool with ``k`` segments, wait until *all*
-            of them arrive, then fill the next pool — Eq. 1 is derived
-            exactly for this discipline ("all the k segments have to be
-            downloaded by T seconds").  ``False`` uses a sliding
-            window: top the pool back up as each segment lands.
-        busy_backoff: seconds to avoid a source after it choked us.
-        request_timeout_base: floor of the request timeout, seconds.
-        request_timeout_factor: the timeout also scales with the
-            segment's expected transfer time at ``bandwidth_hint``;
-            after ``base + factor * size / hint`` seconds with no data,
-            the leecher cancels and re-requests from another holder.
-        manifest_retry_interval: seconds between manifest-request
-            retries while no manifest has arrived.
         preroll_segments: contiguous segments buffered before playback
             starts (paper: 1).
     """
@@ -102,11 +103,6 @@ class LeecherConfig:
     selector: PieceSelector = field(default_factory=SequentialSelector)
     cdn_sources: frozenset[str] = frozenset()
     seed: int = 0
-    batch_mode: bool = True
-    request_timeout_base: float = 4.0
-    request_timeout_factor: float = 3.0
-    busy_backoff: float = 2.0
-    manifest_retry_interval: float = 5.0
     preroll_segments: int = 1
 
     def __post_init__(self) -> None:
@@ -114,27 +110,12 @@ class LeecherConfig:
             raise ConfigurationError(
                 f"bandwidth_hint must be positive, got {self.bandwidth_hint}"
             )
-        if self.request_timeout_base <= 0:
-            raise ConfigurationError(
-                "request_timeout_base must be positive, got "
-                f"{self.request_timeout_base}"
-            )
-        if self.request_timeout_factor <= 0:
-            raise ConfigurationError(
-                "request_timeout_factor must be positive, got "
-                f"{self.request_timeout_factor}"
-            )
-        if self.manifest_retry_interval <= 0:
-            raise ConfigurationError(
-                "manifest_retry_interval must be positive, got "
-                f"{self.manifest_retry_interval}"
-            )
 
     def request_timeout(self, size: float) -> float:
         """Timeout for a request of a ``size``-byte segment, seconds."""
         return (
-            self.request_timeout_base
-            + self.request_timeout_factor * size / self.bandwidth_hint
+            REQUEST_TIMEOUT_BASE
+            + REQUEST_TIMEOUT_FACTOR * size / self.bandwidth_hint
         )
 
 
@@ -223,7 +204,7 @@ class Leecher(PeerBase):
             return
         self.send(self._seeder_name, ManifestRequest(peer_id=self.name))
         self._sim.schedule(
-            self._config.manifest_retry_interval, self._request_manifest
+            MANIFEST_RETRY_INTERVAL, self._request_manifest
         )
 
     def leave(self) -> None:
@@ -275,7 +256,7 @@ class Leecher(PeerBase):
         elif isinstance(message, RequestRejected):
             if message.busy:
                 self._source_backoff[src_name] = (
-                    self._sim.now + self._config.busy_backoff
+                    self._sim.now + BUSY_BACKOFF
                 )
             else:
                 # The peer does not actually hold the segment; stop
@@ -443,14 +424,20 @@ class Leecher(PeerBase):
             )
 
     def _refill(self) -> None:
-        """Top the download pool up to the policy's current size."""
+        """Fill the download pool once the previous batch has landed.
+
+        The paper's client fills the pool with ``k`` segments, waits
+        until *all* of them arrive, then fills the next pool: Eq. 1 is
+        derived exactly for this discipline ("all the k segments have
+        to be downloaded by T seconds").
+        """
         if not self.alive or self.manifest is None or self.player is None:
             return
         buffer = self.player.buffer
         if buffer.complete:
             return
-        if self._config.batch_mode and self._inflight:
-            return  # the paper's client: wait out the whole batch
+        if self._inflight:
+            return  # wait out the whole batch
         pool = self.desired_pool_size()
         if pool != self._last_pool_size:
             self._last_pool_size = pool
@@ -468,8 +455,6 @@ class Leecher(PeerBase):
                 self._metrics.histogram("p2p.pool_size").observe(
                     self._sim.now, pool, key=self.name
                 )
-        if len(self._inflight) >= pool:
-            return
         candidates = self._selector.order(
             buffer.missing(),
             self.player.next_needed,
@@ -479,8 +464,6 @@ class Leecher(PeerBase):
         for index in candidates:
             if len(self._inflight) >= pool:
                 break
-            if index in self._inflight:
-                continue
             source = self._choose_source(index)
             if source is None:
                 continue

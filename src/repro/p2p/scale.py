@@ -182,7 +182,7 @@ class _VectorSwarm:
             if config.seeder_bandwidth is not None
             else config.bandwidth
         )
-        self._seeder_cap = float(seeder_bw) * config.n_seeders
+        self._seeder_cap = float(seeder_bw)
         hint = (
             config.bandwidth_hint
             if config.bandwidth_hint is not None

@@ -70,30 +70,6 @@ class SequentialSelector(PieceSelector):
         return sorted(missing)
 
 
-class RarestFirstSelector(PieceSelector):
-    """Pure BitTorrent ordering: fewest holders first.
-
-    Poorly suited to streaming on its own (it happily fetches the
-    video's tail first); provided as the classic baseline.
-    """
-
-    @property
-    def name(self) -> str:
-        return "rarest-first"
-
-    def order(
-        self,
-        missing: list[int],
-        next_needed: int | None,
-        availability: dict[str, set[int]],
-        rng: random.Random,
-    ) -> list[int]:
-        counts = _holder_counts(missing, availability)
-        shuffled = list(missing)
-        rng.shuffle(shuffled)  # random tie-break, like BitTorrent
-        return sorted(shuffled, key=lambda index: counts[index])
-
-
 class WindowedRarestSelector(PieceSelector):
     """Streaming hybrid: sequential head, rarest-first look-ahead.
 

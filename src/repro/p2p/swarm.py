@@ -53,10 +53,6 @@ class SwarmConfig:
             ``bandwidth == bitrate`` has zero slack and every series
             degenerates to a permanent crawl.
         n_leechers: number of watching peers.
-        n_seeders: number of origin replicas.  The primary answers
-            manifest requests; extras (``seeder-2``...) join the
-            tracker like ordinary full peers, providing the
-            fault-tolerance the paper cites as a P2P motivation.
         peer_rtt: round-trip time between two leechers, seconds
             (paper: 50 ms).
         seeder_rtt: round-trip time of *control* exchanges with the
@@ -97,7 +93,6 @@ class SwarmConfig:
     bandwidth: float
     seeder_bandwidth: float | None = None
     n_leechers: int = 19
-    n_seeders: int = 1
     peer_rtt: float = milliseconds(50)
     seeder_rtt: float = milliseconds(500)
     path_loss: float = 0.05
@@ -138,10 +133,6 @@ class SwarmConfig:
         if self.n_leechers < 1:
             raise ConfigurationError(
                 f"n_leechers must be >= 1, got {self.n_leechers}"
-            )
-        if self.n_seeders < 1:
-            raise ConfigurationError(
-                f"n_seeders must be >= 1, got {self.n_seeders}"
             )
         if self.peer_rtt < 0 or self.seeder_rtt < 0:
             raise ConfigurationError("latencies must be >= 0")
@@ -291,32 +282,6 @@ class Swarm:
             config.upload_slots,
             obs=obs,
         )
-        seeder_bandwidth = (
-            config.seeder_bandwidth
-            if config.seeder_bandwidth is not None
-            else config.bandwidth
-        )
-        self.extra_seeders: list[Seeder] = []
-        for i in range(2, config.n_seeders + 1):
-            name = f"seeder-{i}"
-            node = self.topology.add_node(
-                name, seeder_bandwidth, hub_latency, loss
-            )
-            self.extra_seeders.append(
-                Seeder(
-                    name,
-                    node,
-                    self.sim,
-                    self.network,
-                    self.topology,
-                    self.control,
-                    splice,
-                    self.tracker,
-                    config.tcp_params,
-                    config.upload_slots,
-                    obs=obs,
-                )
-            )
         master = random.Random(config.seed)
         churn_model = (
             ChurnModel(config.churn, random.Random(master.getrandbits(32)))

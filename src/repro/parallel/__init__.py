@@ -38,7 +38,6 @@ __all__ = [
     "pool_entry",
     "run_identity",
     "simulation_identity",
-    "spec_digest",
     "splice_for",
 ]
 
@@ -49,7 +48,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "splice_for": "cache",
     "canonical_data": "digest",
     "content_digest": "digest",
-    "spec_digest": "digest",
     "JOBS_ENV_VAR": "executor",
     "SweepExecutor": "executor",
     "SweepStats": "executor",

@@ -119,9 +119,3 @@ def content_digest(obj: Any) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[
         :DIGEST_LENGTH
     ]
-
-
-def spec_digest(spec: Any) -> str:
-    """Digest of a :class:`CellSpec`/:class:`RunSpec` (alias with a
-    name that says what it is for)."""
-    return content_digest(spec)

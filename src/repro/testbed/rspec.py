@@ -100,16 +100,6 @@ class RSpecLink:
                 f"link {self.client_id}: packet_loss must be in [0, 1)"
             )
 
-    @property
-    def capacity_bytes_per_s(self) -> float:
-        """Shaped rate in bytes/second."""
-        return self.capacity_kbps * 1000 / 8.0
-
-    @property
-    def latency_seconds(self) -> float:
-        """One-way delay in seconds."""
-        return self.latency_ms / 1000.0
-
 
 @dataclass(frozen=True, slots=True)
 class RSpecDocument:
@@ -137,12 +127,6 @@ class RSpecDocument:
             if node.client_id == client_id:
                 return node
         raise RSpecError(f"unknown node {client_id!r}")
-
-    def links_of(self, client_id: str) -> list[RSpecLink]:
-        """All links touching a node."""
-        return [
-            link for link in self.links if client_id in link.endpoints
-        ]
 
     def to_xml(self) -> str:
         """Serialize to GENI request-RSpec XML."""

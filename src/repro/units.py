@@ -24,24 +24,6 @@ BITS_PER_BYTE = 8
 DEFAULT_MSS = 1460
 
 
-def kilobytes(n: float) -> int:
-    """Return ``n`` kilobytes as a byte count."""
-    _require_non_negative(n, "kilobytes")
-    return round(n * KILOBYTE)
-
-
-def megabytes(n: float) -> int:
-    """Return ``n`` megabytes as a byte count."""
-    _require_non_negative(n, "megabytes")
-    return round(n * MEGABYTE)
-
-
-def kbps(n: float) -> float:
-    """Return ``n`` kilobits/second as bytes/second."""
-    _require_non_negative(n, "kbps")
-    return n * KILOBYTE / BITS_PER_BYTE
-
-
 def mbps(n: float) -> float:
     """Return ``n`` megabits/second as bytes/second."""
     _require_non_negative(n, "mbps")
@@ -67,11 +49,6 @@ def minutes(n: float) -> float:
     """Return ``n`` minutes as seconds."""
     _require_non_negative(n, "minutes")
     return n * 60.0
-
-
-def as_kB(num_bytes: float) -> float:
-    """Express a byte count in kilobytes (for reports)."""
-    return num_bytes / KILOBYTE
 
 
 def as_kB_per_s(rate: float) -> float:

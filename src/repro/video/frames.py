@@ -21,11 +21,6 @@ class FrameType(enum.Enum):
     P = "P"
     B = "B"
 
-    @property
-    def is_reference(self) -> bool:
-        """Whether other frames may predict from this frame type."""
-        return self is not FrameType.B
-
 
 @dataclass(frozen=True, slots=True)
 class Frame:

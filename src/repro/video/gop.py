@@ -75,10 +75,3 @@ class Gop:
     def i_frame(self) -> Frame:
         """The GOP's leading I-frame."""
         return self.frames[0]
-
-    def frame_counts(self) -> dict[FrameType, int]:
-        """Number of frames per type."""
-        counts = {FrameType.I: 0, FrameType.P: 0, FrameType.B: 0}
-        for frame in self.frames:
-            counts[frame.frame_type] += 1
-        return counts

@@ -107,89 +107,62 @@ class ScenePlan:
         return cuts
 
 
-@dataclass(frozen=True, slots=True)
-class SceneModelConfig:
-    """Parameters of the two-state Markov scene generator.
-
-    Defaults are tuned so a 2-minute video mixes multi-second calm
-    shots with sub-second action cuts, giving GOP-based segments the
-    high size variance the paper describes.
-    """
-
-    calm_scene_mean: float = 25.0  # mean calm-scene length, seconds
-    action_scene_mean: float = 6.0  # mean action-scene length, seconds
-    calm_cut_interval_mean: float = 25.0  # mean seconds between cuts, calm
-    action_cut_interval_mean: float = 0.6  # mean seconds between cuts, action
-    calm_complexity: float = 0.85
-    action_complexity: float = 1.35
-    p_start_action: float = 0.4  # probability the video opens on action
-    min_scene_duration: float = 1.0
-    min_cut_interval: float = 0.2
-
-    def __post_init__(self) -> None:
-        for name in (
-            "calm_scene_mean",
-            "action_scene_mean",
-            "calm_cut_interval_mean",
-            "action_cut_interval_mean",
-            "calm_complexity",
-            "action_complexity",
-            "min_scene_duration",
-            "min_cut_interval",
-        ):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
-        if not 0.0 <= self.p_start_action <= 1.0:
-            raise ConfigurationError("p_start_action must be in [0, 1]")
+# The two-state Markov scene generator's parameters, tuned so a
+# 2-minute video mixes multi-second calm shots with sub-second action
+# cuts, giving GOP-based segments the high size variance the paper
+# describes.  Lengths and intervals are in seconds.
+CALM_SCENE_MEAN = 25.0
+ACTION_SCENE_MEAN = 6.0
+CALM_CUT_INTERVAL_MEAN = 25.0
+ACTION_CUT_INTERVAL_MEAN = 0.6
+CALM_COMPLEXITY = 0.85
+ACTION_COMPLEXITY = 1.35
+P_START_ACTION = 0.4  # probability the video opens on action
+MIN_SCENE_DURATION = 1.0
+MIN_CUT_INTERVAL = 0.2
 
 
-def generate_scene_plan(
-    duration: float,
-    rng: random.Random,
-    config: SceneModelConfig | None = None,
-) -> ScenePlan:
+def generate_scene_plan(duration: float, rng: random.Random) -> ScenePlan:
     """Generate a random scene plan covering ``duration`` seconds.
 
     Scenes strictly alternate between CALM and ACTION; lengths and shot
-    cuts are exponentially distributed around the configured means.
+    cuts are exponentially distributed around the module's means.
 
     Args:
         duration: total video duration in seconds (> 0).
         rng: seeded random source; the plan is a pure function of it.
-        config: generator parameters; defaults per :class:`SceneModelConfig`.
 
     Returns:
         A :class:`ScenePlan` whose scenes exactly tile ``[0, duration]``.
     """
     if duration <= 0:
         raise ConfigurationError(f"duration must be positive, got {duration}")
-    cfg = config or SceneModelConfig()
 
     scenes: list[Scene] = []
     t = 0.0
     kind = (
         SceneKind.ACTION
-        if rng.random() < cfg.p_start_action
+        if rng.random() < P_START_ACTION
         else SceneKind.CALM
     )
     while t < duration - 1e-9:
         mean = (
-            cfg.calm_scene_mean
+            CALM_SCENE_MEAN
             if kind is SceneKind.CALM
-            else cfg.action_scene_mean
+            else ACTION_SCENE_MEAN
         )
-        length = max(cfg.min_scene_duration, rng.expovariate(1.0 / mean))
+        length = max(MIN_SCENE_DURATION, rng.expovariate(1.0 / mean))
         length = min(length, duration - t)
         cut_mean = (
-            cfg.calm_cut_interval_mean
+            CALM_CUT_INTERVAL_MEAN
             if kind is SceneKind.CALM
-            else cfg.action_cut_interval_mean
+            else ACTION_CUT_INTERVAL_MEAN
         )
-        cuts = _generate_cuts(t, length, cut_mean, cfg.min_cut_interval, rng)
+        cuts = _generate_cuts(t, length, cut_mean, MIN_CUT_INTERVAL, rng)
         complexity = (
-            cfg.calm_complexity
+            CALM_COMPLEXITY
             if kind is SceneKind.CALM
-            else cfg.action_complexity
+            else ACTION_COMPLEXITY
         )
         scenes.append(
             Scene(

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bwest import (
-    EwmaThroughputEstimator,
     MathisEstimator,
     WindowedThroughputEstimator,
 )
@@ -45,40 +44,6 @@ class TestWindowedThroughputEstimator:
     def test_negative_bytes_rejected(self):
         with pytest.raises(ConfigurationError):
             WindowedThroughputEstimator().record(0.0, -1)
-
-
-class TestEwmaThroughputEstimator:
-    def test_undecided_before_two_arrivals(self):
-        estimator = EwmaThroughputEstimator()
-        estimator.record(0.0, 1000)
-        assert estimator.estimate(0.0) is None
-
-    def test_constant_rate_converges(self):
-        estimator = EwmaThroughputEstimator(alpha=0.5)
-        for t in range(20):
-            estimator.record(float(t), 500)
-        assert estimator.estimate(20.0) == pytest.approx(500.0, rel=0.01)
-
-    def test_reacts_to_change(self):
-        estimator = EwmaThroughputEstimator(alpha=0.5)
-        for t in range(5):
-            estimator.record(float(t), 100)
-        for t in range(5, 10):
-            estimator.record(float(t), 1000)
-        estimate = estimator.estimate(10.0)
-        assert estimate > 800
-
-    def test_invalid_alpha_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EwmaThroughputEstimator(alpha=0.0)
-        with pytest.raises(ConfigurationError):
-            EwmaThroughputEstimator(alpha=1.5)
-
-    def test_simultaneous_arrivals_ignored(self):
-        estimator = EwmaThroughputEstimator()
-        estimator.record(1.0, 100)
-        estimator.record(1.0, 100)
-        assert estimator.estimate(1.0) is None
 
 
 class TestMathisEstimator:

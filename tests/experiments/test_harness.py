@@ -10,7 +10,7 @@ from repro.experiments.config import (
     ExperimentConfig,
     make_swarm_config,
 )
-from repro.experiments.report import format_cells_csv, format_figure
+from repro.experiments.report import format_figure
 from repro.experiments.runner import CellResult, FigureResult
 from repro.parallel import SplicerSpec, SweepExecutor, cell_for
 from repro.units import kB_per_s
@@ -124,8 +124,3 @@ class TestReport:
     def test_missing_cell_rendered_as_dash(self, figure):
         figure.series["gop"].pop()
         assert "-" in format_figure(figure)
-
-    def test_csv_export(self, figure):
-        csv = format_cells_csv(figure)
-        assert csv.splitlines()[0] == "series,bandwidth_kb,value"
-        assert "gop,128,12" in csv

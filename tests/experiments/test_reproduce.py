@@ -1,10 +1,20 @@
 """Tests for the consolidated reproduction run and new ablations."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import ExperimentConfig
 from repro.experiments.ablations import run_preroll, run_swarm_scaling
 from repro.experiments.reproduce import reproduce_all
+
+ROOT = Path(__file__).resolve().parents[2]
+#: ``repro reproduce --quick --jobs 1`` stdout without its wall-clock
+#: ``(regenerated in ...)`` line.
+QUICK_REPORT = ROOT / "tests" / "data" / "reproduce_quick.txt"
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +85,21 @@ class TestNewAblations:
         assert set(result.series) == {"2 peers", "4 peers"}
         for cells in result.series.values():
             assert cells[0].finished_fraction == 1.0
+
+
+def test_quick_report_bytes_are_pinned(tmp_path):
+    """The standing gate: ``reproduce --quick`` prints the same bytes."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "reproduce", "--quick", "--jobs", "1"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    report = b"".join(
+        line for line in proc.stdout.splitlines(keepends=True)
+        if b"regenerated in" not in line
+    )
+    assert report == QUICK_REPORT.read_bytes()

@@ -27,7 +27,6 @@ from repro.experiments.sweep_service import (
     merge_plan,
     run_shard,
     shard_of,
-    validate_plan,
 )
 from repro.obs.ops import (
     OPS_SCHEMA,
@@ -184,28 +183,35 @@ class TestAblationStoreKeys:
         )
 
 
+def _reload(document, tmp_path):
+    """Write ``document`` as a plan file and read it back."""
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(document))
+    return load_plan(path)
+
+
 class TestValidation:
-    def test_rejects_non_object(self):
+    def test_rejects_non_object(self, tmp_path):
         with pytest.raises(StoreError):
-            validate_plan([1, 2])
+            _reload([1, 2], tmp_path)
 
-    def test_rejects_wrong_schema(self, quick_plan):
+    def test_rejects_wrong_schema(self, quick_plan, tmp_path):
         with pytest.raises(StoreError, match="schema"):
-            validate_plan({**quick_plan, "schema": "repro.sweep/0"})
+            _reload({**quick_plan, "schema": "repro.sweep/0"}, tmp_path)
 
-    def test_rejects_unknown_figure(self, quick_plan):
+    def test_rejects_unknown_figure(self, quick_plan, tmp_path):
         with pytest.raises(StoreError, match="figure"):
-            validate_plan({**quick_plan, "figure": "7"})
+            _reload({**quick_plan, "figure": "7"}, tmp_path)
 
-    def test_rejects_empty_runs(self, quick_plan):
+    def test_rejects_empty_runs(self, quick_plan, tmp_path):
         with pytest.raises(StoreError, match="no runs"):
-            validate_plan({**quick_plan, "runs": []})
+            _reload({**quick_plan, "runs": []}, tmp_path)
 
-    def test_rejects_out_of_range_shard(self, quick_plan):
+    def test_rejects_out_of_range_shard(self, quick_plan, tmp_path):
         runs = [dict(run) for run in quick_plan["runs"]]
         runs[0]["shard"] = 99
         with pytest.raises(StoreError, match="outside"):
-            validate_plan({**quick_plan, "runs": runs})
+            _reload({**quick_plan, "runs": runs}, tmp_path)
 
     def test_load_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -219,10 +225,10 @@ class TestValidation:
 
 
 class TestStalePlans:
-    def test_tampered_digest_detected(self, quick_plan):
+    def test_tampered_digest_detected(self, quick_plan, tmp_path):
         runs = [dict(run) for run in quick_plan["runs"]]
         runs[0]["digest"] = "0" * 16
-        stale = validate_plan({**quick_plan, "runs": runs})
+        stale = _reload({**quick_plan, "runs": runs}, tmp_path)
         with pytest.raises(StoreError, match="stale"):
             sweep_service._rebuild_specs(stale)
 

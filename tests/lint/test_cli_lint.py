@@ -6,7 +6,7 @@ import textwrap
 import pytest
 
 from repro.cli import main
-from repro.lint import LINT_SCHEMA, validate_payload
+from repro.lint import LINT_SCHEMA
 
 CLEAN_SOURCE = """
 def add(left, right):
@@ -106,7 +106,6 @@ class TestJsonFormat:
     def test_payload_validates_against_schema(self, capsys, write):
         code, payload = self.run_json(capsys, write(DIRTY_SOURCE))
         assert code == 1
-        assert validate_payload(payload) is payload
         assert payload["schema"] == LINT_SCHEMA
         assert not payload["clean"]
         (finding,) = payload["findings"]
@@ -129,21 +128,6 @@ class TestJsonFormat:
             capsys, write(CLEAN_SOURCE), "--select", "D1,D2"
         )
         assert payload["select"] == ["D1", "D2"]
-
-    def test_validate_rejects_drift(self, capsys, write):
-        from repro.errors import LintError
-
-        with pytest.raises(LintError, match="expected schema"):
-            validate_payload({"schema": "repro.lint/999"})
-        with pytest.raises(LintError, match="missing"):
-            validate_payload({"schema": LINT_SCHEMA})
-        _, valid = self.run_json(capsys, write(DIRTY_SOURCE))
-        for key, value, match in [
-            ("findings", ["E1 at line 4"], r"findings\[0\]"),
-            ("unused_suppressions", {"path": "x.py"}, "expected a list"),
-        ]:
-            with pytest.raises(LintError, match=match):
-                validate_payload({**valid, key: value})
 
 
 class TestStatistics:

@@ -121,22 +121,6 @@ class TestRunUntil:
         with pytest.raises(SimulationError):
             sim.run()
 
-    def test_run_until_idle_raises_on_runaway(self):
-        sim = Simulator()
-
-        def forever():
-            sim.schedule(1.0, forever)
-
-        sim.schedule(0.0, forever)
-        with pytest.raises(SimulationError):
-            sim.run_until_idle(max_time=10.0)
-
-    def test_run_until_idle_finishes_quiet_sims(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.run_until_idle(max_time=10.0)
-        assert sim.pending_events == 0
-
 
 class TestPendingCounter:
     """pending_events is a live counter, not a queue scan."""

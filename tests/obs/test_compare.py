@@ -8,7 +8,6 @@ from repro.errors import ArtifactError
 from repro.obs.compare import (
     DEFAULT_METRICS,
     compare_artifacts,
-    mean_delta_pct,
     render_comparison,
 )
 
@@ -80,7 +79,9 @@ class TestVerdicts:
         candidate = make_artifact([make_case("c", best_s=0.7)])
         comparison = compare_artifacts(baseline, candidate)
         assert comparison.ok
-        (row,) = comparison.improvements
+        (row,) = [
+            row for row in comparison.rows if row.verdict == "improvement"
+        ]
         assert row.delta_pct == pytest.approx(-30.0)
 
     def test_throughput_direction_is_inverted(self):
@@ -101,7 +102,6 @@ class TestVerdicts:
             baseline, candidate, threshold_pct=10.0
         )
         assert comparison.ok
-        assert not comparison.improvements
         assert comparison.rows[0].verdict == "neutral"
 
     def test_identical_artifacts_are_clean(self):
@@ -273,13 +273,3 @@ class TestRendering:
         assert "(new in candidate)" in text
         assert "note: quick/full mismatch" in text
 
-    def test_mean_delta(self):
-        baseline = make_artifact(
-            [make_case("a", best_s=1.0), make_case("b", best_s=1.0)]
-        )
-        candidate = make_artifact(
-            [make_case("a", best_s=1.2), make_case("b", best_s=0.8)]
-        )
-        comparison = compare_artifacts(baseline, candidate)
-        assert mean_delta_pct(comparison.rows) == pytest.approx(0.0)
-        assert mean_delta_pct(()) is None

@@ -1,4 +1,4 @@
-"""Exporters: JSONL round-trips, CSV, and the per-peer trace summary."""
+"""Exporters: JSONL round-trips and the per-peer trace summary."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.errors import TraceError
 from repro.obs import (
     EVENT_TYPES,
     EventTracer,
-    MetricsRegistry,
     PeerDeparted,
     PeerJoined,
     PlaybackFinished,
@@ -21,9 +20,7 @@ from repro.obs import (
     analyze_events,
     dump_jsonl,
     event_counts,
-    events_to_jsonl,
     load_jsonl,
-    timeseries_csv,
 )
 
 def _one_of_each():
@@ -85,11 +82,6 @@ class TestJsonlRoundTrip:
         buffer.seek(0)
         assert load_jsonl(buffer) == events
 
-    def test_events_to_jsonl_one_line_per_event(self):
-        events = _one_of_each()
-        text = events_to_jsonl(events)
-        assert len(text.strip().splitlines()) == len(events)
-
     def test_tuple_fields_survive(self, tmp_path):
         event = SelectionMade(
             time=0.0, peer="p", selector="s", head=(5, 6), candidates=2
@@ -135,17 +127,6 @@ class TestJsonlRoundTrip:
         with pytest.raises(TraceError, match="PeerJoined"):
             load_jsonl(str(path))
 
-
-class TestTimeseriesCsv:
-    def test_header_and_rows(self):
-        registry = MetricsRegistry()
-        series = registry.timeseries("net.link.up.utilization")
-        series.sample(0.0, 0.5)
-        series.sample(1.0, 0.75)
-        lines = timeseries_csv(registry).strip().splitlines()
-        assert lines[0] == "metric,time,value"
-        assert lines[1] == "net.link.up.utilization,0.0,0.5"
-        assert len(lines) == 3
 
 
 class TestSummarizeTrace:

@@ -88,15 +88,6 @@ class TestTimeWeightedHistogram:
         assert histogram.weights() == {4.0: 1.0}
 
 
-class TestTimeseries:
-    def test_samples_in_order(self):
-        series = MetricsRegistry().timeseries("ts")
-        series.sample(0.0, 1.0)
-        series.sample(1.0, 0.5)
-        assert series.values() == [1.0, 0.5]
-        assert len(series) == 2
-
-
 class TestRegistry:
     def test_name_collision_across_kinds(self):
         registry = MetricsRegistry()
@@ -105,16 +96,13 @@ class TestRegistry:
             registry.gauge("x")
         with pytest.raises(TraceError):
             registry.histogram("x")
-        with pytest.raises(TraceError):
-            registry.timeseries("x")
 
     def test_len_counts_all_kinds(self):
         registry = MetricsRegistry()
         registry.counter("a")
         registry.gauge("b")
         registry.histogram("c")
-        registry.timeseries("d")
-        assert len(registry) == 4
+        assert len(registry) == 3
 
     def test_views_are_copies(self):
         registry = MetricsRegistry()

@@ -128,7 +128,7 @@ class TestTracingOverhead:
         baseline = time.perf_counter() - started
 
         started = time.perf_counter()
-        _run_swarm(short_video, obs=Observability.metrics_only())
+        _run_swarm(short_video, obs=Observability())
         with_obs = time.perf_counter() - started
 
         assert with_obs < 10 * baseline + 0.5

@@ -25,14 +25,6 @@ class TestLeecherConfig:
         with pytest.raises(ConfigurationError):
             LeecherConfig(policy=AdaptivePoolPolicy(), bandwidth_hint=0)
 
-    def test_invalid_timeouts_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LeecherConfig(
-                policy=AdaptivePoolPolicy(),
-                bandwidth_hint=1.0,
-                request_timeout_base=0,
-            )
-
 
 class TestSessionLifecycle:
     def test_full_session_downloads_everything(self):
@@ -74,7 +66,7 @@ class TestSessionLifecycle:
 class TestSequentialSelection:
     def test_downloads_arrive_in_order_with_pool_one(self):
         swarm = MiniSwarm(
-            n_leechers=1, policy=FixedPoolPolicy(1), batch_mode=True
+            n_leechers=1, policy=FixedPoolPolicy(1)
         )
         leecher = swarm.leechers[0]
         order = []
@@ -91,7 +83,7 @@ class TestSequentialSelection:
 
     def test_pool_respects_policy(self):
         swarm = MiniSwarm(
-            n_leechers=1, policy=FixedPoolPolicy(3), batch_mode=False
+            n_leechers=1, policy=FixedPoolPolicy(3)
         )
         leecher = swarm.leechers[0]
         leecher.start()
@@ -100,7 +92,7 @@ class TestSequentialSelection:
 
     def test_batch_mode_waits_for_whole_pool(self):
         swarm = MiniSwarm(
-            n_leechers=1, policy=FixedPoolPolicy(2), batch_mode=True
+            n_leechers=1, policy=FixedPoolPolicy(2)
         )
         leecher = swarm.leechers[0]
         snapshots = []

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import PeerError, WireFormatError
 from repro.p2p import peer as peer_module
+from repro.p2p.leecher import BUSY_BACKOFF
 from repro.p2p.messages import (
     Goodbye,
     Handshake,
@@ -362,7 +363,7 @@ class TestSlotsAndChoking:
                 if who == leecher.name and i == index and t <= when
             ]
             assert asked and asked[-1] is False
-            assert expiry == when + leecher._config.busy_backoff
+            assert expiry == when + BUSY_BACKOFF
         when, _, _, index, expiry = [c for c in chokes if c[1] is a][-1]
         assert a._source_backoff["seeder"] == expiry
         assert swarm.sim.now < expiry
@@ -373,7 +374,7 @@ class TestSlotsAndChoking:
         # a segment both the seeder and b hold, with in-flight load
         # cleared so the load balance cannot decide.
         shared = min(a._availability["seeder"] & a._availability[b.name])
-        b_expiry = expiry + a._config.busy_backoff
+        b_expiry = expiry + BUSY_BACKOFF
 
         def picks(now):
             with mock.patch.dict(a._source_backoff, {b.name: b_expiry}), \

@@ -32,7 +32,7 @@ from repro.p2p import (
     build_swarm,
 )
 from repro.p2p.churn import ChurnConfig
-from repro.p2p.selection import RarestFirstSelector
+from repro.p2p.selection import WindowedRarestSelector
 from repro.parallel import SweepExecutor
 from repro.parallel.digest import content_digest
 from repro.parallel.spec import SplicerSpec, cell_for
@@ -104,22 +104,22 @@ class TestDispatch:
         assert isinstance(fluid, FluidSwarm)
 
     def test_vector_tiers_reject_estimator_factories(self, splice):
-        from repro.bwest import EwmaThroughputEstimator
+        from repro.bwest import WindowedThroughputEstimator
 
         config = scale_config(
-            estimator_factory=EwmaThroughputEstimator
+            estimator_factory=WindowedThroughputEstimator
         )
         with pytest.raises(ConfigurationError, match="estimator"):
             build_swarm(splice, config)
 
     def test_vector_tiers_reject_non_sequential_selection(self, splice):
-        config = scale_config(selector=RarestFirstSelector())
+        config = scale_config(selector=WindowedRarestSelector())
         with pytest.raises(ConfigurationError, match="[Ss]elect"):
             build_swarm(splice, config)
 
     def test_exact_tier_keeps_estimators_and_selectors(self, splice):
         config = scale_config(
-            n=3, fidelity="exact", selector=RarestFirstSelector()
+            n=3, fidelity="exact", selector=WindowedRarestSelector()
         )
         assert isinstance(build_swarm(splice, config), Swarm)
 
@@ -241,7 +241,7 @@ class TestCohortMechanics:
             assert not result.metrics[name].finished
 
     def test_observability_publishes_population_counters(self, splice):
-        obs = Observability.metrics_only()
+        obs = Observability()
         build_swarm(splice, scale_config(n=40), obs=obs).run()
         counters = {
             c.name: c.value for c in obs.registry.counters().values()

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.p2p.selection import (
-    RarestFirstSelector,
     SequentialSelector,
     WindowedRarestSelector,
 )
@@ -26,34 +25,6 @@ class TestSequentialSelector:
 
     def test_name(self):
         assert SequentialSelector().name == "sequential"
-
-
-class TestRarestFirstSelector:
-    def test_rarest_comes_first(self):
-        selector = RarestFirstSelector()
-        avail = availability(
-            a=[0, 1, 2], b=[0, 1], c=[0]
-        )  # 0 common, 2 rare
-        result = selector.order(
-            [0, 1, 2], next_needed=0, availability=avail,
-            rng=random.Random(0),
-        )
-        assert result[0] == 2
-        assert result[-1] == 0
-
-    def test_ties_broken_randomly_but_deterministically(self):
-        selector = RarestFirstSelector()
-        avail = availability(a=[0, 1, 2, 3])
-        first = selector.order(
-            [0, 1, 2, 3], None, avail, random.Random(42)
-        )
-        second = selector.order(
-            [0, 1, 2, 3], None, avail, random.Random(42)
-        )
-        assert first == second
-
-    def test_name(self):
-        assert RarestFirstSelector().name == "rarest-first"
 
 
 class TestWindowedRarestSelector:
@@ -116,7 +87,7 @@ class TestSelectorsPreserveContents:
         "selector",
         [
             SequentialSelector(),
-            RarestFirstSelector(),
+            WindowedRarestSelector(urgent_window=1, lookahead=2),
             WindowedRarestSelector(),
         ],
     )

@@ -5,7 +5,6 @@ import pytest
 from repro.bwest import WindowedThroughputEstimator
 from repro.core.splicer import DurationSplicer
 from repro.p2p.selection import (
-    RarestFirstSelector,
     SequentialSelector,
     WindowedRarestSelector,
 )
@@ -36,7 +35,7 @@ class TestSelectorsInSwarm:
         "selector",
         [
             SequentialSelector(),
-            RarestFirstSelector(),
+            WindowedRarestSelector(),
             WindowedRarestSelector(urgent_window=2, lookahead=4),
         ],
         ids=lambda s: s.name,

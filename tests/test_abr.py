@@ -8,10 +8,10 @@ from repro.abr import (
     BitrateLadder,
     BufferBasedAbr,
     Rendition,
-    ThroughputAbr,
     encode_ladder,
 )
 from repro.abr.policy import FixedRung
+from repro.abr.session import MAX_BUFFER
 from repro.errors import ConfigurationError
 from repro.units import kB_per_s
 
@@ -48,7 +48,7 @@ class TestLadder:
 
     def test_top_and_bottom(self, ladder):
         assert ladder.top.bitrate == max(ladder.bitrates)
-        assert ladder.bottom.bitrate == min(ladder.bitrates)
+        assert ladder.rung(0).bitrate == min(ladder.bitrates)
 
     def test_misaligned_renditions_rejected(self, ladder):
         other = encode_ladder(
@@ -73,16 +73,6 @@ class TestLadder:
 
 
 class TestPolicies:
-    def test_throughput_picks_under_budget(self, ladder):
-        policy = ThroughputAbr(safety=0.8)
-        # 8 Mbit/s estimate: everything fits -> top rung.
-        assert policy.choose(ladder, 10.0, 1_000_000.0, 0) == 2
-        # 500 kbit/s budget at safety 0.8 -> only the 250k rung fits.
-        assert policy.choose(ladder, 10.0, 62_500.0, 0) == 0
-
-    def test_throughput_cautious_without_estimate(self, ladder):
-        assert ThroughputAbr().choose(ladder, 10.0, None, 2) == 0
-
     def test_buffer_based_maps_levels(self, ladder):
         policy = BufferBasedAbr(reservoir=8.0, cushion=16.0)
         assert policy.choose(ladder, 2.0, None, 0) == 0
@@ -95,8 +85,6 @@ class TestPolicies:
         assert FixedRung(0).choose(ladder, 99.0, None, 2) == 0
 
     def test_invalid_params(self):
-        with pytest.raises(ConfigurationError):
-            ThroughputAbr(safety=0.0)
         with pytest.raises(ConfigurationError):
             BufferBasedAbr(cushion=0.0)
 
@@ -135,18 +123,23 @@ class TestSession:
         assert metrics.streaming.stall_count > 0
         assert metrics.mean_bitrate == max(ladder.bitrates)
 
-    def test_buffer_cap_throttles_fetching(self, ladder):
-        config = AbrSessionConfig(
-            bandwidth=kB_per_s(1024), max_buffer=8.0
+    def test_buffer_cap_throttles_fetching(self):
+        # Twice the cap, so an uncapped client would buffer past it.
+        long_ladder = encode_ladder(
+            seed=3,
+            duration=2 * MAX_BUFFER,
+            bitrates=(250_000.0,),
+            segment_duration=4.0,
         )
-        session = AbrSession(ladder, FixedRung(0), config)
+        config = AbrSessionConfig(bandwidth=kB_per_s(1024))
+        session = AbrSession(long_ladder, FixedRung(0), config)
 
         def check():
             # Buffered playtime never far exceeds the cap.
             level = session._buffer_level()
-            assert level <= config.max_buffer + 8.0
+            assert level <= MAX_BUFFER + 8.0
 
-        for t in (2.0, 4.0, 8.0, 12.0):
+        for t in (2.0, 4.0, 8.0, 12.0, 20.0):
             session.sim.schedule(t, check)
         metrics = session.run()
         assert metrics.streaming.finished
@@ -167,5 +160,3 @@ class TestSession:
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
             AbrSessionConfig(bandwidth=0)
-        with pytest.raises(ConfigurationError):
-            AbrSessionConfig(bandwidth=1.0, max_buffer=0)

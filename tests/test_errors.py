@@ -16,7 +16,6 @@ ALL_ERRORS = [
     errors.LinkError,
     errors.ProtocolError,
     errors.WireFormatError,
-    errors.HandshakeError,
     errors.PeerError,
     errors.SwarmError,
     errors.PlaybackError,

@@ -23,11 +23,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ArtifactError, LintError, OpsError, StoreError
+from repro.errors import ArtifactError, OpsError, StoreError
 from repro.experiments import sweep_service
-from repro.lint.report import Finding, UnusedSuppression
-from repro.lint.runner import LintResult
-from repro.lint.schema import build_payload, load_payload
 from repro.obs.bench import (
     BenchCase,
     CaseTiming,
@@ -136,26 +133,6 @@ def consume_artifact(payload):
 
 
 @functools.cache
-def lint_doc():
-    finding = Finding(
-        rule="E1", severity="error", path="m.py", module="m", line=4,
-        col=0, message="bare assert", hint="raise an error instead",
-    )
-    result = LintResult(
-        findings=[finding],
-        suppressed=[finding],
-        unused_suppressions=[
-            UnusedSuppression(path="m.py", line=9, rule="D1",
-                              reason="legacy")
-        ],
-        modules=1,
-    )
-    return build_payload(
-        result, paths=["m.py"], select=("E1",), ignore=()
-    )
-
-
-@functools.cache
 def plan_doc():
     return sweep_service.build_plan("2", quick=True, shards=3)
 
@@ -221,9 +198,6 @@ SCHEMAS = {
     "repro.bench/1": (
         artifact_doc, write_json, load_artifact, ArtifactError,
         consume_artifact,
-    ),
-    "repro.lint/1": (
-        lint_doc, write_json, load_payload, LintError, lambda doc: None,
     ),
     "repro.sweep/1": (
         plan_doc, write_json, sweep_service.load_plan, StoreError,

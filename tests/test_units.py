@@ -6,28 +6,7 @@ from repro import units
 from repro.errors import ConfigurationError
 
 
-class TestByteHelpers:
-    def test_kilobytes(self):
-        assert units.kilobytes(1) == 1000
-
-    def test_kilobytes_fractional_rounds(self):
-        assert units.kilobytes(1.5) == 1500
-
-    def test_megabytes(self):
-        assert units.megabytes(2) == 2_000_000
-
-    def test_zero_is_allowed(self):
-        assert units.kilobytes(0) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            units.kilobytes(-1)
-
-
 class TestRateHelpers:
-    def test_kbps_is_bytes_per_second(self):
-        assert units.kbps(8) == pytest.approx(1000.0)
-
     def test_mbps(self):
         assert units.mbps(1) == pytest.approx(125_000.0)
 
@@ -41,7 +20,7 @@ class TestRateHelpers:
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigurationError):
-            units.kbps(-0.1)
+            units.mbps(-0.1)
 
 
 class TestTimeHelpers:
@@ -57,9 +36,6 @@ class TestTimeHelpers:
 
 
 class TestReportingHelpers:
-    def test_as_kB(self):
-        assert units.as_kB(128_000) == pytest.approx(128.0)
-
     def test_as_kB_per_s(self):
         assert units.as_kB_per_s(512_000.0) == pytest.approx(512.0)
 

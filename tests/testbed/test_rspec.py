@@ -30,16 +30,6 @@ class TestModels:
                 client_id="l", endpoints=("a", "b"), capacity_kbps=0
             )
 
-    def test_link_unit_conversions(self):
-        link = RSpecLink(
-            client_id="l",
-            endpoints=("a", "b"),
-            capacity_kbps=1024,
-            latency_ms=12.5,
-        )
-        assert link.capacity_bytes_per_s == pytest.approx(128_000.0)
-        assert link.latency_seconds == pytest.approx(0.0125)
-
     def test_document_rejects_duplicate_nodes(self):
         with pytest.raises(RSpecError):
             RSpecDocument(
@@ -58,11 +48,6 @@ class TestModels:
                     ),
                 ),
             )
-
-    def test_links_of(self):
-        document = star_rspec(n_peers=2, capacity_kbps=1000)
-        assert len(document.links_of("switch")) == 3
-        assert len(document.links_of("peer-1")) == 1
 
     def test_node_lookup(self):
         document = star_rspec(n_peers=1, capacity_kbps=1000)

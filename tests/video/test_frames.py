@@ -22,13 +22,6 @@ class TestFrameType:
     def test_three_types(self):
         assert {t.value for t in FrameType} == {"I", "P", "B"}
 
-    def test_i_and_p_are_reference(self):
-        assert FrameType.I.is_reference
-        assert FrameType.P.is_reference
-
-    def test_b_is_not_reference(self):
-        assert not FrameType.B.is_reference
-
 
 class TestFrameValidation:
     def test_valid_frame(self):

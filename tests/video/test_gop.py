@@ -74,10 +74,3 @@ class TestGopProperties:
     def test_i_frame(self):
         gop = Gop(frames=frames_for("IBBP"))
         assert gop.i_frame.frame_type is FrameType.I
-
-    def test_frame_counts(self):
-        gop = Gop(frames=frames_for("IBBPBBP"))
-        counts = gop.frame_counts()
-        assert counts[FrameType.I] == 1
-        assert counts[FrameType.B] == 4
-        assert counts[FrameType.P] == 2

@@ -10,7 +10,6 @@ from repro.errors import ConfigurationError
 from repro.video.scene import (
     Scene,
     SceneKind,
-    SceneModelConfig,
     ScenePlan,
     generate_scene_plan,
 )
@@ -99,19 +98,6 @@ class TestScenePlan:
             )
         )
         assert plan.all_cut_times() == [1.0, 3.0, 6.0]
-
-
-class TestSceneModelConfig:
-    def test_defaults_valid(self):
-        SceneModelConfig()
-
-    def test_bad_probability_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SceneModelConfig(p_start_action=1.5)
-
-    def test_non_positive_mean_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SceneModelConfig(calm_scene_mean=0.0)
 
 
 class TestGenerateScenePlan:
