@@ -35,6 +35,12 @@ class TestSelectorsInSwarm:
         "selector",
         [
             SequentialSelector(),
+            # A look-ahead longer than any test video leaves only the
+            # one urgent segment in order: BitTorrent rarest-first.
+            pytest.param(
+                WindowedRarestSelector(urgent_window=1, lookahead=10_000),
+                id="rarest-first",
+            ),
             WindowedRarestSelector(),
             WindowedRarestSelector(urgent_window=2, lookahead=4),
         ],
