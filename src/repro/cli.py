@@ -794,7 +794,7 @@ def _write_representative_trace(
     )[0]
     video = encode_paper_video(seed=config.video_seed)
     splice = DurationSplicer(_TRACE_SEGMENT_DURATION).splice(video)
-    obs = Observability.tracing(profile=True)
+    obs = Observability.tracing()
     swarm_config = make_swarm_config(
         bandwidth_kb, config.seeds[0], config
     )

@@ -9,7 +9,7 @@ rounded average").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.policy import AdaptivePoolPolicy, DownloadPolicy
 from ..errors import ExperimentError

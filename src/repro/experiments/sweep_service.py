@@ -49,14 +49,9 @@ from ..parallel import (
     SweepExecutor,
     SweepProgress,
 )
-from ..parallel.spec import CellSpec, RunSpec
+from ..parallel.spec import CellSpec, RunSpec, expand_runs
 from ..parallel.store import STORE_SCHEMA, run_identity
-from .config import (  # QUICK_BANDWIDTHS_KB is re-exported
-    QUICK_BANDWIDTHS_KB,
-    ExperimentConfig,
-    figure_axis,
-    sweep_config,
-)
+from .config import ExperimentConfig, figure_axis, sweep_config
 from .reproduce import FIGURES
 from .runner import FigureResult
 
@@ -75,20 +70,6 @@ def figure_cells(
             f"(expected one of {', '.join(FIGURES)})"
         )
     return module.cells(config, **figure_axis(quick))
-
-
-def expand_runs(cells: Sequence[CellSpec]) -> list[RunSpec]:
-    """Expand cells into per-seed runs, exactly as ``run_cells`` does."""
-    return [
-        RunSpec(
-            cell=cell,
-            seed=seed,
-            cell_index=cell_index,
-            seed_index=seed_index,
-        )
-        for cell_index, cell in enumerate(cells)
-        for seed_index, seed in enumerate(cell.config.seeds)
-    ]
 
 
 def shard_of(digest: str, shards: int) -> int:

@@ -42,14 +42,11 @@ from __future__ import annotations
 
 import itertools
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable
 
 from ..errors import NetworkError
 from .engine import EventHandle, Simulator
 from .link import Link
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.metrics import MetricsRegistry
 
 #: Bytes below which a flow counts as complete (float-drift guard).
 _COMPLETION_EPSILON = 1e-3
@@ -180,17 +177,9 @@ class FlowNetwork:
 
     Args:
         sim: the simulator supplying the clock and event queue.
-        registry: optional metrics registry; when given, the solver
-            publishes counters (``net.flownet.*``) for updates,
-            coalesced updates, component re-solves, and re-solved flow
-            counts.  Recording never changes allocations.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        registry: "MetricsRegistry | None" = None,
-    ) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self._sim = sim
         self._flows: dict[Flow, None] = {}
         self._flow_ids = itertools.count(1)
@@ -206,20 +195,6 @@ class FlowNetwork:
         self._barrier_pending = False
         self._completion_stale = False
         self._capacity_generation = 0
-        if registry is None:
-            self._updates = None
-            self._coalesced = None
-            self._resolves = None
-            self._resolved_flows = None
-        else:
-            self._updates = registry.counter("net.flownet.updates")
-            self._coalesced = registry.counter(
-                "net.flownet.coalesced_updates"
-            )
-            self._resolves = registry.counter("net.flownet.resolves")
-            self._resolved_flows = registry.counter(
-                "net.flownet.resolved_flows"
-            )
 
     @property
     def sim(self) -> Simulator:
@@ -435,10 +410,6 @@ class FlowNetwork:
         self._schedule_flush()
 
     def _mark_dirty(self, comp: _Component) -> None:
-        if self._updates is not None:
-            self._updates.inc()
-            if comp in self._dirty:
-                self._coalesced.inc()
         self._dirty[comp] = None
         self._schedule_flush()
 
@@ -649,10 +620,6 @@ class FlowNetwork:
                     eps_eta = crossing_at
         comp.eta_flow = eta_flow
         comp.eps_eta = eps_eta
-
-        if self._resolves is not None:
-            self._resolves.inc()
-            self._resolved_flows.inc(len(flows))
 
     # ------------------------------------------------------------------
     # time advance and completions

@@ -441,7 +441,7 @@ def render_run_report(obs: Observability) -> str:
 
     The per-peer table is derived *from the trace alone* (so it can be
     cross-checked against :class:`~repro.p2p.swarm.SwarmResult`), then
-    come event counts, metric totals and the engine profile.
+    come event counts and the engine profile.
     """
     parts: list[str] = ["# Run report"]
     events = obs.events()
@@ -456,31 +456,6 @@ def render_run_report(obs: Observability) -> str:
             "",
             render_event_counts(events),
         ]
-    registry = obs.registry
-    counters = registry.counters()
-    if counters:
-        parts += ["", "## Counters", ""]
-        for name in sorted(counters):
-            parts.append(f"- {name} = {counters[name].value:g}")
-    gauges = registry.gauges()
-    if gauges:
-        parts += ["", "## Gauges", ""]
-        for name in sorted(gauges):
-            parts.append(f"- {name} = {gauges[name].value:g}")
-    histograms = registry.histograms()
-    if histograms:
-        parts += ["", "## Time-weighted histograms", ""]
-        for name in sorted(histograms):
-            histogram = histograms[name]
-            try:
-                summary = histogram.summary()
-            except TraceError:
-                continue
-            parts.append(
-                f"- {name}: mean={summary.mean:.2f} "
-                f"min={summary.minimum:g} max={summary.maximum:g} "
-                f"over {summary.total_weight:.1f}s"
-            )
     if obs.profile is not None and obs.profile.counts:
         parts += ["", "## Engine profile", "", obs.profile.render()]
     return "\n".join(parts) + "\n"

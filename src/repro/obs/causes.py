@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .timeline import PeerTimeline, SegmentFetch, StallSpan, TimelineSet
+from .timeline import PeerTimeline, StallSpan, TimelineSet
 
 #: The documented taxonomy, in attribution precedence order.
 STALL_CAUSES: tuple[str, ...] = (

@@ -1,21 +1,19 @@
 """The run-scoped observability context handed through the stack.
 
 One :class:`Observability` object bundles everything a run may record
-into — a tracer, a metrics registry, and an optional engine profile —
-so constructors take a single optional argument instead of three.  The
-absent context (``obs=None`` everywhere) is the fast path: components
-fall back to :data:`~repro.obs.tracer.NULL_TRACER` and skip registry
-publishing entirely.
+into — a tracer and an optional engine profile — so constructors take
+a single optional argument instead of two.  The absent context
+(``obs=None`` everywhere) is the fast path: components fall back to
+:data:`~repro.obs.tracer.NULL_TRACER`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
-from .metrics import MetricsRegistry
 from .profile import EngineProfile
-from .tracer import NULL_TRACER, EventTracer, NullTracer, Tracer
+from .tracer import NULL_TRACER, EventTracer, Tracer
 
 
 @dataclass
@@ -24,15 +22,11 @@ class Observability:
 
     Attributes:
         tracer: the event tracer (disabled by default).
-        registry: the metrics registry (always present — publishing is
-            gated by the component-side ``metrics is not None`` check,
-            which is only wired up when a context is passed at all).
         profile: optional event-loop profile; ``None`` disables
             per-handler wall-clock timing.
     """
 
     tracer: Tracer = NULL_TRACER
-    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     profile: EngineProfile | None = None
 
     @classmethod
@@ -65,4 +59,4 @@ class Observability:
         return self.tracer.events()
 
 
-__all__ = ["Observability", "NullTracer", "EventTracer", "NULL_TRACER"]
+__all__ = ["Observability"]

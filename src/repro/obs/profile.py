@@ -69,18 +69,6 @@ class EngineProfile:
         """Total callbacks timed across all categories."""
         return sum(self.counts.values())
 
-    def publish(self, registry) -> None:
-        """Copy the totals into a metrics registry.
-
-        Writes ``engine.events.<category>`` counters and
-        ``engine.wall_seconds.<category>`` gauges.
-        """
-        for category, count in self.counts.items():
-            counter = registry.counter(f"engine.events.{category}")
-            counter.inc(count - counter.value)
-        for category, seconds in self.wall_seconds.items():
-            registry.gauge(f"engine.wall_seconds.{category}").set(seconds)
-
     def render(self) -> str:
         """Human-readable table, hottest category first."""
         if not self.counts:

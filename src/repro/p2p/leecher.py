@@ -194,8 +194,6 @@ class Leecher(PeerBase):
             self._tracer.emit(
                 PeerJoined(time=self._sim.now, peer=self.name)
             )
-        if self._metrics is not None:
-            self._metrics.counter("swarm.joins").inc()
         self._request_manifest()
 
     def _request_manifest(self) -> None:
@@ -220,8 +218,6 @@ class Leecher(PeerBase):
                     downloads_cancelled=cancelled,
                 )
             )
-        if self._metrics is not None:
-            self._metrics.counter("swarm.departures").inc()
         super().leave()
 
     def _drop_inflight(self, index: int) -> str | None:
@@ -345,9 +341,6 @@ class Leecher(PeerBase):
                     ),
                 )
             )
-        if self._metrics is not None:
-            self._metrics.counter("p2p.segments_received").inc()
-            self._metrics.counter("p2p.bytes_downloaded").inc(size)
         estimator = self._config.estimator
         if estimator is not None and requested_at is not None:
             estimator.record(self._sim.now, size)
@@ -393,18 +386,6 @@ class Leecher(PeerBase):
     def _on_player_state(
         self, old: PlayerState, new: PlayerState
     ) -> None:
-        if self._metrics is not None:
-            if new is PlayerState.STALLED:
-                self._metrics.counter("player.stalls").inc()
-            elif old is PlayerState.STALLED:
-                # The just-completed stall is the last one recorded.
-                self._metrics.counter("player.stall_seconds").inc(
-                    self.metrics.stalls[-1].duration
-                )
-            if old is PlayerState.WAITING and new is PlayerState.PLAYING:
-                self._metrics.counter("player.startups").inc()
-            if new is PlayerState.FINISHED:
-                self._metrics.counter("player.finished").inc()
         if new is PlayerState.STALLED:
             self._escalate_stalled_request()
         if new in (PlayerState.PLAYING, PlayerState.STALLED):
@@ -450,10 +431,6 @@ class Leecher(PeerBase):
                         buffered_playtime=self.player.buffered_playtime(),
                         bandwidth=self.bandwidth_estimate(),
                     )
-                )
-            if self._metrics is not None:
-                self._metrics.histogram("p2p.pool_size").observe(
-                    self._sim.now, pool, key=self.name
                 )
         candidates = self._selector.order(
             buffer.missing(),
@@ -504,8 +481,6 @@ class Leecher(PeerBase):
                     ),
                 )
             )
-        if self._metrics is not None:
-            self._metrics.counter("p2p.requests_sent").inc()
         self.send(
             source,
             Request(
@@ -576,9 +551,6 @@ class Leecher(PeerBase):
                     ),
                 )
             )
-        if self._metrics is not None:
-            self._metrics.counter("p2p.requests_retried").inc()
-            self._metrics.counter("p2p.requests_sent").inc()
         self.send(
             alternative,
             Request(

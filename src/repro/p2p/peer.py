@@ -212,7 +212,6 @@ class PeerBase:
                 f"upload_slots must be >= 1 or None, got {upload_slots}"
             )
         self._tracer = obs.tracer if obs is not None else NULL_TRACER
-        self._metrics = obs.registry if obs is not None else None
         self.name = name
         self.node = node
         self._sim = sim
@@ -279,7 +278,7 @@ class PeerBase:
             # super() for the shared cases; silently ignoring here
             # mirrors a real peer tolerating unexpected messages.
             pass
-        else:  # pragma: no cover - registry covers all message types
+        else:  # pragma: no cover - the branches cover every message type
             raise PeerError(f"unhandled message {type(message).__name__}")
 
     def _handle_handshake(self, src_name: str, message: Handshake) -> None:
@@ -408,16 +407,12 @@ class PeerBase:
                 label=label,
             )
             self._uploads[upload_id] = (transfer, src_name, index)
-            if self._metrics is not None:
-                self._metrics.counter("tcp.transfers_started").inc()
 
     def _on_upload_complete(
         self, upload_id: int, transfer: TcpTransfer
     ) -> None:
         _, dst_name, index = self._uploads.pop(upload_id)
         self.bytes_uploaded += transfer.size
-        if self._metrics is not None:
-            self._metrics.counter("tcp.bytes_uploaded").inc(transfer.size)
         receiver = self._control.peer(dst_name)
         if receiver is not None and receiver.alive:
             receiver.on_segment_received(

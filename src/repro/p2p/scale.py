@@ -46,7 +46,6 @@ from __future__ import annotations
 from ..core.segments import SpliceResult
 from ..errors import ConfigurationError
 from ..net.engine import Simulator
-from ..obs.cohorts import CohortSummary, publish_cohort_aggregates
 from ..obs.context import Observability
 from ..obs.events import (
     PeerJoined,
@@ -547,52 +546,6 @@ class _VectorSwarm:
     def _cohort_of(self, peer: int) -> int:
         return int(_np.searchsorted(self._hi, peer, side="right"))
 
-    def _finalize_observability(self) -> None:
-        assert self.obs is not None
-        registry = self.obs.registry
-        for histogram in registry.histograms().values():
-            histogram.finalize(self.sim.now)
-        if self.obs.profile is not None:
-            self.obs.profile.publish(registry)
-        np = _np
-        summaries = []
-        for c in range(self._count):
-            pb_start = self._pb_start[c]
-            pb_end = self._pb_end[c]
-            summaries.append(
-                CohortSummary(
-                    peers=int(self._size[c]),
-                    segments_received=int(self._prefix[c]),
-                    bytes_downloaded=float(self._bytes_down[c]),
-                    stalls=len(self._stalls[c]),
-                    stall_seconds=float(
-                        sum(s.duration for s in self._stalls[c])
-                    ),
-                    started=not np.isnan(pb_start),
-                    finished=not np.isnan(pb_end),
-                )
-            )
-        publish_cohort_aggregates(
-            registry,
-            summaries,
-            departures=len(self._departed),
-        )
-        registry.gauge("swarm.control_messages").set(
-            self._control_message_estimate()
-        )
-        registry.gauge("swarm.seeder_bytes_uploaded").set(
-            float(self._seeder_bytes)
-        )
-        registry.gauge("swarm.peer_bytes_uploaded").set(
-            max(
-                0.0,
-                float(self._bytes_down @ self._size)
-                - float(self._seeder_bytes),
-            )
-        )
-        registry.gauge("swarm.end_time").set(self.sim.now)
-        self._emit_lifecycle_events()
-
     def _emit_lifecycle_events(self) -> None:
         """Replay one representative peer's lifecycle per cohort.
 
@@ -826,7 +779,7 @@ class CohortSwarm(_VectorSwarm):
         # Stalls still open at the cap stay unrecorded, exactly like
         # the exact player (StallEvents are recorded on resume).
         if self.obs is not None:
-            self._finalize_observability()
+            self._emit_lifecycle_events()
         return self._build_result()
 
 
@@ -957,5 +910,5 @@ class FluidSwarm(_VectorSwarm):
         self._pending = self.sim.schedule(0.0, self._step)
         self.sim.run(until=self._config.max_time)
         if self.obs is not None:
-            self._finalize_observability()
+            self._emit_lifecycle_events()
         return self._build_result()

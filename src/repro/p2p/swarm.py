@@ -213,9 +213,8 @@ class Swarm:
         splice: the spliced video to stream.
         config: session parameters.
         obs: optional observability context; when given, every layer
-            (engine, TCP, peers, players) records into its tracer and
-            metrics registry, and :meth:`run` finalizes histograms and
-            publishes the engine profile on completion.
+            (engine, TCP, peers, players) records into its tracer, and
+            the engine times its handlers into its profile.
     """
 
     SEEDER_NAME = "seeder"
@@ -233,10 +232,7 @@ class Swarm:
             tracer=obs.tracer if obs is not None else None,
             profile=obs.profile if obs is not None else None,
         )
-        self.network = FlowNetwork(
-            self.sim,
-            registry=obs.registry if obs is not None else None,
-        )
+        self.network = FlowNetwork(self.sim)
         self.topology = StarTopology()
         loss = per_link_loss(config.path_loss)
         # A peer-to-peer path crosses four access-link traversals per
@@ -365,25 +361,6 @@ class Swarm:
                 self.network, leecher.node, bandwidth
             )
 
-    def _finalize_observability(self) -> None:
-        """Close out the run's metrics: histograms, profile, totals."""
-        assert self.obs is not None
-        registry = self.obs.registry
-        for histogram in registry.histograms().values():
-            histogram.finalize(self.sim.now)
-        if self.obs.profile is not None:
-            self.obs.profile.publish(registry)
-        registry.gauge("swarm.control_messages").set(
-            self.control.messages_sent
-        )
-        registry.gauge("swarm.seeder_bytes_uploaded").set(
-            self.seeder.bytes_uploaded
-        )
-        registry.gauge("swarm.peer_bytes_uploaded").set(
-            sum(leecher.bytes_uploaded for leecher in self.leechers)
-        )
-        registry.gauge("swarm.end_time").set(self.sim.now)
-
     def run(self) -> SwarmResult:
         """Run the session to completion (or the safety cap).
 
@@ -391,8 +368,6 @@ class Swarm:
             A :class:`SwarmResult` with every peer's metrics.
         """
         self.sim.run(until=self._config.max_time)
-        if self.obs is not None:
-            self._finalize_observability()
         return SwarmResult(
             metrics={
                 leecher.name: leecher.metrics for leecher in self.leechers

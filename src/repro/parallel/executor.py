@@ -36,7 +36,7 @@ from ..errors import ExperimentError
 from ..experiments.runner import CellResult, merge_cell
 from ..obs.ops import NULL_OPS, OpsLog, ShardHeartbeat
 from .progress import SweepProgress, SweepTally
-from .spec import CellSpec, RunSpec
+from .spec import CellSpec, RunSpec, expand_runs
 from .store import ResultStore
 from .worker import (
     RunOutcome,
@@ -363,17 +363,7 @@ class SweepExecutor:
                 failing (cell, seed).
         """
         cells = list(cells)
-        specs = [
-            RunSpec(
-                cell=cell,
-                seed=seed,
-                cell_index=cell_index,
-                seed_index=seed_index,
-            )
-            for cell_index, cell in enumerate(cells)
-            for seed_index, seed in enumerate(cell.config.seeds)
-        ]
-        outcomes = self.map_runs(specs, analyze=analyze)
+        outcomes = self.map_runs(expand_runs(cells), analyze=analyze)
         tally = self._tally
         tally.check("sweep")
         results: list[CellResult] = []

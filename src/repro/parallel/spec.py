@@ -16,6 +16,7 @@ cross-process cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from ..core.policy import DownloadPolicy
 from ..core.splicer import DurationSplicer, GopSplicer, Splicer
@@ -252,3 +253,21 @@ class RunSpec:
     cell_index: int
     seed_index: int
     collect_analysis: bool = False
+
+
+def expand_runs(cells: Sequence[CellSpec]) -> list[RunSpec]:
+    """Expand cells into per-seed runs, cell by cell, seed by seed.
+
+    The executor runs these specs and a sweep plan digests them, so a
+    planned run and an executed run share one identity.
+    """
+    return [
+        RunSpec(
+            cell=cell,
+            seed=seed,
+            cell_index=cell_index,
+            seed_index=seed_index,
+        )
+        for cell_index, cell in enumerate(cells)
+        for seed_index, seed in enumerate(cell.config.seeds)
+    ]

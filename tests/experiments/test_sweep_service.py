@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import StoreError
 from repro.experiments import ablations, fig2, sweep_service
-from repro.experiments.config import sweep_config
+from repro.experiments.config import QUICK_BANDWIDTHS_KB, sweep_config
 from repro.experiments.report import format_figure
 from repro.experiments.sweep_service import (
     SWEEP_SCHEMA,
@@ -265,7 +265,7 @@ class TestShardedRunParity:
         config = sweep_service.sweep_config(True, "exact")
         direct = fig2.run(
             config,
-            bandwidths_kb=sweep_service.QUICK_BANDWIDTHS_KB,
+            bandwidths_kb=QUICK_BANDWIDTHS_KB,
             executor=SweepExecutor(jobs=1),
         )
         assert format_figure(report.result) == format_figure(direct)

@@ -1,5 +1,7 @@
 """Tests for the max-min fair flow network."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import NetworkError
@@ -390,37 +392,51 @@ class TestPerNetworkFlowIds:
 class TestIncrementalRecomputation:
     @staticmethod
     def _instrumented():
-        from repro.obs.metrics import MetricsRegistry
-
+        """A network whose solver work is tallied by per-instance spies."""
         sim = Simulator()
-        registry = MetricsRegistry()
-        network = FlowNetwork(sim, registry=registry)
-        return sim, network, registry
+        network = FlowNetwork(sim)
+        counts = Counter()
+        mark_dirty, fill = network._mark_dirty, network._fill
+
+        def spy_mark_dirty(comp):
+            counts["updates"] += 1
+            if comp in network._dirty:
+                counts["coalesced_updates"] += 1
+            mark_dirty(comp)
+
+        def spy_fill(comp):
+            counts["resolves"] += 1
+            counts["resolved_flows"] += len(comp.flows)
+            fill(comp)
+
+        network._mark_dirty = spy_mark_dirty
+        network._fill = spy_fill
+        return sim, network, counts
 
     def test_same_timestamp_starts_coalesce_into_one_solve(self):
-        sim, network, registry = self._instrumented()
+        sim, network, counts = self._instrumented()
         link = Link("l", 1000.0)
         flows = [network.start_flow([link], 1e6) for _ in range(4)]
         sim.run(until=0.5)
-        assert registry.counter("net.flownet.updates").value == 4
-        assert registry.counter("net.flownet.coalesced_updates").value == 3
-        assert registry.counter("net.flownet.resolves").value == 1
-        assert registry.counter("net.flownet.resolved_flows").value == 4
+        assert counts["updates"] == 4
+        assert counts["coalesced_updates"] == 3
+        assert counts["resolves"] == 1
+        assert counts["resolved_flows"] == 4
         assert all(f.rate == pytest.approx(250.0) for f in flows)
 
     def test_untouched_component_keeps_cached_rates(self):
-        sim, network, registry = self._instrumented()
+        sim, network, counts = self._instrumented()
         a = Link("a", 1000.0)
         b = Link("b", 800.0)
         flow_a = network.start_flow([a], 1e9)
         flow_b = network.start_flow([b], 1e9)
         sim.run(until=1.0)
-        solves_before = registry.counter("net.flownet.resolves").value
+        solves_before = counts["resolves"]
         network.set_rate_limit(flow_a, 300.0)
         sim.run(until=2.0)
         # Only flow_a's single-flow component re-solved.
         assert (
-            registry.counter("net.flownet.resolves").value
+            counts["resolves"]
             == solves_before + 1
         )
         assert flow_a.rate == pytest.approx(300.0)
@@ -439,7 +455,7 @@ class TestIncrementalRecomputation:
         assert f3.rate == pytest.approx(750.0)
 
     def test_component_splits_after_bridge_cancel(self):
-        sim, network, registry = self._instrumented()
+        sim, network, counts = self._instrumented()
         a = Link("a", 300.0)
         b = Link("b", 900.0)
         f1 = network.start_flow([a], 1e9)
@@ -451,14 +467,14 @@ class TestIncrementalRecomputation:
         assert f1.rate == pytest.approx(300.0)
         assert f3.rate == pytest.approx(900.0)
         # After the split, churn on one side leaves the other alone.
-        solves_before = registry.counter("net.flownet.resolves").value
+        solves_before = counts["resolves"]
         network.set_rate_limit(f1, 100.0)
         sim.run(until=3.0)
         assert (
-            registry.counter("net.flownet.resolves").value
+            counts["resolves"]
             == solves_before + 1
         )
-        assert registry.counter("net.flownet.resolved_flows").value >= 1
+        assert counts["resolved_flows"] >= 1
         assert f3.rate == pytest.approx(900.0)
 
     def test_rates_are_fresh_without_running_the_sim(self):

@@ -133,20 +133,3 @@ class TestSwarmTrace:
         assert obs.profile.events_fired == completed[0].events_fired
         assert sum(obs.profile.wall_seconds.values()) > 0.0
 
-    def test_metrics_registry_is_populated(self, short_video):
-        obs, result = _traced_run(short_video)
-        counters = obs.registry.counters()
-        assert counters["swarm.joins"].value == 4
-        assert counters["p2p.segments_received"].value > 0
-        assert counters["player.stalls"].value == sum(
-            m.stall_count for m in result.metrics.values()
-        )
-        gauges = obs.registry.gauges()
-        assert gauges["swarm.end_time"].value == result.end_time
-        assert (
-            gauges["swarm.seeder_bytes_uploaded"].value
-            == result.seeder_bytes_uploaded
-        )
-        pool = obs.registry.histograms()["p2p.pool_size"].summary()
-        assert pool.minimum >= 1.0
-        assert pool.total_weight > 0.0

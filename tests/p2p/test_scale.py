@@ -240,16 +240,6 @@ class TestCohortMechanics:
         for name in result.departed:
             assert not result.metrics[name].finished
 
-    def test_observability_publishes_population_counters(self, splice):
-        obs = Observability()
-        build_swarm(splice, scale_config(n=40), obs=obs).run()
-        counters = {
-            c.name: c.value for c in obs.registry.counters().values()
-        }
-        assert counters["swarm.joins"] == 40
-        assert counters["player.finished"] == 40
-        assert counters["p2p.bytes_downloaded"] > 0
-
     def test_lifecycle_trace_has_one_representative_per_cohort(
         self, splice
     ):

@@ -11,7 +11,9 @@ String occurrences do not count, so a lazy-export table row or an
 
 A name with no caller is dead code or a test-only hook.  Delete it,
 or give it a row in :data:`EXEMPT` that says why it stays.  A second
-check fails on a private def that nothing references, tests included.
+check fails on a private def that nothing references, tests included,
+and a third on a name that a module imports but never reads (a
+package ``__init__`` is exempt: its imports are its exports).
 """
 
 from __future__ import annotations
@@ -213,3 +215,58 @@ def test_every_private_def_is_referenced():
         if _is_private(d.name) and not _has_caller(d, spelled)
     ]
     assert unreferenced == [], unreferenced
+
+
+def _quoted_names(annotation: ast.AST | None):
+    """Names spelled inside the string parts of one annotation."""
+    if annotation is None:
+        return
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for inner in ast.walk(ast.parse(node.value, mode="eval")):
+                if isinstance(inner, ast.Name):
+                    yield inner.id
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Every name a module reads: bare, as an attribute's root, or
+    inside a quoted annotation."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        # ast.arg and ast.AnnAssign carry .annotation, defs .returns.
+        read.update(_quoted_names(getattr(node, "annotation", None)))
+        read.update(_quoted_names(getattr(node, "returns", None)))
+    return read
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names ``path`` imports but never reads, as ``name (line)``."""
+    tree = ast.parse(path.read_text())
+    read = _reads(tree)
+    unread = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.partition(".")[0]
+            if bound != "*" and bound not in read:
+                unread.append(f"{bound} ({node.lineno})")
+    return unread
+
+
+def test_every_import_is_read():
+    unread = [
+        f"{path.relative_to(REPO_ROOT)}: {name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "__init__.py"
+        for name in _unread_imports(path)
+    ]
+    assert unread == [], (
+        "imported but never read — delete the import:\n  "
+        + "\n  ".join(unread)
+    )
+
