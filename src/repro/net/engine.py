@@ -171,6 +171,24 @@ class Simulator:
             for callback in pending:
                 callback()
 
+    def release(self) -> None:
+        """Discard every queued event and barrier when a session ends.
+
+        A queued callback is usually a method of a component that holds
+        the simulator (and often the handle), so an abandoned queue is
+        a web of reference cycles.  Releasing empties the queue and
+        clears each handle's callback, arguments and simulator, so
+        reference counting frees the session.  Nothing fires;
+        :attr:`now` and :attr:`events_fired` keep their values.
+        """
+        for _, _, event in self._queue:
+            event._callback = None
+            event._args = ()
+            event._sim = None
+        self._queue.clear()
+        self._barriers.clear()
+        self._live = 0
+
     def run(self, until: float | None = None) -> None:
         """Process events in time order.
 

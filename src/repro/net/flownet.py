@@ -292,6 +292,7 @@ class FlowNetwork:
             return
         self._advance()
         flow.cancelled = True
+        flow.on_complete = None
         self._remove_flow(flow)
 
     def set_rate_limit(self, flow: Flow, rate_limit: float | None) -> None:
@@ -316,6 +317,24 @@ class FlowNetwork:
         comp = self._link_comp.get(link.name)
         if comp is not None:
             self._mark_dirty(comp)
+
+    def release(self) -> None:
+        """Drop the flows still active when a session ends.
+
+        No callback fires.  Each active flow's ``on_complete`` holds
+        its owner, which holds the flow; releasing breaks those cycles
+        and the flow ↔ network references, so reference counting frees
+        an abandoned session.  The network must not be used afterwards.
+        """
+        for flow in self._flows:
+            flow.on_complete = None
+            flow._network = None
+        self._flows.clear()
+        self._comps.clear()
+        self._comp_of.clear()
+        self._link_comp.clear()
+        self._dirty.clear()
+        self._completion_event = None
 
     # ------------------------------------------------------------------
     # component bookkeeping
@@ -690,5 +709,10 @@ class FlowNetwork:
             self._remove_flow(flow)
         self._flush()
         for flow in done:
-            if flow.on_complete is not None:
-                flow.on_complete(flow)
+            # The callback is usually a method of the flow's owner (a
+            # TCP transfer holding this flow), so keeping it once fired
+            # would leave every finished transfer a reference cycle.
+            on_complete = flow.on_complete
+            if on_complete is not None:
+                flow.on_complete = None
+                on_complete(flow)

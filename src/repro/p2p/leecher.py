@@ -220,6 +220,11 @@ class Leecher(PeerBase):
             )
         super().leave()
 
+    def release(self) -> None:
+        # The player's state-change callback holds this leecher.
+        super().release()
+        self.player = None
+
     def _drop_inflight(self, index: int) -> str | None:
         """Forget an in-flight request; returns its source, if any."""
         source = self._inflight.pop(index, None)

@@ -104,6 +104,14 @@ class ControlPlane:
         """Names of the registered peers, in registration order."""
         return list(self._peers)
 
+    def release(self) -> None:
+        """Forget every peer when the session ends.
+
+        Each registered peer holds this plane, so the registry is a
+        reference cycle until it is emptied.
+        """
+        self._peers.clear()
+
     def delay(self, src_name: str, dst_name: str) -> float:
         """Control-message latency from ``src`` to ``dst``, seconds.
 
@@ -437,6 +445,14 @@ class PeerBase:
             Goodbye(self.name),
         )
         self._control.unregister(self.name)
+
+    def release(self) -> None:
+        """Drop the uploads still in flight when the session ends.
+
+        Each upload's completion callback holds this peer.  Nothing is
+        cancelled and no message is sent: the session is over.
+        """
+        self._uploads.clear()
 
     # -- hooks for subclasses -------------------------------------------
 

@@ -645,6 +645,14 @@ class _VectorSwarm:
     def run(self):
         raise NotImplementedError
 
+    def release(self) -> None:
+        """End the session (see :meth:`repro.p2p.swarm.Swarm.release`).
+
+        A pending step or trigger event holds this swarm; the
+        simulator's release drops it.
+        """
+        self.sim.release()
+
 
 class CohortSwarm(_VectorSwarm):
     """The event-driven cohort tier (``fidelity='cohort'``).

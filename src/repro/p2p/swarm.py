@@ -255,9 +255,10 @@ class Swarm:
         seeder_extra = max(
             0.0, (config.seeder_rtt - config.peer_rtt) / 2.0
         )
+        seeder_name = self.SEEDER_NAME
 
         def extra_latency(src: str, dst: str) -> float:
-            if self.SEEDER_NAME in (src, dst):
+            if seeder_name in (src, dst):
                 return seeder_extra
             return 0.0
 
@@ -381,6 +382,21 @@ class Swarm:
             end_time=self.sim.now,
         )
 
+    def release(self) -> None:
+        """End the session so reference counting can free it.
+
+        A session is a web of back-references: peers and the control
+        plane, leechers and their players, transfers and their flows,
+        queued events and their owners.  Release breaks them without
+        firing an event or sending a message.  Read everything needed
+        from the swarm first; it must not be used afterwards.
+        """
+        for peer in (self.seeder, *self.leechers):
+            peer.release()
+        self.control.release()
+        self.network.release()
+        self.sim.release()
+
 
 def build_swarm(
     splice: SpliceResult,
@@ -390,9 +406,9 @@ def build_swarm(
     """Build the swarm backend :attr:`SwarmConfig.fidelity` selects.
 
     Every backend exposes the same session surface — ``run()`` →
-    :class:`SwarmResult`, ``sim``, ``config``, ``obs``, and
-    ``set_peer_bandwidth`` — so runners, sweeps and benchmarks hold a
-    swarm without caring which engine is underneath.
+    :class:`SwarmResult`, ``sim``, ``config``, ``obs``,
+    ``set_peer_bandwidth`` and ``release()`` — so runners, sweeps and
+    benchmarks hold a swarm without caring which engine is underneath.
 
     Args:
         splice: the spliced video to stream.

@@ -82,14 +82,16 @@ def _schedule_square_wave(
     """Toggle every leecher's bandwidth between the two wave levels."""
     low = base * (1.0 - wave.amplitude)
     high = base * (1.0 + wave.amplitude)
+    half = wave.period / 2.0
+    swarm.sim.schedule(half, _set_level, swarm, half, low, high)
 
-    def set_level(level: float, next_level: float) -> None:
-        swarm.set_peer_bandwidth(level)
-        swarm.sim.schedule(
-            wave.period / 2.0, set_level, next_level, level
-        )
 
-    swarm.sim.schedule(wave.period / 2.0, set_level, low, high)
+def _set_level(
+    swarm: Swarm, half: float, level: float, next_level: float
+) -> None:
+    """One square-wave edge: apply ``level``, schedule the next edge."""
+    swarm.set_peer_bandwidth(level)
+    swarm.sim.schedule(half, _set_level, swarm, half, next_level, level)
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,27 +178,33 @@ def execute_run(
     swarm = build_swarm(
         splice_for(simulation), simulation.swarm_config, obs=obs
     )
-    if simulation.square_wave is not None:
-        _schedule_square_wave(
-            swarm,
-            simulation.swarm_config.bandwidth,
-            simulation.square_wave,
+    try:
+        if simulation.square_wave is not None:
+            _schedule_square_wave(
+                swarm,
+                simulation.swarm_config.bandwidth,
+                simulation.square_wave,
+            )
+        started = perf_counter()
+        result = swarm.run()
+        return RunOutcome(
+            cell_index=spec.cell_index,
+            seed_index=spec.seed_index,
+            seed=spec.seed,
+            label=spec.cell.describe(),
+            stats=seed_stats(
+                result,
+                events_fired=swarm.sim.events_fired,
+                end_time=swarm.sim.now,
+            ),
+            wall_seconds=perf_counter() - started,
+            pid=os.getpid(),
         )
-    started = perf_counter()
-    result = swarm.run()
-    return RunOutcome(
-        cell_index=spec.cell_index,
-        seed_index=spec.seed_index,
-        seed=spec.seed,
-        label=spec.cell.describe(),
-        stats=seed_stats(
-            result,
-            events_fired=swarm.sim.events_fired,
-            end_time=swarm.sim.now,
-        ),
-        wall_seconds=perf_counter() - started,
-        pid=os.getpid(),
-    )
+    finally:
+        # A finished session is one large reference cycle; releasing
+        # it lets reference counting free it now instead of at the
+        # next full collection.
+        swarm.release()
 
 
 def failed_outcome(spec: RunSpec, error: str) -> RunOutcome:

@@ -8,6 +8,9 @@ cells drawn from every figure family.
 
 from __future__ import annotations
 
+import gc
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ExperimentError, SweepError
@@ -15,6 +18,7 @@ from repro.experiments import fig2, fig4, fig5
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reproduce import reproduce_all
 from repro.core.policy import FixedPoolPolicy
+from repro.p2p.churn import ChurnConfig
 from repro.parallel import (
     CellSpec,
     ResultStore,
@@ -25,7 +29,10 @@ from repro.parallel import (
     VideoSpec,
     cell_for,
     default_jobs,
+    worker,
 )
+
+from ..conftest import requires_numpy
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +237,126 @@ class TestCrashIsolation:
         assert outcomes[0].ok
         assert not outcomes[1].ok
         assert outcomes[1].label == "bad-cell"
+
+
+def _explode() -> None:
+    raise RuntimeError("simulated fault")
+
+
+def _probe_in_flight(swarm, seen: list) -> None:
+    """Record the flows still active when the run reaches ``max_time``."""
+    network = swarm.network
+    swarm.sim.schedule_at(
+        swarm.config.max_time,
+        lambda: seen.append(len(network.active_flows)),
+    )
+
+
+def _inject_fault(swarm, seen: list) -> None:
+    swarm.sim.schedule(15.0, _explode)
+
+
+def _cut(config):
+    # Five leechers at 128 kB/s: at 40 s one has finished and three
+    # segment transfers are still in flight.
+    return replace(config, n_leechers=5, max_time=40.0)
+
+
+_GOP = SplicerSpec("gop")
+_FOUR = SplicerSpec("duration", 4.0)
+
+#: name -> (``(config, video) -> cell``, hook run on each built swarm).
+RELEASE_CASES = {
+    "fig2": (lambda c, v: cell_for(_GOP, 512, c, video=v), None),
+    "cut-at-max-time": (
+        lambda c, v: cell_for(_GOP, 128, _cut(c), video=v),
+        _probe_in_flight,
+    ),
+    "A2-churn": (
+        lambda c, v: cell_for(
+            _FOUR, 256,
+            replace(c, churn=ChurnConfig(mean_lifetime=20.0, fraction=0.5)),
+            video=v,
+        ),
+        None,
+    ),
+    "A4-square-wave": (
+        lambda c, v: cell_for(
+            _FOUR, 256, c, video=v,
+            square_wave=SquareWave(amplitude=0.5, period=20.0),
+        ),
+        None,
+    ),
+    "cohort": (
+        lambda c, v: cell_for(_FOUR, 256, c, video=v, fidelity="cohort"),
+        None,
+    ),
+    # The cut leaves the next integration step queued.
+    "fluid-cut-at-max-time": (
+        lambda c, v: cell_for(_GOP, 128, _cut(c), video=v, fidelity="fluid"),
+        None,
+    ),
+    "raises": (lambda c, v: cell_for(_FOUR, 256, c, video=v), _inject_fault),
+}
+_NEEDS_NUMPY = {"cohort", "fluid-cut-at-max-time"}
+
+
+class TestRunRelease:
+    """A run's object graph is freed by reference counting when it ends.
+
+    A finished session left cyclic would stay in memory until the next
+    full collection; with the collector off, ``gc.collect()`` counts
+    exactly what one run left behind.
+    """
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            pytest.param(
+                name, marks=requires_numpy if name in _NEEDS_NUMPY else ()
+            )
+            for name in RELEASE_CASES
+        ],
+    )
+    def test_run_leaves_no_cyclic_garbage(
+        self, fast_config, short_video, monkeypatch, name
+    ):
+        make_cell, hook = RELEASE_CASES[name]
+        spec = RunSpec(
+            cell=make_cell(fast_config, short_video),
+            seed=5,
+            cell_index=0,
+            seed_index=0,
+        )
+        seen: list = []
+        if hook is not None:
+            build = worker.build_swarm
+
+            def hooked(*args, **kwargs):
+                swarm = build(*args, **kwargs)
+                hook(swarm, seen)
+                return swarm
+
+            monkeypatch.setattr(worker, "build_swarm", hooked)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            # The first run absorbs import-time and cache garbage.
+            worker.pool_entry(spec)
+            gc.collect()
+            seen.clear()
+            outcome = worker.pool_entry(spec)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+        if name == "raises":
+            assert outcome.error == "RuntimeError: simulated fault"
+        else:
+            assert outcome.ok, outcome.error
+        if name == "cut-at-max-time":
+            assert outcome.stats.end_time == 40.0
+            assert seen == [3]
 
 
 class TestConfiguration:

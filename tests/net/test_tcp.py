@@ -1,5 +1,7 @@
 """Tests for the analytic TCP model."""
 
+import gc
+
 import pytest
 
 from repro.errors import NetworkError
@@ -198,3 +200,49 @@ class TestBottleneckCache:
         # cap was lifted once it outgrew the *new* path, and the
         # transfer finished at the reduced capacity.
         assert transfer.duration > 5_000_000.0 / 1_000_000.0
+
+
+class TestTransferIsFreed:
+    """A transfer that left the network is freed by reference counting.
+
+    With the collector off, a cycle between a transfer and its flow
+    would survive the last outside reference; ``gc.collect()`` counts
+    it.
+    """
+
+    @pytest.fixture(autouse=True)
+    def collector_off(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        gc.collect()
+        try:
+            yield
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_completed_transfer_and_flow_are_freed(self):
+        sim, network = setup()
+        link = Link("l", 1e6, latency=0.01)
+        done = []
+        transfer = start_tcp_transfer(
+            sim, network, [link], 100_000.0,
+            on_complete=lambda t: done.append(t.size),
+        )
+        sim.run()
+        assert done == [100_000.0]
+        del transfer
+        assert gc.collect() == 0
+
+    def test_cancelled_transfer_and_flow_are_freed(self):
+        sim, network = setup()
+        link = Link("l", 1000.0, latency=0.001)
+        transfer = start_tcp_transfer(
+            sim, network, [link], 100_000.0,
+            on_complete=lambda t: None,
+        )
+        sim.schedule(5.0, transfer.cancel)
+        sim.run()
+        assert transfer.cancelled and transfer._flow is not None
+        del transfer
+        assert gc.collect() == 0
