@@ -44,14 +44,6 @@ class LinkError(NetworkError):
     """A link was configured or used incorrectly."""
 
 
-class ProtocolError(ReproError):
-    """Base class for P2P wire-protocol violations."""
-
-
-class WireFormatError(ProtocolError):
-    """Bytes on the wire could not be decoded into a message."""
-
-
 class PeerError(ReproError):
     """A peer was driven into an invalid state."""
 

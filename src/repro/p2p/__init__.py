@@ -4,8 +4,7 @@ The paper's application "implemented our own BitTorrent like messaging
 protocol" over Java sockets; the seeder splices the video and every
 peer both leeches and seeds.  This package is that application:
 
-* :mod:`repro.p2p.wire` — length-prefixed framing;
-* :mod:`repro.p2p.messages` — the message set and its byte codec;
+* :mod:`repro.p2p.messages` — the message set;
 * :mod:`repro.p2p.tracker` — swarm membership;
 * :mod:`repro.p2p.peer` — plumbing shared by all peers;
 * :mod:`repro.p2p.seeder` / :mod:`repro.p2p.leecher` — the two roles;
@@ -23,7 +22,6 @@ __all__ = [
     "CohortSwarm",
     "FIDELITY_TIERS",
     "FluidSwarm",
-    "FrameDecoder",
     "Goodbye",
     "Handshake",
     "Have",
@@ -32,7 +30,6 @@ __all__ = [
     "Manifest",
     "ManifestRequest",
     "Message",
-    "Piece",
     "PieceSelector",
     "Request",
     "RequestRejected",
@@ -43,9 +40,6 @@ __all__ = [
     "SwarmConfig",
     "Tracker",
     "build_swarm",
-    "decode_message",
-    "encode_frame",
-    "encode_message",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -59,11 +53,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "Manifest": "messages",
     "ManifestRequest": "messages",
     "Message": "messages",
-    "Piece": "messages",
     "Request": "messages",
     "RequestRejected": "messages",
-    "decode_message": "messages",
-    "encode_message": "messages",
     "CohortSwarm": "scale",
     "FluidSwarm": "scale",
     "Seeder": "seeder",
@@ -75,6 +66,4 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "SwarmConfig": "swarm",
     "build_swarm": "swarm",
     "Tracker": "tracker",
-    "FrameDecoder": "wire",
-    "encode_frame": "wire",
 })

@@ -307,10 +307,7 @@ class Leecher(PeerBase):
         self._known_peers.add(self._seeder_name)
         others = [name for name in manifest.peers if name != self.name]
         self._known_peers.update(others)
-        self.broadcast(
-            others,
-            Handshake(peer_id=self.name, info_hash=manifest.info_hash),
-        )
+        self.broadcast(others, Handshake(peer_id=self.name))
         self._refill()
 
     # -- downloading -----------------------------------------------------

@@ -1,10 +1,10 @@
 """Peer plumbing shared by seeders and leechers.
 
-Control messages (handshakes, haves, requests) are small: they pass
-through the real wire codec, then are delivered after the end-to-end
-control latency — their bandwidth use is negligible and not charged
-against links.  Segment payloads are large: each one travels as its
-own TCP transfer through the flow network, exactly like the paper's
+Control messages (handshakes, haves, requests) are small: each is
+delivered as its (frozen) message object after the end-to-end control
+latency — their bandwidth use is negligible and not charged against
+links.  Segment payloads are large: each one travels as its own TCP
+transfer through the flow network, exactly like the paper's
 per-segment Java-socket connections.
 """
 
@@ -28,35 +28,26 @@ from .messages import (
     Manifest,
     ManifestRequest,
     Message,
-    Piece,
     Request,
     RequestRejected,
-    decode_message,
-    encode_message,
 )
-from .wire import FrameDecoder, encode_frame
 
 
-def piece_wire_overhead(peer_id: str, index: int, size: int) -> int:
+def piece_wire_overhead(peer_id: str) -> int:
     """Bytes of protocol overhead carried with one segment transfer.
 
-    The length of a framed :class:`Piece`, from its wire layout.
+    A BitTorrent-style piece header: a u32 frame length, a u8 message
+    id, the sender's id as a u16 length plus its UTF-8 bytes, a u32
+    segment index and a u64 segment size.
     """
-    return (
-        4  # frame length prefix (u32)
-        + 1  # message id (u8)
-        + 2  # peer_id length (u16)
-        + len(peer_id.encode("utf-8"))  # peer_id bytes
-        + 4  # index (u32)
-        + 8  # size (u64)
-    )
+    return 19 + len(peer_id.encode("utf-8"))
 
 
 class ControlPlane:
-    """Latency-delayed, loss-free delivery of encoded control messages.
+    """Latency-delayed, loss-free delivery of control messages.
 
-    Every message is encoded, framed and decoded once per fan-out; the
-    recipients share the decoded (frozen) message object.
+    Every recipient of a fan-out receives the sender's (frozen)
+    message object.
 
     Args:
         sim: the simulator.
@@ -76,12 +67,10 @@ class ControlPlane:
         self._topology = topology
         self._extra_latency = extra_latency
         self._peers: dict[str, "PeerBase"] = {}
-        self._decoder = FrameDecoder()
         # src name -> dst name -> delay(src, dst); cleared on every
         # membership change.
         self._delays: dict[str, dict[str, float]] = {}
         self.messages_sent = 0
-        self.control_bytes = 0
 
     def register(self, peer: "PeerBase") -> None:
         """Make a peer reachable by name."""
@@ -133,7 +122,7 @@ class ControlPlane:
         return base
 
     def send(self, src: "PeerBase", dst_name: str, message: Message) -> None:
-        """Encode and deliver ``message`` after the pair's latency.
+        """Deliver ``message`` after the pair's latency.
 
         Messages to peers that have left by delivery time are silently
         dropped, as a closed socket would drop them.
@@ -145,19 +134,14 @@ class ControlPlane:
     ) -> None:
         """:meth:`send` ``message`` to each of ``dst_names`` in order.
 
-        The message is encoded, framed and decoded once, so it passes
-        every codec check; every recipient still counts as one message
-        of the frame's size and receives it at its own pair latency.
-        Recipients due at the same instant share one event, which
-        hands the message to each in ``dst_names`` order.  That fires
-        the same handlers in the same order as one event per
+        Every recipient counts as one message and receives it at its
+        own pair latency.  Recipients due at the same instant share one
+        event, which hands the message to each in ``dst_names`` order.
+        That fires the same handlers in the same order as one event per
         recipient: one broadcast's same-instant deliveries would hold
         contiguous sequence numbers, so nothing else could run (and no
         end-of-timestamp barrier could drain) between them.
         """
-        raw = encode_frame(encode_message(message))
-        (payload,) = self._decoder.feed(raw)
-        decoded = decode_message(payload)
         src_name = src.name
         now = self._sim.now
         delays = self._delays.setdefault(src_name, {})
@@ -177,9 +161,8 @@ class ControlPlane:
                 names.append(dst_name)
             count += 1
         self.messages_sent += count
-        self.control_bytes += count * len(raw)
         for at, names in groups.items():
-            self._sim.schedule_at(at, self._deliver, src_name, names, decoded)
+            self._sim.schedule_at(at, self._deliver, src_name, names, message)
 
     def _deliver(
         self, src_name: str, dst_names: list[str], message: Message
@@ -268,19 +251,18 @@ class PeerBase:
         self._control.broadcast(self, dst_names, message)
 
     def handle_message(self, src_name: str, message: Message) -> None:
-        """Dispatch one decoded message; subclasses extend."""
+        """Dispatch one message; subclasses extend."""
         if isinstance(message, Request):
             self._handle_request(src_name, message.index, message.urgent)
         elif isinstance(message, Cancel):
             self._handle_cancel(src_name, message.index)
         elif isinstance(message, Handshake):
-            self._handle_handshake(src_name, message)
+            self._handle_handshake(src_name)
         elif isinstance(message, Goodbye):
             self._handle_goodbye(src_name)
         elif isinstance(
             message,
-            (Bitfield, Have, Manifest, ManifestRequest, RequestRejected,
-             Piece),
+            (Bitfield, Have, Manifest, ManifestRequest, RequestRejected),
         ):
             # Subclasses that care override handle_message and call
             # super() for the shared cases; silently ignoring here
@@ -289,7 +271,7 @@ class PeerBase:
         else:  # pragma: no cover - the branches cover every message type
             raise PeerError(f"unhandled message {type(message).__name__}")
 
-    def _handle_handshake(self, src_name: str, message: Handshake) -> None:
+    def _handle_handshake(self, src_name: str) -> None:
         """Default handshake reply: our bitfield."""
         self.send(
             src_name,
@@ -392,7 +374,7 @@ class PeerBase:
             if requester is None or not requester.alive:
                 continue
             size = self.segment_sizes[index]
-            wire_size = size + piece_wire_overhead(self.name, index, size)
+            wire_size = size + piece_wire_overhead(self.name)
             route = self._topology.route(self.node, requester.node)
             self._upload_seq += 1
             upload_id = self._upload_seq

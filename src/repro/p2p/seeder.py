@@ -8,8 +8,6 @@ swarm".
 
 from __future__ import annotations
 
-import hashlib
-
 from ..core.segments import SpliceResult
 from ..net.engine import Simulator
 from ..net.flownet import FlowNetwork
@@ -19,16 +17,6 @@ from ..obs.context import Observability
 from .messages import Manifest, ManifestRequest, Message
 from .peer import ControlPlane, PeerBase
 from .tracker import Tracker
-
-
-def info_hash_for(splice: SpliceResult) -> str:
-    """A stable content identifier for a spliced video (like a torrent
-    info-hash): technique plus the exact segment layout."""
-    hasher = hashlib.sha1()
-    hasher.update(splice.technique.encode("utf-8"))
-    for segment in splice.segments:
-        hasher.update(f"{segment.index}:{segment.size}".encode("ascii"))
-    return hasher.hexdigest()
 
 
 class Seeder(PeerBase):
@@ -63,7 +51,6 @@ class Seeder(PeerBase):
         )
         self._splice = splice
         self._tracker = tracker
-        self.info_hash = info_hash_for(splice)
         for segment in splice.segments:
             self.owned.add(segment.index)
             self.segment_sizes[segment.index] = segment.size
@@ -86,7 +73,6 @@ class Seeder(PeerBase):
     def manifest_for(self, peer_id: str) -> Manifest:
         """Build the manifest reply for a joining peer."""
         return Manifest(
-            info_hash=self.info_hash,
             segment_sizes=tuple(
                 self.segment_sizes[i] for i in range(len(self._splice))
             ),

@@ -6,20 +6,16 @@ from unittest import mock
 
 import pytest
 
-from repro.errors import PeerError, WireFormatError
-from repro.p2p import peer as peer_module
+from repro.errors import PeerError
 from repro.p2p.leecher import BUSY_BACKOFF
 from repro.p2p.messages import (
     Goodbye,
     Handshake,
     Have,
-    Piece,
     Request,
     RequestRejected,
-    encode_message,
 )
 from repro.p2p.peer import piece_wire_overhead
-from repro.p2p.wire import encode_frame
 
 from .helpers import MiniSwarm
 
@@ -69,13 +65,12 @@ class TestControlPlane:
         before = swarm.control.messages_sent
         swarm.leechers[0].start()
         assert swarm.control.messages_sent == before + 1
-        assert swarm.control.control_bytes > 0
 
     def test_message_to_departed_peer_dropped(self):
         swarm = MiniSwarm(n_leechers=2)
         a, b = swarm.leechers
         b.leave()
-        a.send(b.name, Handshake(peer_id=a.name, info_hash="x"))
+        a.send(b.name, Handshake(peer_id=a.name))
         swarm.run()  # delivery fires but is dropped; no exception
 
 
@@ -99,14 +94,9 @@ class TestBroadcast:
         swarm = MiniSwarm(n_leechers=4)
         sender, *others = swarm.leechers
         message = Have(peer_id=sender.name, index=3)
-        frame = encode_frame(encode_message(message))
-        sent, sent_bytes = (
-            swarm.control.messages_sent,
-            swarm.control.control_bytes,
-        )
+        sent = swarm.control.messages_sent
         sender.broadcast([peer.name for peer in others], message)
         assert swarm.control.messages_sent == sent + 3
-        assert swarm.control.control_bytes == sent_bytes + 3 * len(frame)
 
     def test_each_recipient_at_its_own_delay(self):
         swarm = MiniSwarm(n_leechers=3, extra_latency=seeder_extra)
@@ -176,14 +166,11 @@ class TestGroupedDelivery:
         sender = swarm.leechers[0]
         others = [n for n in swarm.control.peer_names if n != sender.name]
         message = Have(peer_id=sender.name, index=0)
-        frame = encode_frame(encode_message(message))
         pending = swarm.sim.pending_events
         sent = swarm.control.messages_sent
-        sent_bytes = swarm.control.control_bytes
         sender.broadcast(others, message)
         assert swarm.sim.pending_events == pending + 2
         assert swarm.control.messages_sent == sent + 19
-        assert swarm.control.control_bytes == sent_bytes + 19 * len(frame)
 
     def test_group_handled_in_broadcast_order(self):
         swarm = MiniSwarm(n_leechers=4)
@@ -217,7 +204,7 @@ class TestGroupedDelivery:
             third.name,
         ]
 
-    def test_recipients_share_one_decoded_message(self):
+    def test_recipients_share_the_sent_message(self):
         swarm = MiniSwarm(n_leechers=4, extra_latency=seeder_extra)
         log = record_deliveries(swarm)
         sender = swarm.leechers[0]
@@ -228,51 +215,29 @@ class TestGroupedDelivery:
         swarm.run()
         delivered = [m for _, _, _, m in log]
         assert len(delivered) == 4
-        assert delivered[0] == message
-        assert delivered[0] is not message  # the codec's copy
-        assert all(m is delivered[0] for m in delivered)
-
-    def test_undecodable_payload_raises_at_broadcast(self, monkeypatch):
-        swarm = MiniSwarm(n_leechers=2)
-        sender, other = swarm.leechers
-        # A truncated body: the frame is well formed, the message not.
-        monkeypatch.setattr(
-            peer_module,
-            "encode_message",
-            lambda message: encode_message(message)[:-1],
-        )
-        pending = swarm.sim.pending_events
-        sent = swarm.control.messages_sent
-        with pytest.raises(WireFormatError):
-            sender.broadcast([other.name], Have(sender.name, 0))
-        assert swarm.sim.pending_events == pending
-        assert swarm.control.messages_sent == sent
-
-
-U32_MAX = 2**32 - 1
-U64_MAX = 2**64 - 1
+        assert all(m is message for m in delivered)
 
 
 class TestPieceWireOverhead:
     def test_positive_and_small(self):
-        overhead = piece_wire_overhead("peer-1", 3, 512_000)
+        overhead = piece_wire_overhead("peer-1")
         assert 0 < overhead < 100
 
     def test_grows_with_peer_id(self):
-        short = piece_wire_overhead("p", 0, 1)
-        long = piece_wire_overhead("p" * 30, 0, 1)
-        assert long > short
+        assert piece_wire_overhead("p" * 30) > piece_wire_overhead("p")
 
     @pytest.mark.parametrize(
-        "peer_id",
-        ["p" * n for n in range(41)] + ["pair-é", "seeder-λ", "ピア-1"],
+        "peer_id, overhead",
+        [
+            ("peer-1", 25),
+            ("", 19),
+            ("pair-é", 26),  # é is two UTF-8 bytes
+            ("seeder-λ", 28),  # λ is two UTF-8 bytes
+            ("ピア-1", 27),  # each katakana is three UTF-8 bytes
+        ],
     )
-    @pytest.mark.parametrize(
-        "index,size", [(0, 0), (3, 512_000), (U32_MAX, U64_MAX)]
-    )
-    def test_equals_framed_piece_length(self, peer_id, index, size):
-        framed = encode_frame(encode_message(Piece(peer_id, index, size)))
-        assert piece_wire_overhead(peer_id, index, size) == len(framed)
+    def test_pinned_byte_count(self, peer_id, overhead):
+        assert piece_wire_overhead(peer_id) == overhead
 
 
 class TestUploads:

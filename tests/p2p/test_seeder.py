@@ -2,26 +2,22 @@
 
 import pytest
 
-from repro.p2p.messages import ManifestRequest
-from repro.p2p.seeder import info_hash_for
+from repro.errors import PeerError
+from repro.p2p.messages import Manifest, ManifestRequest
 
-from .helpers import MiniSwarm, make_splice
+from .helpers import MiniSwarm
 
 
-class TestInfoHash:
-    def test_stable(self):
-        splice = make_splice()
-        assert info_hash_for(splice) == info_hash_for(splice)
+class TestManifestMessage:
+    def test_manifest_length_mismatch_rejected(self):
+        with pytest.raises(PeerError):
+            Manifest(segment_sizes=(1, 2), segment_durations=(1.0,))
 
-    def test_depends_on_technique(self):
-        a = make_splice(segment_duration=2.0)
-        b = make_splice(segment_duration=4.0)
-        assert info_hash_for(a) != info_hash_for(b)
-
-    def test_is_hex_sha1(self):
-        digest = info_hash_for(make_splice())
-        assert len(digest) == 40
-        int(digest, 16)  # parses as hex
+    def test_manifest_segment_count(self):
+        manifest = Manifest(
+            segment_sizes=(1, 2), segment_durations=(1.0, 2.0)
+        )
+        assert manifest.segment_count == 2
 
 
 class TestManifestService:

@@ -14,8 +14,6 @@ ALL_ERRORS = [
     errors.SimulationError,
     errors.RoutingError,
     errors.LinkError,
-    errors.ProtocolError,
-    errors.WireFormatError,
     errors.PeerError,
     errors.SwarmError,
     errors.PlaybackError,
@@ -35,10 +33,6 @@ def test_bitstream_error_is_video_error():
 
 def test_simulation_error_is_network_error():
     assert issubclass(errors.SimulationError, errors.NetworkError)
-
-
-def test_wire_format_error_is_protocol_error():
-    assert issubclass(errors.WireFormatError, errors.ProtocolError)
 
 
 def test_catching_base_catches_subsystem_errors():

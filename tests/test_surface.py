@@ -67,9 +67,6 @@ EXEMPT: dict[str, str] = {
     "repro.p2p.tracker.Tracker.peer_ids": (
         _OBSERVES + "swarm membership after joins and departures"
     ),
-    "repro.p2p.wire.FrameDecoder.pending_bytes": (
-        _OBSERVES + "partial frames buffered by the wire codec"
-    ),
     "repro.lint.runner.lint_source": (
         "tests drive the lint rules through it on in-memory sources; "
         "the CLI lints files through lint_paths"
