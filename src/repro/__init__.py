@@ -26,35 +26,7 @@ from .lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AdaptiveDurationPlanner",
-    "AdaptivePoolPolicy",
-    "Bitstream",
-    "DownloadPolicy",
-    "DurationSplicer",
-    "EncoderConfig",
-    "FixedPoolPolicy",
-    "GopSplicer",
-    "Observability",
-    "Player",
-    "PlayerState",
-    "ReproError",
-    "Segment",
-    "SpliceResult",
-    "Splicer",
-    "StreamingMetrics",
-    "Swarm",
-    "SwarmConfig",
-    "SyntheticEncoder",
-    "adaptive_pool_size",
-    "encode_paper_video",
-    "kB_per_s",
-    "max_cdn_segment_size",
-    "mbps",
-    "__version__",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "AdaptiveDurationPlanner": "core.segment_size",
     "AdaptivePoolPolicy": "core.policy",
     "DownloadPolicy": "core.policy",
@@ -80,3 +52,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "SyntheticEncoder": "video.encoder",
     "encode_paper_video": "video.encoder",
 })
+
+__all__.append("__version__")

@@ -15,18 +15,7 @@ buffer-based client policy and a fixed-rung control
 
 from ..lazy import lazy_exports
 
-__all__ = [
-    "AbrMetrics",
-    "AbrPolicy",
-    "AbrSession",
-    "AbrSessionConfig",
-    "BitrateLadder",
-    "BufferBasedAbr",
-    "Rendition",
-    "encode_ladder",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "BitrateLadder": "ladder",
     "Rendition": "ladder",
     "encode_ladder": "ladder",

@@ -12,12 +12,7 @@ delay, packet-loss, and so on".  This package supplies both styles:
 
 from ..lazy import lazy_exports
 
-__all__ = [
-    "MathisEstimator",
-    "WindowedThroughputEstimator",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "MathisEstimator": "estimators",
     "WindowedThroughputEstimator": "estimators",
 })

@@ -74,16 +74,12 @@ class _VersionAction(argparse.Action):
     """
 
     def __call__(self, parser, namespace, values, option_string=None):
-        from .lint import CATALOG_VERSION, LINT_SCHEMA, rule_ids
+        from .lint import rule_ids
         from .obs.manifest import render_environment
 
         print(f"repro {__version__}")
         print(render_environment())
-        ids = rule_ids()
-        print(
-            f"lint {LINT_SCHEMA} catalog v{CATALOG_VERSION} "
-            f"({len(ids)} rules: {' '.join(ids)})"
-        )
+        print(f"lint rules: {' '.join(rule_ids())}")
         parser.exit()
 
 
@@ -340,40 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
             "files or directories to lint (default: the src/repro "
             "tree of the enclosing checkout)"
         ),
-    )
-    lint.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help=(
-            "text (default): path:line:col findings with fix hints; "
-            "json: one repro.lint/1 document on stdout"
-        ),
-    )
-    lint.add_argument(
-        "--select",
-        action="append",
-        default=None,
-        metavar="RULE",
-        help=(
-            "enable only these rule ids (repeatable, comma lists "
-            "accepted); overrides [tool.repro.lint] select"
-        ),
-    )
-    lint.add_argument(
-        "--ignore",
-        action="append",
-        default=None,
-        metavar="RULE",
-        help=(
-            "disable these rule ids (repeatable, comma lists "
-            "accepted); overrides [tool.repro.lint] ignore"
-        ),
-    )
-    lint.add_argument(
-        "--statistics",
-        action="store_true",
-        help="append per-rule finding/suppression counts",
     )
     lint.set_defaults(handler=_cmd_lint)
 
@@ -891,25 +853,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0 if comparison.ok else 1
 
 
-def _lint_rule_list(raw: list[str] | None) -> tuple[str, ...] | None:
-    """Flatten repeatable/comma-separated rule-id flags."""
-    if raw is None:
-        return None
-    rules: list[str] = []
-    for chunk in raw:
-        rules.extend(
-            part.strip() for part in chunk.split(",") if part.strip()
-        )
-    return tuple(rules)
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .lint import (
-        build_payload,
-        lint_paths,
-        load_config,
-        render_text,
-    )
+    from .lint import lint_paths, render_text
 
     paths = args.paths
     if not paths:
@@ -917,31 +862,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if tree is None:
             raise ReproError("no paths given and no src/repro tree found")
         paths = [str(tree)]
-    select = _lint_rule_list(args.select)
-    ignore = _lint_rule_list(args.ignore)
-    result = lint_paths(
-        paths, config=load_config(), select=select, ignore=ignore
-    )
-    if args.format == "json":
-        import json
-
-        payload = build_payload(
-            result,
-            paths=[str(path) for path in paths],
-            select=select or (),
-            ignore=ignore or (),
-        )
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(
-            render_text(
-                result.findings,
-                result.unused_suppressions,
-                statistics=(
-                    result.statistics() if args.statistics else None
-                ),
-            )
-        )
+    result = lint_paths(paths)
+    print(render_text(result.findings, result.unused_suppressions))
     return 0 if result.clean else 1
 
 

@@ -14,24 +14,7 @@
 
 from ..lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveDurationPlanner",
-    "AdaptivePoolPolicy",
-    "DownloadPolicy",
-    "DurationSplicer",
-    "FixedPoolPolicy",
-    "GopSplicer",
-    "Segment",
-    "SpliceResult",
-    "SpliceValidation",
-    "Splicer",
-    "adaptive_pool_size",
-    "max_cdn_segment_size",
-    "predicted_download_time",
-    "validate_splice",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "SpliceValidation": "validate",
     "validate_splice": "validate",
     "AdaptivePoolPolicy": "policy",

@@ -97,11 +97,11 @@ class TraceError(ReproError):
 
 
 class LintError(ReproError):
-    """A lint run was misconfigured or a source file is unusable.
+    """A lint run cannot read its input.
 
-    Covers bad rule selections, unreadable/unparseable sources,
-    malformed suppression comments, and ``repro.lint/1`` payload
-    drift — *not* rule findings, which are data, not exceptions.
+    Covers missing paths, unreadable/unparseable sources and malformed
+    suppression comments — *not* rule findings, which are data, not
+    exceptions.
     """
 
 

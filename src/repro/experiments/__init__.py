@@ -18,19 +18,7 @@ result prints with :func:`repro.experiments.report.format_figure`.
 
 from ..lazy import lazy_exports
 
-__all__ = [
-    "CellResult",
-    "ExperimentConfig",
-    "FIG4_BANDWIDTHS_KB",
-    "FigureResult",
-    "PAPER_BANDWIDTHS_KB",
-    "format_figure",
-    "format_figure_analysis",
-    "make_paper_video",
-    "make_swarm_config",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "FIG4_BANDWIDTHS_KB": "config",
     "PAPER_BANDWIDTHS_KB": "config",
     "ExperimentConfig": "config",

@@ -1,9 +1,9 @@
 """Package exports resolved on first access (PEP 562).
 
-A package ``__init__`` names its public API in ``__all__`` and maps
-each name to the submodule that defines it::
+A package ``__init__`` maps each public name to the submodule that
+defines it, and takes its ``__all__`` from that one table::
 
-    __getattr__, __dir__ = lazy_exports(__name__, {
+    __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "Swarm": "swarm",
         "CohortSwarm": "scale",
     })
@@ -24,8 +24,8 @@ from typing import Any, Callable, Mapping
 
 def lazy_exports(
     package: str, table: Mapping[str, str]
-) -> tuple[Callable[[str], Any], Callable[[], list[str]]]:
-    """Module ``__getattr__`` and ``__dir__`` for ``package``.
+) -> tuple[Callable[[str], Any], Callable[[], list[str]], list[str]]:
+    """Module ``__getattr__``, ``__dir__`` and ``__all__`` for ``package``.
 
     ``table`` maps each public name to the submodule defining it,
     relative to ``package`` (``"swarm"``, or ``"p2p.swarm"`` from the
@@ -48,4 +48,4 @@ def lazy_exports(
     def __dir__() -> list[str]:
         return sorted({*namespace, *table})
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, sorted(table)

@@ -5,10 +5,12 @@ count, golden-trace digest stability, cross-process workload digests —
 are runtime-verified by parity and golden tests, which only fail
 *after* a stray wall-clock read or unordered ``set`` iteration has
 already poisoned a run.  This package checks the invariants
-statically: an AST rule engine with per-rule ids, fix hints,
+statically: an AST rule engine with per-rule ids, fix hints and
 ``# repro: lint-ok[RULE] reason`` suppressions (stale ones fail the
-run), pyproject-scoped module classification, and a versioned JSON
-findings schema, surfaced as ``repro lint`` and a CI gate.
+run), surfaced as ``repro lint`` and a CI gate.  There is one
+configuration: every rule runs, scoped by the module prefixes in
+:data:`~repro.lint.rules.SIM_PATH` and
+:data:`~repro.lint.rules.SPEC_MODULES`.
 
 Catalog (see docs/LINTING.md for rationale and blind spots):
 
@@ -24,64 +26,26 @@ E1   every raise uses the repro.errors hierarchy
 
 Programmatic use::
 
-    from repro.lint import lint_paths, load_config
+    from repro.lint import lint_paths
 
-    result = lint_paths(["src/repro"], config=load_config())
+    result = lint_paths(["src/repro"])
     assert result.clean, result.findings
 """
 
 from ..lazy import lazy_exports
 
-__all__ = [
-    "CATALOG_VERSION",
-    "DEFAULT_SIM_PATH",
-    "DEFAULT_WALLCLOCK_ALLOW",
-    "Finding",
-    "LINT_SCHEMA",
-    "LintConfig",
-    "LintResult",
-    "ModuleContext",
-    "RULE_CATALOG",
-    "Rule",
-    "Suppression",
-    "UnusedSuppression",
-    "build_payload",
-    "catalog_description",
-    "discover",
-    "find_pyproject",
-    "in_scope",
-    "lint_paths",
-    "lint_source",
-    "load_config",
-    "module_name",
-    "parse_suppressions",
-    "render_statistics",
-    "render_text",
-    "resolve_rules",
-    "rule_ids",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "DEFAULT_SIM_PATH": "config",
-    "DEFAULT_WALLCLOCK_ALLOW": "config",
-    "LintConfig": "config",
-    "find_pyproject": "config",
-    "load_config": "config",
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "Finding": "report",
     "UnusedSuppression": "report",
-    "render_statistics": "report",
     "render_text": "report",
-    "CATALOG_VERSION": "rules",
     "RULE_CATALOG": "rules",
     "Rule": "rules",
-    "catalog_description": "rules",
+    "SIM_PATH": "rules",
+    "SPEC_MODULES": "rules",
     "rule_ids": "rules",
     "LintResult": "runner",
     "lint_paths": "runner",
     "lint_source": "runner",
-    "resolve_rules": "runner",
-    "LINT_SCHEMA": "schema",
-    "build_payload": "schema",
     "Suppression": "suppressions",
     "parse_suppressions": "suppressions",
     "ModuleContext": "walker",

@@ -17,10 +17,7 @@ class Finding:
 
     Attributes:
         rule: rule identifier (``"D3"``).
-        severity: ``"error"`` (all catalog rules today; the field is
-            part of the schema so future advisory rules don't bump it).
         path: source file.
-        module: dotted module name.
         line: 1-based source line.
         col: 0-based column.
         message: what is wrong at this site.
@@ -28,9 +25,7 @@ class Finding:
     """
 
     rule: str
-    severity: str
     path: str
-    module: str
     line: int
     col: int
     message: str
@@ -38,19 +33,6 @@ class Finding:
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule)
-
-    def to_dict(self) -> dict:
-        """JSON-ready form (schema ``repro.lint/1`` findings entry)."""
-        return {
-            "rule": self.rule,
-            "severity": self.severity,
-            "path": self.path,
-            "module": self.module,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "hint": self.hint,
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,25 +52,14 @@ class UnusedSuppression:
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.rule)
 
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "rule": self.rule,
-            "reason": self.reason,
-        }
-
 
 def render_text(
-    findings: list[Finding],
-    unused: list[UnusedSuppression],
-    *,
-    statistics: dict | None = None,
+    findings: list[Finding], unused: list[UnusedSuppression]
 ) -> str:
-    """The default ``repro lint`` output.
+    """The ``repro lint`` output.
 
     One line per finding with its fix hint indented beneath, then
-    unused suppressions, then (optionally) the statistics block.
+    unused suppressions, then a one-line summary.
     """
     lines: list[str] = []
     for finding in sorted(findings, key=Finding.sort_key):
@@ -103,10 +74,6 @@ def render_text(
             f"{entry.path}:{entry.line}: unused suppression "
             f"lint-ok[{entry.rule}]{detail}"
         )
-    if statistics is not None:
-        if lines:
-            lines.append("")
-        lines.extend(render_statistics(statistics))
     if not findings and not unused:
         summary = "clean"
     else:
@@ -116,24 +83,5 @@ def render_text(
         )
     if lines:
         lines.append("")
-    if statistics is None:
-        lines.append(summary)
+    lines.append(summary)
     return "\n".join(lines)
-
-
-def render_statistics(statistics: dict) -> list[str]:
-    """The ``--statistics`` block as output lines."""
-    lines = [
-        f"modules scanned: {statistics['modules']}",
-        f"findings: {statistics['findings']} "
-        f"(suppressed: {statistics['suppressed']}, "
-        f"unused suppressions: {statistics['unused_suppressions']})",
-    ]
-    per_rule = statistics.get("per_rule", {})
-    for rule_id in sorted(per_rule):
-        counts = per_rule[rule_id]
-        lines.append(
-            f"  {rule_id}: {counts['findings']} finding(s), "
-            f"{counts['suppressed']} suppressed"
-        )
-    return lines

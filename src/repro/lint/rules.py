@@ -1,8 +1,9 @@
 """The determinism / sim-safety rule catalog.
 
 Each rule is a pure function of one :class:`~repro.lint.walker.
-ModuleContext` plus the :class:`~repro.lint.config.LintConfig` that
-scopes it, yielding :class:`~repro.lint.report.Finding`s.  Rules are
+ModuleContext`, yielding :class:`~repro.lint.report.Finding`s; the
+scoped rules read the module-prefix constants :data:`SIM_PATH` and
+:data:`SPEC_MODULES`.  Rules are
 AST-only — no imports, no type inference — so every check here is a
 conservative syntactic approximation of the runtime invariant it
 guards; the docs/LINTING.md catalog states each rule's rationale and
@@ -27,14 +28,23 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .config import LintConfig
 from .report import Finding
 from .walker import ModuleContext, in_scope
 
-#: Bumped whenever a rule is added, removed, or materially changes
-#: what it flags — the findings *schema* is versioned separately
-#: (``repro.lint/1``); this versions the catalog's behaviour.
-CATALOG_VERSION = 1
+#: Modules whose code executes under the simulated clock and must be
+#: deterministic (D1/D3/D5 scope).  Benchmarking, profiling, progress
+#: reporting and the ops telemetry layer measure the host, and sit
+#: outside it.
+SIM_PATH = (
+    "repro.net",
+    "repro.p2p",
+    "repro.experiments",
+    "repro.abr",
+    "repro.player",
+)
+
+#: Modules holding the picklable sweep specs checked by D4.
+SPEC_MODULES = ("repro.parallel.spec",)
 
 RULE_CATALOG: dict[str, "Rule"] = {}
 
@@ -47,7 +57,7 @@ def register(cls: type["Rule"]) -> type["Rule"]:
 
 
 class Rule:
-    """One static check: identity, severity, fix hint, and a visitor.
+    """One static check: identity, fix hint, and a visitor.
 
     Subclasses set the class attributes and implement :meth:`check`;
     :meth:`finding` stamps the shared fields so rule bodies only
@@ -55,13 +65,9 @@ class Rule:
     """
 
     rule_id: str = ""
-    severity: str = "error"
-    summary: str = ""
     hint: str = ""
 
-    def check(
-        self, ctx: ModuleContext, config: LintConfig
-    ) -> Iterator[Finding]:
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Yield every violation of this rule in ``ctx``."""
         raise NotImplementedError
 
@@ -70,9 +76,7 @@ class Rule:
     ) -> Finding:
         return Finding(
             rule=self.rule_id,
-            severity=self.severity,
             path=str(ctx.path),
-            module=ctx.module,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             message=message,
@@ -108,21 +112,14 @@ class WallClockRule(Rule):
     """
 
     rule_id = "D1"
-    summary = (
-        "no wall-clock reads (time.time/monotonic, datetime.now) in "
-        "sim-path modules"
-    )
     hint = (
         "use the simulated clock (sim.now) or move the measurement "
-        "into an allowlisted module (wallclock-allow in "
-        "[tool.repro.lint]); time.perf_counter is the sanctioned "
-        "profiling clock"
+        "out of the sim-path modules; time.perf_counter is the "
+        "sanctioned profiling clock"
     )
 
-    def check(self, ctx, config):
-        if not in_scope(ctx.module, config.sim_path):
-            return
-        if in_scope(ctx.module, config.wallclock_allow):
+    def check(self, ctx):
+        if not in_scope(ctx.module, SIM_PATH):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.Attribute, ast.Name)):
@@ -173,17 +170,13 @@ class GlobalRandomRule(Rule):
     """
 
     rule_id = "D2"
-    summary = (
-        "no module-level or un-seeded random/numpy.random use "
-        "outside spec-seeded RNG plumbing"
-    )
     hint = (
         "thread a seeded random.Random(seed) (or "
         "numpy.random.default_rng(seed)) down from the run spec "
         "instead of touching the global generator"
     )
 
-    def check(self, ctx, config):
+    def check(self, ctx):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -271,17 +264,13 @@ class UnorderedIterRule(Rule):
     """
 
     rule_id = "D3"
-    summary = (
-        "no iteration over set/frozenset/dict.keys() in sim-path "
-        "code without an enclosing sorted(...)"
-    )
     hint = (
         "iterate sorted(<receiver>) to pin the order, or suppress "
         "with '# repro: lint-ok[D3] <why order cannot matter>'"
     )
 
-    def check(self, ctx, config):
-        if not in_scope(ctx.module, config.sim_path):
+    def check(self, ctx):
+        if not in_scope(ctx.module, SIM_PATH):
             return
         set_names = self._collect_set_bindings(ctx)
         for node in ast.walk(ctx.tree):
@@ -414,18 +403,14 @@ class SpecPicklableRule(Rule):
     """
 
     rule_id = "D4"
-    summary = (
-        "spec dataclasses must not carry lambdas, closures, or open "
-        "files in their field definitions"
-    )
     hint = (
         "give the field a picklable default (scalar, tuple, module-"
         "level function) or reconstruct the resource inside the "
         "worker"
     )
 
-    def check(self, ctx, config):
-        if not in_scope(ctx.module, config.spec_modules):
+    def check(self, ctx):
+        if not in_scope(ctx.module, SPEC_MODULES):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.ClassDef):
@@ -495,18 +480,14 @@ class NullPathRule(Rule):
     """
 
     rule_id = "D5"
-    summary = (
-        "tracer.emit(...) call sites must sit inside a "
-        "tracer-enabled guard (zero-cost null path)"
-    )
     hint = (
         "wrap the call site: 'if tracer.enabled: "
         "tracer.emit(Event(...))' so the disabled path allocates "
         "nothing"
     )
 
-    def check(self, ctx, config):
-        if not in_scope(ctx.module, config.sim_path):
+    def check(self, ctx):
+        if not in_scope(ctx.module, SIM_PATH):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -619,18 +600,13 @@ class RaiseHierarchyRule(Rule):
     """
 
     rule_id = "E1"
-    summary = (
-        "raise repro.errors classes, not bare builtin exceptions"
-    )
     hint = (
         "raise the closest repro.errors subclass (add one if no "
-        "subsystem error fits), or allowlist the module via "
-        "raise-allow in [tool.repro.lint]"
+        "subsystem error fits), or suppress with "
+        "'# repro: lint-ok[E1] <why a builtin is required>'"
     )
 
-    def check(self, ctx, config):
-        if in_scope(ctx.module, config.raise_allow):
-            return
+    def check(self, ctx):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
@@ -651,15 +627,3 @@ class RaiseHierarchyRule(Rule):
 def rule_ids() -> tuple[str, ...]:
     """Every registered rule id, sorted."""
     return tuple(sorted(RULE_CATALOG))
-
-
-def catalog_description() -> list[dict]:
-    """JSON-ready catalog block for reports and ``--version``."""
-    return [
-        {
-            "id": rule.rule_id,
-            "severity": rule.severity,
-            "summary": rule.summary,
-        }
-        for _, rule in sorted(RULE_CATALOG.items())
-    ]

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import LintError
-from .config import LintConfig
 from .report import Finding, UnusedSuppression
 from .rules import RULE_CATALOG
 from .suppressions import apply_suppressions, parse_suppressions
@@ -42,103 +40,37 @@ class LintResult:
         """Exit-0 condition: no findings, no stale suppressions."""
         return not self.findings and not self.unused_suppressions
 
-    def statistics(self) -> dict:
-        """The ``--statistics`` / JSON ``statistics`` block."""
-        per_rule: dict[str, dict[str, int]] = {}
-        for finding in self.findings:
-            entry = per_rule.setdefault(
-                finding.rule, {"findings": 0, "suppressed": 0}
-            )
-            entry["findings"] += 1
-        for finding in self.suppressed:
-            entry = per_rule.setdefault(
-                finding.rule, {"findings": 0, "suppressed": 0}
-            )
-            entry["suppressed"] += 1
-        return {
-            "modules": self.modules,
-            "findings": len(self.findings),
-            "suppressed": len(self.suppressed),
-            "unused_suppressions": len(self.unused_suppressions),
-            "per_rule": per_rule,
-        }
-
-
-def resolve_rules(
-    select: tuple[str, ...] | None,
-    ignore: tuple[str, ...] | None,
-    config: LintConfig,
-) -> frozenset[str]:
-    """The effective enabled-rule set for a run.
-
-    CLI flags override config: an explicit ``select``/``ignore``
-    argument replaces the corresponding ``[tool.repro.lint]`` list
-    entirely rather than merging with it.
-
-    Raises:
-        LintError: an unknown rule id anywhere in the selection.
-    """
-    known = frozenset(RULE_CATALOG)
-    select = select if select is not None else config.select
-    ignore = ignore if ignore is not None else config.ignore
-    for rule_id in (*select, *ignore):
-        if rule_id not in known:
-            raise LintError(
-                f"unknown rule id {rule_id!r} (known: "
-                f"{', '.join(sorted(known))})"
-            )
-    enabled = frozenset(select) if select else known
-    return enabled - frozenset(ignore)
-
 
 def lint_module(
     ctx: ModuleContext,
-    config: LintConfig,
-    enabled: frozenset[str],
 ) -> tuple[list[Finding], list[Finding], list[UnusedSuppression]]:
-    """Run every enabled rule over one parsed module."""
+    """Run every rule over one parsed module."""
     findings: list[Finding] = []
-    for rule_id in sorted(enabled):
-        findings.extend(RULE_CATALOG[rule_id].check(ctx, config))
+    for rule_id in sorted(RULE_CATALOG):
+        findings.extend(RULE_CATALOG[rule_id].check(ctx))
     suppressions = parse_suppressions(ctx.source, str(ctx.path))
     return apply_suppressions(
-        findings,
-        suppressions,
-        enabled_rules=enabled,
-        known_rules=frozenset(RULE_CATALOG),
+        findings, suppressions, known_rules=frozenset(RULE_CATALOG)
     )
 
 
-def lint_paths(
-    paths: list[str | Path],
-    *,
-    config: LintConfig | None = None,
-    select: tuple[str, ...] | None = None,
-    ignore: tuple[str, ...] | None = None,
-) -> LintResult:
+def lint_paths(paths: list[str | Path]) -> LintResult:
     """Lint files/directories and aggregate one :class:`LintResult`.
 
     Args:
         paths: files or directories (directories expand to ``*.py``,
             sorted, so output order is reproducible).
-        config: scoping configuration (``None``: library defaults —
-            the CLI passes the pyproject-loaded config explicitly).
-        select: enable only these rule ids (``None``: config/all).
-        ignore: disable these rule ids on top of the selection.
 
     Raises:
-        LintError: missing path, unparseable source, malformed
-            suppression comment, or unknown rule id.
+        LintError: missing path, unparseable source, or malformed
+            suppression comment.
     """
-    config = config if config is not None else LintConfig()
-    enabled = resolve_rules(select, ignore, config)
     findings: list[Finding] = []
     suppressed: list[Finding] = []
     unused: list[UnusedSuppression] = []
     files = discover(paths)
     for file in files:
-        ctx = ModuleContext.parse(file)
-        kept, silenced, stale = lint_module(ctx, config, enabled)
+        kept, silenced, stale = lint_module(ModuleContext.parse(file))
         findings.extend(kept)
         suppressed.extend(silenced)
         unused.extend(stale)
@@ -158,19 +90,14 @@ def lint_source(
     *,
     module: str = "snippet",
     path: str = "<snippet>",
-    config: LintConfig | None = None,
-    select: tuple[str, ...] | None = None,
-    ignore: tuple[str, ...] | None = None,
 ) -> LintResult:
     """Lint one in-memory source snippet (test/fixture entry point).
 
     ``module`` controls scope classification: pass a sim-path-shaped
     name (e.g. ``"repro.p2p.fixture"``) to exercise sim-path rules.
     """
-    config = config if config is not None else LintConfig()
-    enabled = resolve_rules(select, ignore, config)
     ctx = ModuleContext.parse(path, source=source, module=module)
-    kept, silenced, stale = lint_module(ctx, config, enabled)
+    kept, silenced, stale = lint_module(ctx)
     return LintResult(
         findings=sorted(kept, key=Finding.sort_key),
         suppressed=sorted(silenced, key=Finding.sort_key),

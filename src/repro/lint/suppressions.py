@@ -119,18 +119,14 @@ def parse_suppressions(
 def apply_suppressions(
     findings: list[Finding],
     suppressions: list[Suppression],
-    *,
-    enabled_rules: frozenset[str],
     known_rules: frozenset[str],
 ) -> tuple[list[Finding], list[Finding], list[UnusedSuppression]]:
     """Split findings into (kept, suppressed) and report stale comments.
 
     A suppression is *used* when some finding of a named rule sits on
-    its target line.  Unused detection only considers rules that are
-    both known and enabled for this run: a ``--select D1`` run must
-    not flag every D3 annotation in the tree as stale, while a
-    suppression naming a rule that does not exist at all is always
-    stale (likely a typo).
+    its target line.  Every unused one is stale; one naming a rule
+    that does not exist is marked as an unknown rule id (likely a
+    typo).
     """
     by_site: dict[tuple[str, int, str], list[Suppression]] = {}
     for suppression in suppressions:
@@ -157,8 +153,6 @@ def apply_suppressions(
     for suppression in suppressions:
         for rule in suppression.rules:
             if (suppression.line, rule) in used:
-                continue
-            if rule in known_rules and rule not in enabled_rules:
                 continue
             note = suppression.reason
             if rule not in known_rules:

@@ -15,21 +15,7 @@ A flow-level model of the paper's GENI star topology:
 
 from ..lazy import lazy_exports
 
-__all__ = [
-    "EventHandle",
-    "Flow",
-    "FlowNetwork",
-    "Link",
-    "Node",
-    "Simulator",
-    "StarTopology",
-    "TcpParams",
-    "TcpTransfer",
-    "ppspp_params",
-    "start_tcp_transfer",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "EventHandle": "engine",
     "Simulator": "engine",
     "Flow": "flownet",

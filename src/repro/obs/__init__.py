@@ -38,106 +38,7 @@ Tracing a run::
 
 from ..lazy import lazy_exports
 
-__all__ = [
-    "CAUSE_SYMBOLS",
-    "EVENT_TYPES",
-    "NULL_OPS",
-    "NULL_TRACER",
-    "OPS_SCHEMA",
-    "SEEDER_CONCURRENCY_THRESHOLD",
-    "SEVERITIES",
-    "STALL_CAUSES",
-    "BenchCase",
-    "BenchHarness",
-    "CaseTiming",
-    "CellAnalysis",
-    "Comparison",
-    "EngineProfile",
-    "EventTracer",
-    "FlowRateChanged",
-    "InvariantViolation",
-    "ManifestReceived",
-    "MetricDelta",
-    "NullTracer",
-    "Observability",
-    "OpsLog",
-    "PeerDeparted",
-    "PeerJoined",
-    "PeerTimeline",
-    "PeerTraceSummary",
-    "PieceReceived",
-    "PlaybackFinished",
-    "PlaybackStarted",
-    "PoolDecision",
-    "PoolResized",
-    "RequestTimedOut",
-    "RunAnalysis",
-    "SegmentFetch",
-    "SegmentRequested",
-    "SelectionMade",
-    "ShardHeartbeat",
-    "ShardStatus",
-    "SimulationCompleted",
-    "SimulationStarted",
-    "Span",
-    "StallAttribution",
-    "StallEnded",
-    "StallSpan",
-    "StallStarted",
-    "TimelineSet",
-    "TraceEvent",
-    "Tracer",
-    "TransferCancelled",
-    "TransferCompleted",
-    "TransferRecord",
-    "TransferStarted",
-    "analyze_events",
-    "analyze_observability",
-    "attribute_stalls",
-    "build_artifact",
-    "build_manifest",
-    "build_timelines",
-    "cause_histogram",
-    "compare_artifacts",
-    "critical_path",
-    "dump_json",
-    "dump_jsonl",
-    "environment_block",
-    "event_counts",
-    "event_from_dict",
-    "event_type",
-    "figure_metrics",
-    "find_heartbeats",
-    "fleet_status",
-    "git_info",
-    "handler_category",
-    "heartbeat_path",
-    "load_artifact",
-    "load_jsonl",
-    "load_ops",
-    "merge_analyses",
-    "merge_ops_path",
-    "ops_root",
-    "read_heartbeat",
-    "render_analysis",
-    "render_attributions",
-    "render_cause_table",
-    "render_comparison",
-    "render_critical_path",
-    "render_environment",
-    "render_event_counts",
-    "render_fleet",
-    "render_gantt",
-    "render_run_report",
-    "render_span_tree",
-    "render_trace_summary",
-    "run_manifest",
-    "shard_ops_path",
-    "span_from_dict",
-    "validate_artifact",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "CellAnalysis": "analyze",
     "PeerTraceSummary": "analyze",
     "RunAnalysis": "analyze",
@@ -169,7 +70,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "render_comparison": "compare",
     "Observability": "context",
     "EVENT_TYPES": "events",
-    "SEVERITIES": "events",
     "FlowRateChanged": "events",
     "ManifestReceived": "events",
     "PeerDeparted": "events",

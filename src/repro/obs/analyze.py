@@ -215,8 +215,8 @@ def analyze_events(
 
     Args:
         events: the trace, oldest first.
-        truncated: caller-supplied hint that events were dropped before
-            the trace was captured (e.g. the tracer's ``dropped``
+        truncated: caller-supplied hint that events were lost before
+            the trace was captured (e.g. the tracer's ``evicted``
             counter was non-zero).
     """
     timelines = build_timelines(events, truncated=truncated)

@@ -10,8 +10,6 @@ a single optional argument instead of two.  The absent context
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
 from .profile import EngineProfile
 from .tracer import NULL_TRACER, EventTracer, Tracer
 
@@ -33,24 +31,16 @@ class Observability:
     def tracing(
         cls,
         capacity: int | None = None,
-        categories: Iterable[str] | None = None,
-        min_severity: str = "debug",
         profile: bool = False,
     ) -> "Observability":
         """A context with event tracing (and optionally profiling) on.
 
         Args:
             capacity: tracer ring-buffer bound (``None`` = unbounded).
-            categories: restrict tracing to these categories.
-            min_severity: drop events below this severity.
             profile: also time event-loop handlers by category.
         """
         return cls(
-            tracer=EventTracer(
-                capacity=capacity,
-                categories=categories,
-                min_severity=min_severity,
-            ),
+            tracer=EventTracer(capacity=capacity),
             profile=EngineProfile() if profile else None,
         )
 

@@ -4,7 +4,7 @@ Every observable thing that happens during a simulated streaming
 session is a frozen dataclass keyed on **simulator time** — never wall
 clock — so traces from different machines are byte-identical for the
 same seed.  Each event type declares a ``category`` (which layer of the
-stack emitted it) and a ``severity``; tracers filter on both.
+stack emitted it) and a ``severity``.
 
 The taxonomy mirrors the stack:
 
@@ -33,25 +33,8 @@ from typing import Any, ClassVar
 
 from ..errors import TraceError
 
-#: Severity levels, least to most severe.
-SEVERITIES: tuple[str, ...] = ("debug", "info", "warning", "error")
-
 #: name -> event class, populated as subclasses are defined.
 EVENT_TYPES: dict[str, type["TraceEvent"]] = {}
-
-
-def severity_rank(severity: str) -> int:
-    """Position of ``severity`` in :data:`SEVERITIES` (for filtering).
-
-    Raises:
-        TraceError: on an unknown severity name.
-    """
-    try:
-        return SEVERITIES.index(severity)
-    except ValueError:
-        raise TraceError(
-            f"unknown severity {severity!r}; expected one of {SEVERITIES}"
-        ) from None
 
 
 @dataclass(frozen=True, slots=True)

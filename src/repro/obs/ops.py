@@ -20,13 +20,14 @@ Three cooperating pieces, all speaking ``repro.ops/1``:
   stragglers (rate below a fraction of the fleet median), and flag
   dead shards (stale heartbeat).
 
-This is the **one orchestration module sanctioned to read the wall
-clock** (lint rule D1's allowlist): sim-path code that wants wall
-telemetry calls in here instead of touching ``time`` itself.  The
-span log ships a disabled null twin (:data:`NULL_OPS`) so
-instrumented code pays one attribute check when telemetry is off —
-the same pattern as :data:`~repro.obs.tracer.NULL_TRACER`; an absent
-heartbeat is simply not called.
+This is the **one orchestration module that reads the wall clock**
+(it sits outside the sim-path scope lint rule D1 checks): sim-path
+code that wants wall telemetry calls in here instead of touching
+``time`` itself.  The span log ships a disabled null twin
+(:data:`NULL_OPS`) so instrumented code pays one attribute check when
+telemetry is off — the same pattern as
+:data:`~repro.obs.tracer.NULL_TRACER`; an absent heartbeat is simply
+not called.
 """
 
 from __future__ import annotations

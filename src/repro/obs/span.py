@@ -10,10 +10,10 @@ whose leaves are individual cell runs and store commits.
 
 This module is deliberately pure: spans are plain data plus tree /
 critical-path / rendering helpers, and **nothing here reads the wall
-clock** — the clock lives in :mod:`repro.obs.ops`, the one module the
-lint D1 allowlist sanctions for orchestration-side wall-clock reads.
-Keeping the data model clock-free means renderers and tests never need
-a sanctioned module and never depend on the host's clock.
+clock** — the clock lives in :mod:`repro.obs.ops`, the one module
+that reads it for the orchestration side.  Keeping the data model
+clock-free means renderers and tests never need the clock module and
+never depend on the host's clock.
 
 Span names form a small taxonomy mirroring the sweep protocol::
 

@@ -7,8 +7,8 @@ plus the swarm-level transfer ledger the attribution pass joins
 against.
 
 Reconstruction is defensive on purpose.  Real traces are imperfect
-(the tracer's ring buffer wraps, category filters drop layers, a run's
-safety cap cuts sessions mid-stall), so event-ordering invariants are
+(a capacity-bounded tracer wraps, a file is cut short, a run's safety
+cap cuts sessions mid-stall), so event-ordering invariants are
 *validated* and violations reported in the result rather than raised:
 a malformed trace yields a partial timeline with an explanation, never
 a crash.  :class:`TimelineSet.truncated` flags a trace whose head fell

@@ -9,19 +9,18 @@ so the disabled case — the default everywhere — costs a single
 attribute check: no event object is built, no call is made.
 :data:`NULL_TRACER` is the shared disabled singleton.
 
-The enabled tracer keeps events in a bounded ring buffer (old events
+The enabled tracer keeps events in a bounded ring buffer: old events
 fall off the front once ``capacity`` is reached, like a flight
-recorder) and can filter by category and by minimum severity before
-storing anything.
+recorder.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from ..errors import TraceError
-from .events import TraceEvent, severity_rank
+from .events import TraceEvent
 
 
 class NullTracer:
@@ -50,35 +49,21 @@ NULL_TRACER = NullTracer()
 
 
 class EventTracer:
-    """Ring-buffer tracer with category/severity filtering.
+    """Ring-buffer tracer.
 
     Args:
         capacity: maximum events retained; older events are dropped
             first (``None`` keeps everything).
-        categories: only record events whose ``category`` is in this
-            set (``None`` records all categories).
-        min_severity: drop events below this severity (default
-            ``"debug"`` records everything).
     """
 
     enabled: bool = True
 
-    def __init__(
-        self,
-        capacity: int | None = 100_000,
-        categories: Iterable[str] | None = None,
-        min_severity: str = "debug",
-    ) -> None:
+    def __init__(self, capacity: int | None = 100_000) -> None:
         if capacity is not None and capacity < 1:
             raise TraceError(
                 f"capacity must be >= 1 or None, got {capacity}"
             )
         self._buffer: deque[TraceEvent] = deque(maxlen=capacity)
-        self._categories = (
-            frozenset(categories) if categories is not None else None
-        )
-        self._min_rank = severity_rank(min_severity)
-        self.dropped = 0  # filtered out (not ring-buffer evictions)
         self.evicted = 0  # pushed off the front of a full ring buffer
 
     @property
@@ -87,16 +72,7 @@ class EventTracer:
         return self._buffer.maxlen
 
     def emit(self, event: TraceEvent) -> None:
-        """Record ``event`` if it passes the filters."""
-        if (
-            self._categories is not None
-            and event.category not in self._categories
-        ):
-            self.dropped += 1
-            return
-        if severity_rank(event.severity) < self._min_rank:
-            self.dropped += 1
-            return
+        """Record ``event``, evicting the oldest one when full."""
         if (
             self._buffer.maxlen is not None
             and len(self._buffer) == self._buffer.maxlen
@@ -111,7 +87,6 @@ class EventTracer:
     def clear(self) -> None:
         """Forget every retained event."""
         self._buffer.clear()
-        self.dropped = 0
         self.evicted = 0
 
     def __len__(self) -> int:

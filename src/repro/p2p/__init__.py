@@ -16,33 +16,7 @@ peer both leeches and seeds.  This package is that application:
 
 from ..lazy import lazy_exports
 
-__all__ = [
-    "Bitfield",
-    "ChurnModel",
-    "CohortSwarm",
-    "FIDELITY_TIERS",
-    "FluidSwarm",
-    "Goodbye",
-    "Handshake",
-    "Have",
-    "Leecher",
-    "LeecherConfig",
-    "Manifest",
-    "ManifestRequest",
-    "Message",
-    "PieceSelector",
-    "Request",
-    "RequestRejected",
-    "Seeder",
-    "SequentialSelector",
-    "Swarm",
-    "WindowedRarestSelector",
-    "SwarmConfig",
-    "Tracker",
-    "build_swarm",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "ChurnModel": "churn",
     "Leecher": "leecher",
     "LeecherConfig": "leecher",

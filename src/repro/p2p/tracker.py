@@ -8,8 +8,6 @@ seeder embeds its contents in every :class:`~repro.p2p.messages.Manifest`.
 
 from __future__ import annotations
 
-import random
-
 from ..errors import SwarmError
 
 
@@ -44,24 +42,6 @@ class Tracker:
         """Remove a departed peer (idempotent)."""
         self._peers.pop(peer_id, None)
 
-    def peers_for(self, peer_id: str, limit: int | None = None) -> list[str]:
-        """Peer ids to hand to ``peer_id`` (everyone but itself).
-
-        Args:
-            peer_id: the requesting peer (excluded from the result).
-            limit: optional maximum number of peers returned (oldest
-                first, like a tracker returning a stable window).
-        """
-        others = [p for p in self._peers if p != peer_id]
-        if limit is not None:
-            others = others[:limit]
-        return others
-
-    def sample(
-        self, peer_id: str, count: int, rng: random.Random
-    ) -> list[str]:
-        """A random subset of other peers (for partial-view swarms)."""
-        others = [p for p in self._peers if p != peer_id]
-        if count >= len(others):
-            return others
-        return rng.sample(others, count)
+    def peers_for(self, peer_id: str) -> list[str]:
+        """Peer ids to hand to ``peer_id``: everyone else, in join order."""
+        return [p for p in self._peers if p != peer_id]

@@ -9,39 +9,7 @@ design and determinism guarantees.
 
 from ..lazy import lazy_exports
 
-__all__ = [
-    "CellSpec",
-    "DEFAULT_STORE_DIR",
-    "JOBS_ENV_VAR",
-    "ResultStore",
-    "RunOutcome",
-    "RunSpec",
-    "STORE_ENV_VAR",
-    "STORE_SCHEMA",
-    "SplicerSpec",
-    "SquareWave",
-    "StoreStats",
-    "SweepExecutor",
-    "SweepProgress",
-    "SweepStats",
-    "SweepTally",
-    "VideoSpec",
-    "cached_splice",
-    "cached_video",
-    "canonical_data",
-    "cell_for",
-    "clear_caches",
-    "content_digest",
-    "default_jobs",
-    "default_store_root",
-    "execute_run",
-    "pool_entry",
-    "run_identity",
-    "simulation_identity",
-    "splice_for",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "cached_splice": "cache",
     "cached_video": "cache",
     "clear_caches": "cache",

@@ -182,8 +182,8 @@ class SweepExecutor:
         store, under its own key, as it settles.
 
         Args:
-            analyze: trace every run into a private ring buffer and
-                attach its one-run
+            analyze: trace every run in full, into its own unbounded
+                tracer, and attach its one-run
                 :class:`~repro.obs.analyze.CellAnalysis` rollup to
                 its outcome.  Each analysis is computed from that
                 run's own trace where the run executed, so verdicts

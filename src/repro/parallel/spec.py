@@ -240,8 +240,8 @@ class RunSpec:
         seed: the swarm seed of this run.
         cell_index: position of the cell in the sweep (merge key).
         seed_index: position of the seed within the cell (merge key).
-        collect_analysis: when true, the run is traced into a private
-            ring buffer, diagnosed, and reduced to a one-run
+        collect_analysis: when true, the run is traced in full into
+            its own unbounded tracer, diagnosed, and reduced to a one-run
             :class:`~repro.obs.analyze.CellAnalysis` where it executed
             — only that rollup crosses the process boundary, never
             the trace, so attribution is identical at any worker

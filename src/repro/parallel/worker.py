@@ -222,8 +222,8 @@ def failed_outcome(spec: RunSpec, error: str) -> RunOutcome:
 def pool_entry(spec: RunSpec) -> RunOutcome:
     """Execute one run: a failure becomes an outcome, never a raise.
 
-    An analyzing run (``spec.collect_analysis``) is traced into a
-    private ring buffer, diagnosed, and reduced to a one-run
+    An analyzing run (``spec.collect_analysis``) is traced in full
+    into its own unbounded tracer, diagnosed, and reduced to a one-run
     :class:`~repro.obs.analyze.CellAnalysis` here, where it executed;
     only that rollup travels back.
     """

@@ -9,15 +9,7 @@ sequentially).
 
 from ..lazy import lazy_exports
 
-__all__ = [
-    "PlaybackBuffer",
-    "Player",
-    "PlayerState",
-    "StallEvent",
-    "StreamingMetrics",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "PlaybackBuffer": "buffer",
     "StallEvent": "metrics",
     "StreamingMetrics": "metrics",

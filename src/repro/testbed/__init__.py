@@ -9,16 +9,7 @@ documents; ``repro rspec`` prints the paper's star.
 
 from ..lazy import lazy_exports
 
-__all__ = [
-    "RSpecDocument",
-    "RSpecLink",
-    "RSpecNode",
-    "SoftwareInstall",
-    "parse_rspec",
-    "star_rspec",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "RSpecDocument": "rspec",
     "RSpecLink": "rspec",
     "RSpecNode": "rspec",

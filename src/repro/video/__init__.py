@@ -21,22 +21,7 @@ Public entry points:
 
 from ..lazy import lazy_exports
 
-__all__ = [
-    "Bitstream",
-    "BitstreamStats",
-    "EncoderConfig",
-    "Frame",
-    "FrameType",
-    "Gop",
-    "Scene",
-    "SceneKind",
-    "ScenePlan",
-    "SyntheticEncoder",
-    "encode_paper_video",
-    "generate_scene_plan",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "Bitstream": "bitstream",
     "BitstreamStats": "bitstream",
     "EncoderConfig": "encoder",

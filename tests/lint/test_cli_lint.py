@@ -1,12 +1,10 @@
-"""``repro lint`` CLI: exit codes, filtering, formats, schema."""
+"""``repro lint`` CLI: exit codes, output, and its one configuration."""
 
-import json
 import textwrap
 
 import pytest
 
 from repro.cli import main
-from repro.lint import LINT_SCHEMA
 
 CLEAN_SOURCE = """
 def add(left, right):
@@ -67,76 +65,46 @@ class TestExitCodes:
         assert main(["lint", str(tmp_path / "absent.py")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_unknown_rule_exits_2(self, capsys, write):
-        path = write(CLEAN_SOURCE)
-        assert main(["lint", path, "--select", "NOPE"]) == 2
-        assert "unknown rule id" in capsys.readouterr().err
-
     def test_unparseable_source_exits_2(self, capsys, write):
         path = write("def broken(:\n")
         assert main(["lint", path]) == 2
         assert "cannot parse" in capsys.readouterr().err
 
-    def test_bad_format_choice_exits_2(self, write):
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--select", "D1"],
+            ["--ignore", "E1"],
+            ["--format", "json"],
+            ["--statistics"],
+        ],
+        ids=["select", "ignore", "format", "statistics"],
+    )
+    def test_removed_options_rejected(self, write, option):
         with pytest.raises(SystemExit) as excinfo:
-            main(["lint", write(CLEAN_SOURCE), "--format", "xml"])
+            main(["lint", write(CLEAN_SOURCE), *option])
         assert excinfo.value.code == 2
 
 
-class TestFiltering:
-    def test_ignore_silences_the_rule(self, capsys, write):
-        path = write(DIRTY_SOURCE)
-        assert main(["lint", path, "--ignore", "E1"]) == 0
-
-    def test_select_other_rule_passes(self, capsys, write):
-        path = write(DIRTY_SOURCE)
-        assert main(["lint", path, "--select", "D1"]) == 0
-
-    def test_comma_separated_select(self, capsys, write):
-        path = write(DIRTY_SOURCE)
-        assert main(["lint", path, "--select", "D1,E1"]) == 1
-
-
-class TestJsonFormat:
-    def run_json(self, capsys, path, *extra):
-        code = main(["lint", path, "--format", "json", *extra])
-        payload = json.loads(capsys.readouterr().out)
-        return code, payload
-
-    def test_payload_validates_against_schema(self, capsys, write):
-        code, payload = self.run_json(capsys, write(DIRTY_SOURCE))
-        assert code == 1
-        assert payload["schema"] == LINT_SCHEMA
-        assert not payload["clean"]
-        (finding,) = payload["findings"]
-        assert finding["rule"] == "E1"
-        assert finding["line"] == 4
-        assert finding["hint"]
-
-    def test_clean_payload(self, capsys, write):
-        code, payload = self.run_json(capsys, write(CLEAN_SOURCE))
-        assert code == 0
-        assert payload["clean"]
-        assert payload["findings"] == []
-        assert payload["statistics"]["modules"] == 1
-        assert [r["id"] for r in payload["catalog"]["rules"]] == [
-            "D1", "D2", "D3", "D4", "D5", "E1",
-        ]
-
-    def test_select_recorded_in_payload(self, capsys, write):
-        _, payload = self.run_json(
-            capsys, write(CLEAN_SOURCE), "--select", "D1,D2"
+class TestSimPathScope:
+    def test_wall_clock_read_in_sim_path_package_exits_1(
+        self, capsys, tmp_path
+    ):
+        package = tmp_path / "repro" / "p2p"
+        package.mkdir(parents=True)
+        (tmp_path / "repro" / "__init__.py").write_text("")
+        (package / "__init__.py").write_text("")
+        (package / "clock.py").write_text(
+            "import time\n\n\ndef now():\n    return time.time()\n"
         )
-        assert payload["select"] == ["D1", "D2"]
-
-
-class TestStatistics:
-    def test_statistics_block_printed(self, capsys, write):
-        path = write(SUPPRESSED_SOURCE)
-        assert main(["lint", path, "--statistics"]) == 0
-        out = capsys.readouterr().out
-        assert "modules scanned: 1" in out
-        assert "suppressed: 1" in out
+        assert main(["lint", str(package)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == (
+            f"{package / 'clock.py'}:5:11: D1 wall-clock read "
+            f"'time.time' in sim-path module repro.p2p.clock"
+        )
+        assert out[1].startswith("    hint: use the simulated clock")
+        assert out[-1] == "1 finding(s), 0 unused suppression(s)"
 
 
 class TestVersionIntegration:
@@ -145,7 +113,6 @@ class TestVersionIntegration:
             main(["--version"])
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
-        assert f"lint {LINT_SCHEMA} catalog v1" in out
-        assert "D1 D2 D3 D4 D5 E1" in out
+        assert "lint rules: D1 D2 D3 D4 D5 E1" in out
         # The environment block stays alongside (PR 6 behaviour).
         assert "python " in out

@@ -1,58 +1,6 @@
-"""``[tool.repro.lint]`` loading and scope resolution."""
+"""Scope resolution: dotted module names and sim-path prefixes."""
 
-import pytest
-
-from repro.errors import LintError
-from repro.lint import (
-    DEFAULT_SIM_PATH,
-    LintConfig,
-    in_scope,
-    load_config,
-    module_name,
-)
-
-
-class TestLoadConfig:
-    def test_missing_file_yields_defaults(self, tmp_path):
-        config = load_config(tmp_path / "pyproject.toml")
-        assert config == LintConfig()
-
-    def test_table_overrides_kebab_and_snake_case(self, tmp_path):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text(
-            "[tool.repro.lint]\n"
-            'sim-path = ["repro.net"]\n'
-            'raise_allow = ["repro.cli"]\n'
-        )
-        config = load_config(pyproject)
-        assert config.sim_path == ("repro.net",)
-        assert config.raise_allow == ("repro.cli",)
-        # Untouched keys keep their defaults.
-        assert config.spec_modules == ("repro.parallel.spec",)
-
-    def test_unknown_key_rejected(self, tmp_path):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text(
-            "[tool.repro.lint]\nsim-paths = []\n"
-        )
-        with pytest.raises(LintError, match="unknown"):
-            load_config(pyproject)
-
-    def test_non_list_value_rejected(self, tmp_path):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text(
-            "[tool.repro.lint]\nselect = 'D1'\n"
-        )
-        with pytest.raises(LintError, match="list of strings"):
-            load_config(pyproject)
-
-    def test_repository_pyproject_parses(self):
-        from pathlib import Path
-
-        pyproject = Path(__file__).parents[2] / "pyproject.toml"
-        config = load_config(pyproject)
-        assert config.sim_path == DEFAULT_SIM_PATH
-        assert "repro.obs.bench" in config.wallclock_allow
+from repro.lint import SIM_PATH, in_scope, module_name
 
 
 class TestScoping:
@@ -71,6 +19,12 @@ class TestScoping:
         (package / "mod.py").write_text("x = 1\n")
         assert module_name(package / "mod.py") == "pkg.sub.mod"
         assert module_name(package / "__init__.py") == "pkg.sub"
+
+    def test_sim_path_covers_the_simulated_layers(self):
+        assert in_scope("repro.p2p.leecher", SIM_PATH)
+        assert in_scope("repro.net.flownet", SIM_PATH)
+        assert not in_scope("repro.obs.ops", SIM_PATH)
+        assert not in_scope("repro.parallel.progress", SIM_PATH)
 
     def test_bare_file_uses_stem(self, tmp_path):
         script = tmp_path / "scratch.py"

@@ -3,28 +3,22 @@ produces a finding and one that passes.
 
 Snippets are linted in-memory through :func:`repro.lint.lint_source`;
 the ``module`` argument controls scope classification (a
-``repro.p2p.*`` name lands in the default sim-path, ``repro.obs.*``
+``repro.p2p.*`` name lands in ``SIM_PATH``, ``repro.obs.*``
 does not).
 """
 
 import textwrap
 
-import pytest
-
-from repro.lint import LintConfig, lint_source
+from repro.lint import lint_source
 
 SIM_MODULE = "repro.p2p.fixture"
 NON_SIM_MODULE = "repro.obs.fixture"
 
 
-def findings_for(source, module=SIM_MODULE, *, select=None, **kwargs):
-    result = lint_source(
-        textwrap.dedent(source),
-        module=module,
-        select=select,
-        **kwargs,
-    )
-    return result.findings
+def findings_for(source, module=SIM_MODULE, *, rule):
+    """The findings of ``rule`` alone; every rule runs on each snippet."""
+    result = lint_source(textwrap.dedent(source), module=module)
+    return [finding for finding in result.findings if finding.rule == rule]
 
 
 def rules_of(findings):
@@ -40,7 +34,7 @@ class TestD1WallClock:
             def elapsed():
                 return time.monotonic()
             """,
-            select=("D1",),
+            rule="D1",
         )
         assert rules_of(findings) == ["D1"]
         assert "time.monotonic" in findings[0].message
@@ -55,7 +49,7 @@ class TestD1WallClock:
             def stamp():
                 return t.time(), wall(), datetime.now()
             """,
-            select=("D1",),
+            rule="D1",
         )
         assert len(findings) == 3
 
@@ -67,7 +61,7 @@ class TestD1WallClock:
             def make(clock=time.monotonic):
                 return clock()
             """,
-            select=("D1",),
+            rule="D1",
         )
         assert rules_of(findings) == ["D1"]
 
@@ -79,7 +73,7 @@ class TestD1WallClock:
             def profile():
                 return perf_counter()
             """,
-            select=("D1",),
+            rule="D1",
         )
 
     def test_non_sim_path_module_passes(self):
@@ -91,52 +85,8 @@ class TestD1WallClock:
                 return time.monotonic()
             """,
             module=NON_SIM_MODULE,
-            select=("D1",),
+            rule="D1",
         )
-
-    def test_wallclock_allowlist_exempts_module(self):
-        config = LintConfig(
-            sim_path=("repro.p2p",),
-            wallclock_allow=(SIM_MODULE,),
-        )
-        assert not findings_for(
-            """
-            import time
-
-            def elapsed():
-                return time.monotonic()
-            """,
-            config=config,
-            select=("D1",),
-        )
-
-
-    def test_ops_telemetry_is_exempt_by_default(self):
-        # The ops span layer exists to read the wall clock; the
-        # default allowlist carves it out even when repro.obs is
-        # pulled into the sim-path scope.
-        config = LintConfig(sim_path=("repro.obs",))
-        source = """
-            import time
-
-            def stamp():
-                return time.time()
-            """
-        assert not findings_for(
-            source,
-            module="repro.obs.ops",
-            config=config,
-            select=("D1",),
-        )
-        # The exemption is the module, not the package: a sibling
-        # under the same scope is still flagged.
-        findings = findings_for(
-            source,
-            module="repro.obs.analyze",
-            config=config,
-            select=("D1",),
-        )
-        assert rules_of(findings) == ["D1"]
 
 
 class TestD2GlobalRandom:
@@ -148,7 +98,7 @@ class TestD2GlobalRandom:
             def jitter():
                 return random.random()
             """,
-            select=("D2",),
+            rule="D2",
         )
         assert rules_of(findings) == ["D2"]
 
@@ -160,7 +110,7 @@ class TestD2GlobalRandom:
             def fresh():
                 return random.Random()
             """,
-            select=("D2",),
+            rule="D2",
         )
         assert "un-seeded" in findings[0].message
 
@@ -171,7 +121,7 @@ class TestD2GlobalRandom:
 
             RNG = random.Random(7)
             """,
-            select=("D2",),
+            rule="D2",
         )
         assert "module-level" in findings[0].message
 
@@ -183,7 +133,7 @@ class TestD2GlobalRandom:
             def sample():
                 return np.random.randint(0, 10)
             """,
-            select=("D2",),
+            rule="D2",
         )
         assert rules_of(findings) == ["D2"]
 
@@ -196,7 +146,7 @@ class TestD2GlobalRandom:
                 rng = random.Random(seed)
                 return rng.random()
             """,
-            select=("D2",),
+            rule="D2",
         )
 
     def test_seeded_numpy_generator_passes(self):
@@ -207,7 +157,7 @@ class TestD2GlobalRandom:
             def build(seed):
                 return np.random.default_rng(seed)
             """,
-            select=("D2",),
+            rule="D2",
         )
 
     def test_flags_unseeded_numpy_bit_generator(self):
@@ -218,7 +168,7 @@ class TestD2GlobalRandom:
             def build():
                 return np.random.Generator(np.random.PCG64())
             """,
-            select=("D2",),
+            rule="D2",
         )
         assert rules_of(findings) == ["D2"]
         assert "un-seeded" in findings[0].message
@@ -235,7 +185,7 @@ class TestD2GlobalRandom:
                     for s in streams
                 ]
             """,
-            select=("D2",),
+            rule="D2",
         )
 
 
@@ -248,7 +198,7 @@ class TestD3UnorderedIteration:
                 for name in pending:
                     print(name)
             """,
-            select=("D3",),
+            rule="D3",
         )
         assert rules_of(findings) == ["D3"]
         assert "pending" in findings[0].message
@@ -264,7 +214,7 @@ class TestD3UnorderedIteration:
                     for name in self._known:
                         print(name)
             """,
-            select=("D3",),
+            rule="D3",
         )
         assert len(findings) == 1
         assert "self._known" in findings[0].message
@@ -279,7 +229,7 @@ class TestD3UnorderedIteration:
                     totals.append(key)
                 return totals
             """,
-            select=("D3",),
+            rule="D3",
         )
         assert len(findings) == 2
 
@@ -290,7 +240,7 @@ class TestD3UnorderedIteration:
                 live = set(names)
                 return list(live)
             """,
-            select=("D3",),
+            rule="D3",
         )
         assert rules_of(findings) == ["D3"]
 
@@ -302,7 +252,7 @@ class TestD3UnorderedIteration:
                 for name in sorted(pending):
                     print(name)
             """,
-            select=("D3",),
+            rule="D3",
         )
 
     def test_membership_and_aggregates_pass(self):
@@ -312,7 +262,7 @@ class TestD3UnorderedIteration:
                 pending = set(names)
                 return candidate in pending and len(pending) > 0
             """,
-            select=("D3",),
+            rule="D3",
         )
 
     def test_non_sim_path_module_passes(self):
@@ -324,7 +274,7 @@ class TestD3UnorderedIteration:
                     print(name)
             """,
             module=NON_SIM_MODULE,
-            select=("D3",),
+            rule="D3",
         )
 
 
@@ -339,7 +289,7 @@ class TestD4SpecPicklability:
                 key = lambda self: 1
             """,
             module="repro.parallel.spec",
-            select=("D4",),
+            rule="D4",
         )
         assert rules_of(findings) == ["D4"]
 
@@ -353,7 +303,7 @@ class TestD4SpecPicklability:
                 log = open("/tmp/x", "w")
             """,
             module="repro.parallel.spec",
-            select=("D4",),
+            rule="D4",
         )
         assert "open file" in findings[0].message
 
@@ -368,7 +318,7 @@ class TestD4SpecPicklability:
                 label: str = ""
             """,
             module="repro.parallel.spec",
-            select=("D4",),
+            rule="D4",
         )
 
     def test_lambda_outside_spec_modules_passes(self):
@@ -381,7 +331,7 @@ class TestD4SpecPicklability:
                 key = lambda self: 1
             """,
             module="repro.obs.fixture",
-            select=("D4",),
+            rule="D4",
         )
 
 
@@ -392,7 +342,7 @@ class TestD5NullPathPurity:
             def receive(self, tracer, name):
                 tracer.emit(dict(event="received", peer=f"{name}"))
             """,
-            select=("D5",),
+            rule="D5",
         )
         assert rules_of(findings) == ["D5"]
 
@@ -405,7 +355,7 @@ class TestD5NullPathPurity:
                 else:
                     tracer.emit({"event": "received"})
             """,
-            select=("D5",),
+            rule="D5",
         )
         assert rules_of(findings) == ["D5"]
 
@@ -416,7 +366,7 @@ class TestD5NullPathPurity:
                 if self._tracer.enabled:
                     self._tracer.emit({"peer": f"{name}"})
             """,
-            select=("D5",),
+            rule="D5",
         )
 
     def test_hoisted_guard_name_passes(self):
@@ -427,7 +377,7 @@ class TestD5NullPathPurity:
                 if tracing:
                     tracer.emit({"event": "started"})
             """,
-            select=("D5",),
+            rule="D5",
         )
 
     def test_non_tracer_emit_passes(self):
@@ -436,7 +386,7 @@ class TestD5NullPathPurity:
             def publish(self, bus):
                 bus.emit("topic")
             """,
-            select=("D5",),
+            rule="D5",
         )
 
 
@@ -449,7 +399,7 @@ class TestE1RaiseHierarchy:
                     raise ValueError(f"bad {value}")
             """,
             module=NON_SIM_MODULE,
-            select=("E1",),
+            rule="E1",
         )
         assert rules_of(findings) == ["E1"]
         assert "ValueError" in findings[0].message
@@ -467,7 +417,7 @@ class TestE1RaiseHierarchy:
                 except ZeroDivisionError as exc:
                     raise
             """,
-            select=("E1",),
+            rule="E1",
         )
 
     def test_not_implemented_error_passes(self):
@@ -477,19 +427,7 @@ class TestE1RaiseHierarchy:
                 def check(self):
                     raise NotImplementedError
             """,
-            select=("E1",),
-        )
-
-    def test_raise_allowlist_exempts_module(self):
-        config = LintConfig(raise_allow=("repro.tools",))
-        assert not findings_for(
-            """
-            def boom():
-                raise RuntimeError("fine here")
-            """,
-            module="repro.tools.scratch",
-            config=config,
-            select=("E1",),
+            rule="E1",
         )
 
 
@@ -501,12 +439,4 @@ class TestCatalog:
             "D1", "D2", "D3", "D4", "D5", "E1",
         }
         for rule in RULE_CATALOG.values():
-            assert rule.summary
             assert rule.hint
-            assert rule.severity == "error"
-
-    def test_unknown_rule_selection_raises(self):
-        from repro.errors import LintError
-
-        with pytest.raises(LintError, match="unknown rule id"):
-            lint_source("x = 1", select=("NOPE",))

@@ -10,10 +10,8 @@ from repro.lint import lint_source, parse_suppressions
 SIM_MODULE = "repro.p2p.fixture"
 
 
-def lint(source, **kwargs):
-    return lint_source(
-        textwrap.dedent(source), module=SIM_MODULE, **kwargs
-    )
+def lint(source):
+    return lint_source(textwrap.dedent(source), module=SIM_MODULE)
 
 
 class TestParsing:
@@ -64,7 +62,7 @@ class TestApplication:
     """
 
     def test_suppression_silences_the_finding(self):
-        result = lint(self.UNGUARDED, select=("D1",))
+        result = lint(self.UNGUARDED)
         assert result.clean
         assert not result.findings
         assert len(result.suppressed) == 1
@@ -78,8 +76,7 @@ class TestApplication:
             # repro: lint-ok[D1] host timing for reports
             def elapsed(clock=time.monotonic):
                 return clock()
-            """,
-            select=("D1",),
+            """
         )
         assert result.clean
 
@@ -111,20 +108,7 @@ class TestApplication:
         result = lint(
             """
             x = 1  # repro: lint-ok[D9] no such rule
-            """,
-            select=("D1",),
+            """
         )
         assert [u.rule for u in result.unused_suppressions] == ["D9"]
         assert "unknown rule" in result.unused_suppressions[0].reason
-
-    def test_deselected_rule_keeps_suppression_quiet(self):
-        # A --select D2 run must not flag every D1 annotation in the
-        # tree as stale.
-        result = lint(self.UNGUARDED, select=("D2",))
-        assert result.clean
-
-    def test_statistics_count_suppressed_findings(self):
-        statistics = lint(self.UNGUARDED, select=("D1",)).statistics()
-        assert statistics["suppressed"] == 1
-        assert statistics["per_rule"]["D1"]["suppressed"] == 1
-        assert statistics["per_rule"]["D1"]["findings"] == 0

@@ -1,6 +1,5 @@
-"""Tracer behavior: the disabled fast path, filtering, the ring
-buffer, and the guarantee that tracing never changes simulation
-results."""
+"""Tracer behavior: the disabled fast path, the ring buffer, and the
+guarantee that tracing never changes simulation results."""
 
 from __future__ import annotations
 
@@ -16,7 +15,6 @@ from repro.obs import (
     NullTracer,
     Observability,
     PeerJoined,
-    SelectionMade,
     StallStarted,
 )
 from repro.p2p.swarm import Swarm, SwarmConfig
@@ -57,36 +55,14 @@ class TestEventTracer:
         with pytest.raises(TraceError):
             EventTracer(capacity=0)
 
-    def test_category_filter(self):
-        tracer = EventTracer(categories={"swarm"})
-        tracer.emit(PeerJoined(time=0.0, peer="p"))
-        tracer.emit(StallStarted(time=1.0, peer="p", segment=0))
-        assert [e.name for e in tracer.events()] == ["PeerJoined"]
-        assert tracer.dropped == 1
-
-    def test_severity_filter(self):
-        tracer = EventTracer(min_severity="warning")
-        tracer.emit(
-            SelectionMade(
-                time=0.0, peer="p", selector="s", head=(), candidates=0
-            )
-        )  # debug
-        tracer.emit(PeerJoined(time=0.0, peer="p"))  # info
-        tracer.emit(StallStarted(time=1.0, peer="p", segment=0))  # warning
-        assert [e.name for e in tracer.events()] == ["StallStarted"]
-        assert tracer.dropped == 2
-
-    def test_unknown_severity_rejected(self):
-        with pytest.raises(TraceError):
-            EventTracer(min_severity="loud")
-
     def test_clear(self):
-        tracer = EventTracer(categories={"swarm"})
+        tracer = EventTracer(capacity=1)
         tracer.emit(PeerJoined(time=0.0, peer="p"))
         tracer.emit(StallStarted(time=1.0, peer="p", segment=0))
+        assert tracer.evicted == 1
         tracer.clear()
         assert tracer.events() == []
-        assert tracer.dropped == 0
+        assert tracer.evicted == 0
 
 
 def _run_swarm(video, obs=None):

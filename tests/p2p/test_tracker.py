@@ -1,7 +1,5 @@
 """Tests for the swarm tracker."""
 
-import random
-
 import pytest
 
 from repro.errors import SwarmError
@@ -48,33 +46,3 @@ class TestPeersFor:
         tracker = Tracker()
         tracker.register("a")
         assert tracker.peers_for("stranger") == ["a"]
-
-    def test_limit(self):
-        tracker = Tracker()
-        for i in range(5):
-            tracker.register(f"p{i}")
-        assert tracker.peers_for("p4", limit=2) == ["p0", "p1"]
-
-
-class TestSample:
-    def test_sample_smaller_than_population(self):
-        tracker = Tracker()
-        for i in range(10):
-            tracker.register(f"p{i}")
-        sample = tracker.sample("p0", 3, random.Random(1))
-        assert len(sample) == 3
-        assert "p0" not in sample
-
-    def test_sample_larger_returns_all(self):
-        tracker = Tracker()
-        tracker.register("a")
-        tracker.register("b")
-        assert sorted(tracker.sample("a", 10, random.Random(1))) == ["b"]
-
-    def test_sample_deterministic_for_seed(self):
-        tracker = Tracker()
-        for i in range(10):
-            tracker.register(f"p{i}")
-        a = tracker.sample("p0", 4, random.Random(9))
-        b = tracker.sample("p0", 4, random.Random(9))
-        assert a == b
