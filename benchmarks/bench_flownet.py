@@ -350,7 +350,7 @@ def check_null_tracer_overhead(baseline, n_peers):
     _, null_wall, _, _ = _timed("incremental", "star", n_peers)
     null_evps = run_workload("incremental", "star", n_peers)[0] / null_wall
 
-    tracer = EventTracer(capacity=100_000)
+    tracer = EventTracer()
     _, traced_wall, _, _ = _timed(
         "incremental", "star", n_peers, tracer
     )

@@ -13,10 +13,10 @@ NOT cross-compare timing metrics between quick and full runs of this
 suite — CI passes ``--metric metrics.hit_rate`` explicitly.
 
 Run standalone with ``--quick --check`` to gate the overhead of the
-wall-clock ops telemetry (``repro.obs.ops``): the cold path is timed
-back-to-back with ops disabled and enabled on the same machine, and
-the suite fails if span/heartbeat emission slows the sweep by more
-than :data:`MAX_OPS_OVERHEAD`.  This is a same-run A/B, not an
+wall-clock ops telemetry (the ``repro.obs.ops`` shard heartbeat): the
+cold path is timed back-to-back without and with the heartbeat on the
+same machine, and the suite fails if heartbeat rewrites slow the
+sweep by more than :data:`MAX_OPS_OVERHEAD`.  This is a same-run A/B, not an
 artifact comparison, so it is immune to cross-machine noise.
 """
 
@@ -34,13 +34,7 @@ if str(_SRC) not in sys.path:
 
 from repro.experiments import fig2, fig3, fig4, fig5
 from repro.experiments.config import QUICK_BANDWIDTHS_KB, ExperimentConfig
-from repro.obs.ops import (
-    NULL_OPS,
-    OpsLog,
-    ShardHeartbeat,
-    heartbeat_path,
-    shard_ops_path,
-)
+from repro.obs.ops import ShardHeartbeat, heartbeat_path
 from repro.parallel import ResultStore, SweepExecutor, default_jobs
 
 #: Timed rounds per case; every cold round commits into a fresh store.
@@ -171,27 +165,21 @@ def _one_cold_sweep_s(cells, jobs, ops_enabled):
     """One cold sweep's wall time, with or without ops telemetry.
 
     A fresh store every call (cold = every run computed and
-    committed); the telemetry variant wires the full production path:
-    span log, cell-run spans, store-commit spans, heartbeat rewrites.
+    committed); the telemetry variant wires the production shard
+    path's one telemetry: the heartbeat rewrites.
     """
     with tempfile.TemporaryDirectory() as root:
-        store = ResultStore(root)
-        if ops_enabled:
-            ops = OpsLog(shard_ops_path(root, 0))
-            heartbeat = ShardHeartbeat(
-                heartbeat_path(root, 0), shard=0, shards=1
-            )
-            store.ops = ops
-        else:
-            ops, heartbeat = NULL_OPS, None
+        heartbeat = (
+            ShardHeartbeat(heartbeat_path(root, 0), shard=0, shards=1)
+            if ops_enabled
+            else None
+        )
         executor = SweepExecutor(
-            jobs=jobs, store=store, ops=ops, heartbeat=heartbeat
+            jobs=jobs, store=ResultStore(root), heartbeat=heartbeat
         )
         start = time.perf_counter()
-        with ops.span("shard", shard=0):
-            executor.run_cells(cells)
+        executor.run_cells(cells)
         elapsed = time.perf_counter() - start
-        ops.close()
     return elapsed
 
 
@@ -199,7 +187,7 @@ def check_ops_overhead(quick=True):
     """Gate the ops-telemetry cost on the cold sweep path.
 
     A/B on this machine: the plain cold sweep versus the same sweep
-    emitting spans, store-commit spans, and heartbeats.  The variants
+    rewriting a shard heartbeat.  The variants
     are interleaved round by round (so machine drift hits both
     equally) and each keeps its best-of-N, which rejects the
     scheduler/pool-startup noise a small sweep is prone to.  Fails

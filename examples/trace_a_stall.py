@@ -29,7 +29,7 @@ from repro import (
     kB_per_s,
 )
 from repro.obs import (
-    analyze_observability,
+    analyze_events,
     attribute_stalls,
     build_timelines,
     dump_jsonl,
@@ -125,7 +125,7 @@ def main() -> None:
 
     # Now let the analyzer do the same forensics for *every* stall.
     print("The analyzer's verdicts (repro.obs.analyze):")
-    analysis = analyze_observability(obs)
+    analysis = analyze_events(obs.events())
     verdict = next(
         a
         for a in analysis.attributions

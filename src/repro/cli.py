@@ -24,9 +24,7 @@ Commands:
   a result store, ``merge`` unions shard stores into the final
   figure (byte-identical to a single-machine run), and ``status``
   aggregates shard heartbeats into a live fleet view (progress bars,
-  straggler flagging, dead-shard detection);
-* ``ops`` — render a ``repro.ops/1`` wall-clock span log as an
-  indented tree with a critical-path summary.
+  straggler flagging, dead-shard detection).
 
 Every leaf subcommand binds its handler with ``set_defaults``, and
 :func:`main` calls it: the parser is the one command table.
@@ -375,26 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.set_defaults(handler=_cmd_compare)
 
-    ops_cmd = sub.add_parser(
-        "ops",
-        help=(
-            "render a repro.ops/1 wall-clock span log (written next "
-            "to a result store by 'sweep run'/'sweep merge') as an "
-            "indented tree plus a critical-path summary"
-        ),
-    )
-    ops_cmd.add_argument(
-        "path", help="ops JSONL log, e.g. STORE/repro.ops/*.ops.jsonl"
-    )
-    ops_cmd.add_argument(
-        "--depth",
-        type=int,
-        default=8,
-        metavar="N",
-        help="maximum tree depth to render (default 8)",
-    )
-    ops_cmd.set_defaults(handler=_cmd_ops)
-
     sweep = sub.add_parser(
         "sweep",
         help=(
@@ -494,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     status = sweep_sub.add_parser(
         "status",
         help=(
-            "aggregate shard heartbeats + ops logs into a fleet "
-            "view: per-shard progress bars, straggler flagging "
+            "aggregate shard heartbeats into a fleet view: "
+            "per-shard progress bars, straggler flagging "
             "(rate below a fraction of the fleet median), and "
             "dead-shard detection (stale heartbeat)"
         ),
@@ -509,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "shard store directory to scan for heartbeats "
-            "(repeatable; telemetry lives under DIR/repro.ops/)"
+            "(repeatable; heartbeats live under DIR/repro.ops/)"
         ),
     )
     status.add_argument(
@@ -867,35 +845,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if result.clean else 1
 
 
-def _cmd_ops(args: argparse.Namespace) -> int:
-    """Render a ``repro.ops/1`` span log: tree + critical path."""
-    from .obs.ops import load_ops
-    from .obs.span import render_critical_path, render_span_tree
-
-    spans = load_ops(args.path)
-    print(render_span_tree(spans, max_depth=max(1, args.depth)))
-    print()
-    print(render_critical_path(spans))
-    return 0
-
-
 def _cmd_sweep_plan(args: argparse.Namespace) -> int:
     from .experiments import sweep_service
-    from .obs.ops import OpsLog
 
     target = args.output or f"sweep-fig{args.figure}.plan.json"
-    with OpsLog(f"{target}.ops.jsonl") as ops_log:
-        with ops_log.span(
-            "plan", figure=args.figure, shards=args.shards
-        ) as span:
-            plan = sweep_service.build_plan(
-                args.figure,
-                quick=args.quick,
-                fidelity=args.fidelity,
-                shards=args.shards,
-            )
-            sweep_service.dump_plan(plan, target)
-            span.attrs["runs"] = plan["total_runs"]
+    plan = sweep_service.build_plan(
+        args.figure,
+        quick=args.quick,
+        fidelity=args.fidelity,
+        shards=args.shards,
+    )
+    sweep_service.dump_plan(plan, target)
     per_shard = ", ".join(
         str(sum(1 for run in plan["runs"] if run["shard"] == shard))
         for shard in range(plan["shards"])

@@ -85,10 +85,9 @@ class StoreError(ExperimentError):
 class OpsError(ReproError):
     """An operational-telemetry document is malformed or unreadable.
 
-    Covers ``repro.ops/1`` span logs that fail to parse or validate
-    and shard heartbeat files with schema drift — the wall-clock
-    observability layer (:mod:`repro.obs.ops`), not the sim-time
-    tracer.
+    Covers ``repro.ops/1`` shard heartbeat files that fail to parse
+    or that drift from the schema — the wall-clock observability
+    layer (:mod:`repro.obs.ops`), not the sim-time tracer.
     """
 
 

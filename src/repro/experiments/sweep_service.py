@@ -36,13 +36,7 @@ from typing import Sequence
 from .. import schema
 from ..errors import StoreError
 from ..obs.export import dump_json
-from ..obs.ops import (
-    OpsLog,
-    ShardHeartbeat,
-    heartbeat_path,
-    merge_ops_path,
-    shard_ops_path,
-)
+from ..obs.ops import ShardHeartbeat, heartbeat_path
 from ..p2p.swarm import FIDELITY_TIERS
 from ..parallel import (
     ResultStore,
@@ -216,11 +210,11 @@ def run_shard(
 ) -> ShardReport:
     """Execute one shard of a plan into a result store.
 
-    The shard writes wall-clock telemetry next to the store: a
-    ``repro.ops/1`` span log (one ``shard`` root span over per-run
-    ``cell-run`` and ``store-commit`` spans) and an atomically-rewritten
-    heartbeat that ``repro sweep status`` reads.  Telemetry never
-    influences results.
+    The shard writes wall-clock telemetry next to the store: an
+    atomically-rewritten heartbeat that ``repro sweep status`` reads
+    (its terminal ``updated - started`` is the shard's wall time).
+    Each computed run's own wall time and pid live in its store
+    entry.  Telemetry never influences results.
 
     Raises:
         StoreError: invalid shard index or a stale plan.
@@ -238,32 +232,14 @@ def run_shard(
         if run["shard"] == shard
     ]
     selected.sort(key=lambda spec: (spec.cell_index, spec.seed_index))
-    ops_log = OpsLog(shard_ops_path(store.root, shard))
     heartbeat = ShardHeartbeat(
         heartbeat_path(store.root, shard), shard=shard, shards=shards
     )
-    store.ops = ops_log
     executor = SweepExecutor(
-        jobs=jobs,
-        progress=progress,
-        store=store,
-        ops=ops_log,
-        heartbeat=heartbeat,
+        jobs=jobs, progress=progress, store=store, heartbeat=heartbeat
     )
-    try:
-        with ops_log.span(
-            "shard",
-            figure=plan["figure"],
-            shard=shard,
-            shards=shards,
-            runs=len(selected),
-        ) as span:
-            executor.map_runs(selected)
-            tally = executor.tally
-            span.attrs["cached"] = tally.cached
-            span.attrs["failed"] = tally.failed
-    finally:
-        ops_log.close()
+    executor.map_runs(selected)
+    tally = executor.tally
     tally.check("shard")
     return ShardReport(
         shard=shard,
@@ -305,35 +281,19 @@ def merge_plan(
 ) -> MergeReport:
     """Merge shard stores and produce the plan's final figure.
 
-    The merge writes its own span log next to the target store: one
-    ``merge`` root span over per-source ``store-absorb`` spans and the
-    replay's ``cell-run`` spans (all cache hits when every shard ran;
-    computed otherwise).
+    The merge writes no telemetry of its own: runs it has to compute
+    record their wall time in their store entries.
     """
     _rebuild_specs(plan)  # fail fast on a stale plan
-    ops_log = OpsLog(merge_ops_path(store.root))
-    store.ops = ops_log
-    executor = SweepExecutor(
-        jobs=jobs, progress=progress, store=store, ops=ops_log
-    )
+    executor = SweepExecutor(jobs=jobs, progress=progress, store=store)
     config = sweep_config(plan["quick"], plan["fidelity"])
     module = FIGURES[plan["figure"]]
-    try:
-        with ops_log.span(
-            "merge",
-            figure=plan["figure"],
-            shards=plan["shards"],
-            sources=len(list(sources)),
-        ) as span:
-            absorbed = 0
-            for source in sources:
-                absorbed += store.absorb(source)
-            span.attrs["absorbed"] = absorbed
-            result = module.run(
-                config, executor=executor, **figure_axis(plan["quick"])
-            )
-    finally:
-        ops_log.close()
+    absorbed = 0
+    for source in sources:
+        absorbed += store.absorb(source)
+    result = module.run(
+        config, executor=executor, **figure_axis(plan["quick"])
+    )
     stats = executor.stats
     return MergeReport(
         result=result,

@@ -6,7 +6,7 @@ every other subsystem records into:
 
 * :mod:`repro.obs.events` — the typed event taxonomy, keyed on
   simulator time;
-* :mod:`repro.obs.tracer` — ring-buffer event recording with a
+* :mod:`repro.obs.tracer` — event recording with a
   one-attribute-check disabled path (:data:`NULL_TRACER`);
 * :mod:`repro.obs.profile` — event-loop wall-time profiling by
   handler category;
@@ -19,11 +19,10 @@ every other subsystem records into:
   layer: per-peer timeline reconstruction, stall root-cause
   attribution, swarm-health rollups, the cause-marked ASCII Gantt,
   and the human-readable run report;
-* :mod:`repro.obs.span` / :mod:`repro.obs.ops` — *wall-clock*
-  operational telemetry for the sweep orchestration layer
-  (``repro.ops/1`` span logs, shard heartbeats, and the fleet view
-  behind ``repro sweep status``), cleanly separated from the sim-time
-  tracer above.
+* :mod:`repro.obs.ops` — *wall-clock* operational telemetry for the
+  sweep orchestration layer (``repro.ops/1`` shard heartbeats and the
+  fleet view behind ``repro sweep status``), cleanly separated from
+  the sim-time tracer above.
 
 Tracing a run::
 
@@ -43,7 +42,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "PeerTraceSummary": "analyze",
     "RunAnalysis": "analyze",
     "analyze_events": "analyze",
-    "analyze_observability": "analyze",
     "event_counts": "analyze",
     "merge_analyses": "analyze",
     "render_analysis": "analyze",
@@ -99,19 +97,15 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "git_info": "manifest",
     "render_environment": "manifest",
     "run_manifest": "manifest",
-    "NULL_OPS": "ops",
-    "OpsLog": "ops",
+    "OPS_SCHEMA": "ops",
     "ShardHeartbeat": "ops",
     "ShardStatus": "ops",
     "find_heartbeats": "ops",
     "fleet_status": "ops",
     "heartbeat_path": "ops",
-    "load_ops": "ops",
-    "merge_ops_path": "ops",
     "ops_root": "ops",
     "read_heartbeat": "ops",
     "render_fleet": "ops",
-    "shard_ops_path": "ops",
     "EngineProfile": "profile",
     "handler_category": "profile",
     "CAUSE_SYMBOLS": "render",
@@ -124,12 +118,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "TimelineSet": "timeline",
     "TransferRecord": "timeline",
     "build_timelines": "timeline",
-    "OPS_SCHEMA": "span",
-    "Span": "span",
-    "critical_path": "span",
-    "render_critical_path": "span",
-    "render_span_tree": "span",
-    "span_from_dict": "span",
     "NULL_TRACER": "tracer",
     "EventTracer": "tracer",
     "NullTracer": "tracer",

@@ -1,8 +1,8 @@
 """Trace analysis: timelines + attribution + swarm health rollups.
 
 The public face of the diagnosis subsystem.  Feed it a trace — a live
-:class:`~repro.obs.context.Observability`, an event list, or a JSONL
-file — and get back a :class:`RunAnalysis`: per-peer timelines reduced
+run's :meth:`~repro.obs.context.Observability.events`, an event list,
+or a JSONL file — and get back a :class:`RunAnalysis`: per-peer timelines reduced
 to QoE summaries, every completed stall attributed to one cause from
 :data:`~repro.obs.causes.STALL_CAUSES` with its evidence window, and
 swarm-health aggregates (cause histogram, transfer efficiency,
@@ -75,8 +75,8 @@ class RunAnalysis:
         peers: per-peer QoE summaries reconstructed from the timeline
             pass (tolerant of truncated traces).
         violations: event-ordering invariants the trace broke.
-        truncated: whether the trace lost its head to a capacity-bounded
-            ring buffer.
+        truncated: whether the trace's head is missing (see
+            :func:`~repro.obs.timeline.build_timelines`).
         notes: human-readable caveats about the reconstruction.
         stall_count: completed stalls across all peers — equals
             ``len(attributions)`` and, on a complete trace, the summed
@@ -130,8 +130,7 @@ class CellAnalysis:
             transfers (None when none did).
         mean_pool_deficit: mean over runs with pool decisions.
         violation_count: invariant violations across runs.
-        truncated_runs: runs whose traces lost events to the ring
-            buffer.
+        truncated_runs: runs whose traces were missing their head.
     """
 
     causes: dict[str, int]
@@ -208,18 +207,10 @@ def _pool_deficit(timelines) -> float | None:
     return sum(per_peer) / len(per_peer)
 
 
-def analyze_events(
-    events: Sequence[TraceEvent], truncated: bool = False
-) -> RunAnalysis:
-    """Analyze an in-memory trace.
-
-    Args:
-        events: the trace, oldest first.
-        truncated: caller-supplied hint that events were lost before
-            the trace was captured (e.g. the tracer's ``evicted``
-            counter was non-zero).
-    """
-    timelines = build_timelines(events, truncated=truncated)
+def analyze_events(events: Sequence[TraceEvent]) -> RunAnalysis:
+    """Analyze an in-memory trace, oldest event first (a live run's:
+    ``analyze_events(obs.events())``)."""
+    timelines = build_timelines(events)
     attributions = tuple(attribute_stalls(timelines))
     return RunAnalysis(
         attributions=attributions,
@@ -237,17 +228,6 @@ def analyze_events(
         duration=max(0.0, timelines.last_time - timelines.first_time),
         event_count=timelines.event_count,
     )
-
-
-def analyze_observability(obs: Observability) -> RunAnalysis:
-    """Analyze a live run's retained events.
-
-    The tracer's ``evicted`` counter (ring-buffer wraparound) feeds
-    the truncation flag, so a wrapped buffer is reported even when the
-    retained window happens to look well-formed.
-    """
-    evicted = getattr(obs.tracer, "evicted", 0)
-    return analyze_events(obs.events(), truncated=evicted > 0)
 
 
 def merge_analyses(rollups: Sequence[CellAnalysis]) -> CellAnalysis:
@@ -389,8 +369,8 @@ def render_analysis(analysis: RunAnalysis) -> str:
     if analysis.truncated:
         parts.append("")
         parts.append(
-            "WARNING: trace is truncated (ring-buffer wraparound); "
-            "results cover only the retained window"
+            "WARNING: trace is truncated (its head is missing); "
+            "results cover only the events present"
         )
     for note in analysis.notes:
         parts.append(f"note: {note}")
@@ -450,7 +430,7 @@ def render_run_report(obs: Observability) -> str:
             "",
             "## Per-peer sessions (from trace)",
             "",
-            render_trace_summary(analyze_observability(obs).peers),
+            render_trace_summary(analyze_events(events).peers),
             "",
             "## Events",
             "",

@@ -28,19 +28,14 @@ class Observability:
     profile: EngineProfile | None = None
 
     @classmethod
-    def tracing(
-        cls,
-        capacity: int | None = None,
-        profile: bool = False,
-    ) -> "Observability":
+    def tracing(cls, profile: bool = False) -> "Observability":
         """A context with event tracing (and optionally profiling) on.
 
         Args:
-            capacity: tracer ring-buffer bound (``None`` = unbounded).
             profile: also time event-loop handlers by category.
         """
         return cls(
-            tracer=EventTracer(capacity=capacity),
+            tracer=EventTracer(),
             profile=EngineProfile() if profile else None,
         )
 

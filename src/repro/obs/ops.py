@@ -1,12 +1,7 @@
 """Operational wall-clock telemetry for the sweep orchestration layer.
 
-Three cooperating pieces, all speaking ``repro.ops/1``:
+Two cooperating pieces around the ``repro.ops/1`` heartbeat:
 
-* :class:`OpsLog` — an append-only JSONL span log (header record
-  first, one record per finished :class:`~repro.obs.span.Span`).  The
-  executor, the result store, and the sweep service emit into it;
-  ``repro ops PATH`` renders it back as a wall-clock tree with a
-  critical-path summary.
 * :class:`ShardHeartbeat` — a single JSON file a running shard
   atomically rewrites (temp file + ``os.replace``) every
   ``interval`` seconds: shard id, run counters, last commit time, and
@@ -20,14 +15,14 @@ Three cooperating pieces, all speaking ``repro.ops/1``:
   stragglers (rate below a fraction of the fleet median), and flag
   dead shards (stale heartbeat).
 
+A shard's wall time is its terminal heartbeat's ``updated -
+started``; each computed run's wall time and pid are in its
+``repro.store/1`` entry (:class:`~repro.parallel.store.ResultStore`).
+
 This is the **one orchestration module that reads the wall clock**
 (it sits outside the sim-path scope lint rule D1 checks): sim-path
 code that wants wall telemetry calls in here instead of touching
-``time`` itself.  The span log ships a disabled null twin
-(:data:`NULL_OPS`) so instrumented code pays one attribute check when
-telemetry is off — the same pattern as
-:data:`~repro.obs.tracer.NULL_TRACER`; an absent heartbeat is simply
-not called.
+``time`` itself.  An absent heartbeat is simply not called.
 """
 
 from __future__ import annotations
@@ -35,17 +30,19 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import contextmanager
 from pathlib import Path
 from statistics import median
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .. import schema
 from ..errors import OpsError
-from .span import OPS_SCHEMA, Span, span_from_dict
 
-#: Directory (under a result-store root) holding ops logs and
-#: heartbeats for the sweeps that ran against that store.
+#: Version tag of the heartbeat document.  Bump the integer on any
+#: change to its layout (policy: :mod:`repro.schema`).
+OPS_SCHEMA = "repro.ops/1"
+
+#: Directory (under a result-store root) holding the heartbeats of
+#: the shards that ran against that store.
 OPS_DIR = "repro.ops"
 
 #: Heartbeats older than this (seconds) mark their shard dead.
@@ -64,176 +61,9 @@ def ops_root(store_root: str | Path) -> Path:
     return Path(store_root) / OPS_DIR
 
 
-def shard_ops_path(store_root: str | Path, shard: int) -> Path:
-    """Span-log path for one ``repro sweep run`` shard."""
-    return ops_root(store_root) / f"shard-{shard}.ops.jsonl"
-
-
-def merge_ops_path(store_root: str | Path) -> Path:
-    """Span-log path for a ``repro sweep merge`` into a store."""
-    return ops_root(store_root) / "merge.ops.jsonl"
-
-
 def heartbeat_path(store_root: str | Path, shard: int) -> Path:
     """Heartbeat path for one shard running against a store."""
     return ops_root(store_root) / f"shard-{shard}.heartbeat.json"
-
-
-class OpsLog:
-    """Append-only wall-clock span log (schema ``repro.ops/1``).
-
-    Spans are written when they *finish* (a crash loses only the
-    spans still open), each as one JSON line after a header record
-    naming the schema.  Parent/child structure comes from an
-    in-process span stack: all orchestration emission happens in the
-    parent process (pool workers report wall time through their
-    outcome, not by writing here), so a plain stack is exact.
-
-    Args:
-        path: log file; parent directories are created, an existing
-            file is truncated (one log per orchestration run).
-        clock: epoch-seconds time source (tests inject a fake one).
-    """
-
-    enabled = True
-
-    def __init__(self, path: str | Path, clock=time.time) -> None:
-        self.path = Path(path)
-        self._clock = clock
-        self._handle = None
-        self._next_id = 1
-        self._stack: list[Span] = []
-
-    @contextmanager
-    def span(self, name: str, **attrs) -> Iterator[Span]:
-        """Time a block as a span; yields it for mid-flight attrs.
-
-        The span's status flips to ``"failed"`` when the block
-        raises; either way it is written on exit.
-        """
-        span = Span(
-            id=self._next_id,
-            parent=self._stack[-1].id if self._stack else None,
-            name=name,
-            start=self._clock(),
-            attrs=dict(attrs),
-        )
-        self._next_id += 1
-        self._stack.append(span)
-        try:
-            yield span
-        except BaseException:
-            span.status = "failed"
-            raise
-        finally:
-            if self._stack and self._stack[-1] is span:
-                self._stack.pop()
-            span.end = self._clock()
-            self._write(span)
-
-    def record(
-        self,
-        name: str,
-        duration_s: float = 0.0,
-        status: str = "ok",
-        **attrs,
-    ) -> Span:
-        """Emit a span for an operation that already happened.
-
-        The executor uses this for cell runs: a pool worker measured
-        its own ``wall_seconds``, so the span is back-dated to
-        ``now - duration_s`` under whatever span is currently open.
-        """
-        now = self._clock()
-        span = Span(
-            id=self._next_id,
-            parent=self._stack[-1].id if self._stack else None,
-            name=name,
-            start=now - max(0.0, duration_s),
-            end=now,
-            status=status,
-            attrs=dict(attrs),
-        )
-        self._next_id += 1
-        self._write(span)
-        return span
-
-    def _write(self, span: Span) -> None:
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "w", encoding="utf-8")
-            header = {
-                "schema": OPS_SCHEMA,
-                "kind": "header",
-                "created": self._clock(),
-            }
-            self._handle.write(
-                json.dumps(header, sort_keys=True) + "\n"
-            )
-        self._handle.write(
-            json.dumps(span.to_dict(), sort_keys=True) + "\n"
-        )
-        self._handle.flush()
-
-    def close(self) -> None:
-        """Flush and close the log file (idempotent)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "OpsLog":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class _NullOps(OpsLog):
-    """The disabled twin: every emission is a no-op."""
-
-    enabled = False
-
-    def __init__(self) -> None:  # noqa: D107 - trivial
-        self.path = Path(os.devnull)
-        self._handle = None
-        self._next_id = 1
-        self._stack = []
-
-    @contextmanager
-    def span(self, name: str, **attrs) -> Iterator[Span]:
-        yield Span(id=0, parent=None, name=name, start=0.0)
-
-    def record(self, name, duration_s=0.0, status="ok", **attrs):
-        return Span(id=0, parent=None, name=name, start=0.0)
-
-    def _write(self, span: Span) -> None:  # pragma: no cover
-        pass
-
-
-#: The ops log used when telemetry is off: every call is a no-op.
-NULL_OPS = _NullOps()
-
-
-_HEADER = schema.table({
-    "schema": schema.tag(OPS_SCHEMA),
-    "kind": schema.one_of(("header",)),
-})
-
-
-def load_ops(path: str | Path) -> list[Span]:
-    """Read and validate an ops log written by :class:`OpsLog`.
-
-    Record kinds other than ``span`` (after the header) are skipped,
-    so minor additive record types never break old readers — exactly
-    the optional-field policy of the other ``repro.*`` schemas.
-
-    Raises:
-        OpsError: unreadable file, malformed JSON, missing/unknown
-            header schema, or a structurally invalid span record.
-    """
-    return schema.load_jsonl(
-        path, _HEADER, "span", span_from_dict, OpsError, "ops log"
-    )
 
 
 class ShardHeartbeat:

@@ -7,12 +7,11 @@ plus the swarm-level transfer ledger the attribution pass joins
 against.
 
 Reconstruction is defensive on purpose.  Real traces are imperfect
-(a capacity-bounded tracer wraps, a file is cut short, a run's safety
-cap cuts sessions mid-stall), so event-ordering invariants are
-*validated* and violations reported in the result rather than raised:
-a malformed trace yields a partial timeline with an explanation, never
-a crash.  :class:`TimelineSet.truncated` flags a trace whose head fell
-off a capacity-bounded ring buffer.
+(a file is cut down to its tail, a run's safety cap cuts sessions
+mid-stall), so event-ordering invariants are *validated* and
+violations reported in the result rather than raised: a malformed
+trace yields a partial timeline with an explanation, never a crash.
+:class:`TimelineSet.truncated` flags a trace whose head is missing.
 """
 
 from __future__ import annotations
@@ -269,8 +268,8 @@ class TimelineSet:
         timelines: per-peer timelines, by peer name.
         transfers: every TCP transfer seen, in start order.
         violations: event-ordering invariants the trace broke.
-        truncated: whether the trace's head was lost (ring-buffer
-            wraparound: a non-empty trace with no ``SimulationStarted``).
+        truncated: whether the trace's head is missing (engine events
+            without the ``SimulationStarted`` that opens every run).
         notes: human-readable caveats about the reconstruction.
         first_time: earliest event time (0.0 for an empty trace).
         last_time: latest event time.
@@ -311,7 +310,6 @@ def parse_transfer_label(label: str) -> tuple[str, str, int] | None:
 
 def build_timelines(
     events: Sequence[TraceEvent] | Iterable[TraceEvent],
-    truncated: bool = False,
 ) -> TimelineSet:
     """Reconstruct per-peer timelines from a trace.
 
@@ -320,10 +318,8 @@ def build_timelines(
     flagged through ``truncated``/``notes``.
 
     Args:
-        events: the trace, oldest first (list or any iterable).
-        truncated: caller-supplied hint that the trace head was
-            dropped (e.g. a live tracer whose ring buffer filled);
-            OR-ed with the trace's own evidence of truncation: engine
+        events: the trace, oldest first (list or any iterable).  It
+            counts as truncated on the trace's own evidence: engine
             events (e.g. a ``SimulationCompleted``) without the
             ``SimulationStarted`` that opens every engine-traced run.
             A trace with no engine events at all is not evidence —
@@ -338,14 +334,12 @@ def build_timelines(
     notes: list[str] = []
 
     engine = [e.name for e in events if e.category == "engine"]
-    truncated = truncated or (
-        bool(engine) and "SimulationStarted" not in engine
-    )
+    truncated = bool(engine) and "SimulationStarted" not in engine
     if truncated:
         notes.append(
-            "trace is truncated (ring-buffer wraparound dropped its "
-            "head); timelines and attribution cover only the retained "
-            "window"
+            "trace is truncated (its head, with SimulationStarted, is "
+            "missing); timelines and attribution cover only the "
+            "events present"
         )
 
     def timeline(peer: str) -> PeerTimeline:

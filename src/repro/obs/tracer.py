@@ -9,17 +9,13 @@ so the disabled case — the default everywhere — costs a single
 attribute check: no event object is built, no call is made.
 :data:`NULL_TRACER` is the shared disabled singleton.
 
-The enabled tracer keeps events in a bounded ring buffer: old events
-fall off the front once ``capacity`` is reached, like a flight
-recorder.
+The enabled tracer keeps every event it is given, in order.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator
 
-from ..errors import TraceError
 from .events import TraceEvent
 
 
@@ -49,51 +45,30 @@ NULL_TRACER = NullTracer()
 
 
 class EventTracer:
-    """Ring-buffer tracer.
-
-    Args:
-        capacity: maximum events retained; older events are dropped
-            first (``None`` keeps everything).
-    """
+    """The recording tracer: keeps every emitted event, in order."""
 
     enabled: bool = True
 
-    def __init__(self, capacity: int | None = 100_000) -> None:
-        if capacity is not None and capacity < 1:
-            raise TraceError(
-                f"capacity must be >= 1 or None, got {capacity}"
-            )
-        self._buffer: deque[TraceEvent] = deque(maxlen=capacity)
-        self.evicted = 0  # pushed off the front of a full ring buffer
-
-    @property
-    def capacity(self) -> int | None:
-        """The ring buffer's size bound (``None`` = unbounded)."""
-        return self._buffer.maxlen
+    def __init__(self) -> None:
+        self._events: list[TraceEvent] = []
 
     def emit(self, event: TraceEvent) -> None:
-        """Record ``event``, evicting the oldest one when full."""
-        if (
-            self._buffer.maxlen is not None
-            and len(self._buffer) == self._buffer.maxlen
-        ):
-            self.evicted += 1
-        self._buffer.append(event)
+        """Record ``event``."""
+        self._events.append(event)
 
     def events(self) -> list[TraceEvent]:
-        """The retained events, oldest first."""
-        return list(self._buffer)
+        """The recorded events, oldest first."""
+        return list(self._events)
 
     def clear(self) -> None:
-        """Forget every retained event."""
-        self._buffer.clear()
-        self.evicted = 0
+        """Forget every recorded event."""
+        self._events.clear()
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        return len(self._events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._buffer)
+        return iter(self._events)
 
 
 #: Either flavour, for annotations.

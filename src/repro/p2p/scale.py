@@ -169,10 +169,8 @@ class _VectorSwarm:
         self._latency_left = np.zeros(count)
         self._bytes_left = np.zeros(count)  # per-peer bytes of batch
         self._bytes_down = np.zeros(count)  # per-peer lifetime bytes
-        self._up_bytes = np.zeros(count)  # cohort-total upload bytes
         self._rate = np.zeros(count)  # cohort-total download rate
         self._seeder_rate = np.zeros(count)
-        self._sup_rate = np.zeros(count)  # cohort-total upload rate
         self._seeder_bytes = 0.0
         self._bw_down = np.full(count, float(config.bandwidth))
         self._bw_up = np.full(count, float(config.bandwidth))
@@ -302,13 +300,12 @@ class _VectorSwarm:
         step (equal proportional shares would advance them in unison
         forever, so none could ever pull ahead and become a supplier).
 
-        Results land in ``_rate`` / ``_seeder_rate`` / ``_sup_rate``.
+        Results land in ``_rate`` / ``_seeder_rate``.
         """
         np = _np
         count = self._count
         self._rate[:] = 0.0
         self._seeder_rate[:] = 0.0
-        self._sup_rate[:] = 0.0
         if not demander.any():
             return
         has_peer = reach.any(axis=1)
@@ -354,7 +351,6 @@ class _VectorSwarm:
             res_s = res_s - actual.sum(axis=0)
             res_d = res_d - take
         self._rate += taken.sum(axis=1)
-        self._sup_rate[:] = taken.sum(axis=0)
         # Peer supply does not idle the seeder: in the exact engine the
         # seeder stays in every client's supplier pool, so whatever
         # capacity the waterfall left over tops up peer-fed cohorts
@@ -388,7 +384,6 @@ class _VectorSwarm:
             self._seeder_bytes += float(
                 self._seeder_rate[flowing].sum() * dt
             )
-            self._up_bytes += self._sup_rate * dt
         waiting = self._phase == _LATENCY
         if waiting.any():
             self._latency_left = np.where(
@@ -499,7 +494,6 @@ class _VectorSwarm:
 
         np = _np
         metrics: dict[str, StreamingMetrics] = {}
-        per_peer_up = self._up_bytes / np.maximum(self._size, 1.0)
         for c in range(self._count):
             pb_start = self._pb_start[c]
             pb_end = self._pb_end[c]
@@ -515,7 +509,6 @@ class _VectorSwarm:
                     ),
                     stalls=list(stalls),
                     bytes_downloaded=float(self._bytes_down[c]),
-                    bytes_uploaded=float(per_peer_up[c]),
                     segments_downloaded=int(self._prefix[c]),
                 )
         for when, peer, snapshot in self._departed:
@@ -526,9 +519,6 @@ class _VectorSwarm:
                 playback_end=snapshot["playback_end"],
                 stalls=snapshot["stalls"],
                 bytes_downloaded=snapshot["bytes_downloaded"],
-                bytes_uploaded=float(
-                    per_peer_up[self._cohort_of(peer)]
-                ),
                 segments_downloaded=snapshot["segments_downloaded"],
             )
         peer_bytes = float(self._bytes_down @ self._size) - float(
@@ -542,9 +532,6 @@ class _VectorSwarm:
             departed=self._departed_names(),
             end_time=self.sim.now,
         )
-
-    def _cohort_of(self, peer: int) -> int:
-        return int(_np.searchsorted(self._hi, peer, side="right"))
 
     def _emit_lifecycle_events(self) -> None:
         """Replay one representative peer's lifecycle per cohort.
@@ -863,9 +850,6 @@ class FluidSwarm(_VectorSwarm):
         )
         self._rate *= eta
         self._seeder_rate *= eta
-        # Supplier-side attribution shrinks by the demanders' average
-        # derate; recompute proportionally.
-        self._sup_rate *= float(eta.mean())
 
     def _step(self) -> None:
         now = self.sim.now
@@ -885,7 +869,6 @@ class FluidSwarm(_VectorSwarm):
             self._seeder_bytes += float(
                 (self._seeder_rate * dt)[flowing].sum()
             )
-            self._up_bytes += self._sup_rate * dt
         self._last_t = now
         self._process_departures(now)
         new_prefix = np.searchsorted(

@@ -34,7 +34,7 @@ from typing import Sequence
 
 from ..errors import ExperimentError
 from ..experiments.runner import CellResult, merge_cell
-from ..obs.ops import NULL_OPS, OpsLog, ShardHeartbeat
+from ..obs.ops import ShardHeartbeat
 from .progress import SweepProgress, SweepTally
 from .spec import CellSpec, RunSpec, expand_runs
 from .store import ResultStore
@@ -126,11 +126,6 @@ class SweepExecutor:
             reported with ``cached=True``); every other successful
             run, repeats included, is committed under its own key as
             it settles, making interrupted sweeps resumable.
-        ops: optional wall-clock span log
-            (:class:`~repro.obs.ops.OpsLog`); one ``cell-run`` span
-            is emitted per settled run, in completion order, under
-            whatever span the caller holds open.  Telemetry only: it
-            never influences results.
         heartbeat: optional shard heartbeat
             (:class:`~repro.obs.ops.ShardHeartbeat`), begun/updated/
             finished around each :meth:`map_runs` like the progress
@@ -142,14 +137,12 @@ class SweepExecutor:
         jobs: int | None = None,
         progress: SweepProgress | None = None,
         store: ResultStore | None = None,
-        ops: OpsLog | None = None,
         heartbeat: ShardHeartbeat | None = None,
     ) -> None:
         if jobs is not None and jobs < 1:
             raise ExperimentError(f"jobs must be >= 1: {jobs}")
         self.jobs = jobs if jobs is not None else default_jobs()
         self.store = store
-        self.ops = ops if ops is not None else NULL_OPS
         self._sinks = [s for s in (progress, heartbeat) if s is not None]
         self._tally = SweepTally()
         self._stats = SweepStats()
@@ -182,8 +175,8 @@ class SweepExecutor:
         store, under its own key, as it settles.
 
         Args:
-            analyze: trace every run in full, into its own unbounded
-                tracer, and attach its one-run
+            analyze: trace every run in full, into its own tracer,
+                and attach its one-run
                 :class:`~repro.obs.analyze.CellAnalysis` rollup to
                 its outcome.  Each analysis is computed from that
                 run's own trace where the run executed, so verdicts
@@ -250,37 +243,19 @@ class SweepExecutor:
         """One settled run: tally it, commit it, notify the sinks.
 
         Called in completion order (non-deterministic on the pool
-        path), which is fine: the sinks and the ops log are
-        display/telemetry, never data.  A successful run that is not
-        a store hit (``stored``) — computed or a repeat — is committed
-        to the store first, under its own key: as runs finish, not at
-        sweep end, which is what makes an interrupted sweep resumable.
-        A cached outcome's ``wall_seconds`` reports the *original*
-        compute cost, so its span here has zero duration — serving it
-        cost no wall time now.
+        path), which is fine: the sinks are display/telemetry, never
+        data.  A successful run that is not a store hit (``stored``) —
+        computed or a repeat — is committed to the store first, under
+        its own key: as runs finish, not at sweep end, which is what
+        makes an interrupted sweep resumable.  The entry carries the
+        run's ``wall_seconds`` and ``pid``; a repeat carries those of
+        the run it repeats.
         """
         kind = self._tally.update(outcome)
         if kind != "failed" and not stored and self.store is not None:
             self.store.put(spec, outcome)
         for sink in self._sinks:
             sink.update(outcome)
-        if self.ops.enabled:
-            attrs = {
-                "cell": outcome.label,
-                "seed": outcome.seed,
-                "cached": outcome.cached,
-                "pid": outcome.pid,
-            }
-            if outcome.error is not None:
-                attrs["error"] = outcome.error
-            self.ops.record(
-                "cell-run",
-                duration_s=(
-                    0.0 if kind == "cached" else outcome.wall_seconds
-                ),
-                status="failed" if kind == "failed" else "ok",
-                **attrs,
-            )
 
     def _settle(
         self, key: RunKey, group: list[RunSpec], outcome: RunOutcome

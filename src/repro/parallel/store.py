@@ -27,7 +27,6 @@ from pathlib import Path
 from .. import obs, schema
 from ..errors import StoreError
 from ..experiments.runner import SeedStats
-from ..obs.ops import NULL_OPS, OpsLog
 from .digest import content_digest
 from .spec import RunSpec
 from .worker import RunOutcome
@@ -129,16 +128,10 @@ class ResultStore:
 
     Args:
         root: store directory; created on first commit.
-        ops: optional wall-clock span log; each commit emits a
-            ``store-commit`` span and each :meth:`absorb` source a
-            ``store-absorb`` span, parented under whatever span the
-            orchestration layer holds open.  Also assignable after
-            construction (the sweep service attaches its shard log).
     """
 
-    def __init__(self, root: str | Path, ops: OpsLog | None = None) -> None:
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.ops = ops if ops is not None else NULL_OPS
         self._stats = StoreStats()
 
     @property
@@ -221,10 +214,7 @@ class ResultStore:
                 else asdict(outcome.analysis)
             ),
         }
-        with self.ops.span(
-            "store-commit", key=key, cell=outcome.label, seed=outcome.seed
-        ):
-            self._write(key, json.dumps(entry).encode("utf-8"))
+        self._write(key, json.dumps(entry).encode("utf-8"))
         self._count(stores=1)
 
     def _write(self, key: str, payload: bytes) -> None:
@@ -250,13 +240,11 @@ class ResultStore:
         """
         if not isinstance(source, ResultStore):
             source = ResultStore(source)
-        with self.ops.span("store-absorb", source=str(source.root)) as span:
-            copied = 0
-            for key in source.keys():
-                if not self._path(key).exists():
-                    self._write(key, source._path(key).read_bytes())
-                    copied += 1
-            span.attrs["copied"] = copied
+        copied = 0
+        for key in source.keys():
+            if not self._path(key).exists():
+                self._write(key, source._path(key).read_bytes())
+                copied += 1
         return copied
 
     def _count(self, **deltas: int) -> None:

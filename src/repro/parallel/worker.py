@@ -223,7 +223,7 @@ def pool_entry(spec: RunSpec) -> RunOutcome:
     """Execute one run: a failure becomes an outcome, never a raise.
 
     An analyzing run (``spec.collect_analysis``) is traced in full
-    into its own unbounded tracer, diagnosed, and reduced to a one-run
+    into its own tracer, diagnosed, and reduced to a one-run
     :class:`~repro.obs.analyze.CellAnalysis` here, where it executed;
     only that rollup travels back.
     """
@@ -233,7 +233,7 @@ def pool_entry(spec: RunSpec) -> RunOutcome:
         if tracing is not None:
             outcome = replace(
                 outcome,
-                analysis=obs.analyze_observability(tracing).rollup(),
+                analysis=obs.analyze_events(tracing.events()).rollup(),
             )
     except Exception as exc:  # noqa: BLE001 - isolation boundary
         return failed_outcome(spec, f"{type(exc).__name__}: {exc}")

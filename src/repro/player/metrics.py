@@ -43,7 +43,6 @@ class StreamingMetrics:
         playback_end: when the last frame finished (None if never).
         stalls: completed stall events in order.
         bytes_downloaded: total payload bytes received.
-        bytes_uploaded: total payload bytes served to other peers.
         segments_downloaded: count of segments received.
         downloads_cancelled: transfers aborted (source churned, etc.).
         requests_retried: requests re-issued to a different source
@@ -55,7 +54,6 @@ class StreamingMetrics:
     playback_end: float | None = None
     stalls: list[StallEvent] = field(default_factory=list)
     bytes_downloaded: float = 0.0
-    bytes_uploaded: float = 0.0
     segments_downloaded: int = 0
     downloads_cancelled: int = 0
     requests_retried: int = 0

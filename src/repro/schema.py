@@ -2,11 +2,11 @@
 
 Each reader of a ``repro.*`` document declares it as a :func:`table`
 of field checks and binds that table to its own error class through
-:func:`validate`, :func:`load_json` or :func:`load_jsonl`.  The
-version policy of ``docs/OBSERVABILITY.md`` lives here, once: the
-:func:`tag` must match ``<name>/<major>`` exactly, keys a table does
-not declare are ignored, and every violation raises the caller's error
-naming the field path, e.g. ``cases[3].timing.rounds``.
+:func:`validate` or :func:`load_json`.  The version policy of
+``docs/OBSERVABILITY.md`` lives here, once: the :func:`tag` must match
+``<name>/<major>`` exactly, keys a table does not declare are ignored,
+and every violation raises the caller's error naming the field path,
+e.g. ``cases[3].timing.rounds``.
 """
 
 from __future__ import annotations
@@ -140,50 +140,17 @@ def validate(doc: Any, table: Check, error: type[Exception],
     return doc
 
 
-def _read(path: str | Path, error: type[Exception], what: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {what} {path}: {exc}") from exc
-
-
-def _parse(text: str, error: type[Exception], where: str) -> Any:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise error(f"{where} is not valid JSON: {exc}") from exc
-
-
 def load_json(path: str | Path, table: Check, error: type[Exception],
               what: str) -> Any:
     """Read, parse and validate one JSON document; raise ``error``
     on an unreadable file, invalid JSON, or a table violation."""
     where = f"{what} {path}"
-    return validate(_parse(_read(path, error, what), error, where),
-                    table, error, where)
-
-
-def load_jsonl(path: str | Path, header: Check, kind: str,
-               record: Callable[[Any], Any], error: type[Exception],
-               what: str) -> list:
-    """Read a header-plus-records JSONL file; return ``record(doc)`` for
-    each record of kind ``kind`` (or not an object at all).
-
-    Objects of other kinds are skipped, so additive record types never
-    break a reader.  Raises ``error`` on an unreadable or empty file,
-    invalid JSON on any line, or a header that does not fit.
-    """
-    lines = _read(path, error, what).splitlines()
-    docs = [
-        _parse(line, error, f"{what} {path} line {lineno}")
-        for lineno, line in enumerate(lines, start=1)
-        if line.strip()
-    ]
-    if not docs:
-        raise error(f"{what} {path} is empty")
-    validate(docs[0], header, error, f"{what} {path} header")
-    return [
-        record(doc)
-        for doc in docs[1:]
-        if not isinstance(doc, dict) or doc.get("kind") == kind
-    ]
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{where} is not valid JSON: {exc}") from exc
+    return validate(doc, table, error, where)

@@ -11,6 +11,7 @@ whatever is wrong with one makes it a miss, never an exception.
 from __future__ import annotations
 
 import json
+import os
 import pickle
 from dataclasses import asdict, replace
 
@@ -34,7 +35,7 @@ from repro.parallel import (
     run_identity,
 )
 from repro.parallel import store as store_module
-from repro.parallel.spec import RunSpec
+from repro.parallel.spec import RunSpec, expand_runs
 from repro.parallel.worker import RunOutcome
 
 #: A run whose key needs no video: its spec names the video by seed.
@@ -239,6 +240,57 @@ class TestResumability:
         SweepExecutor(jobs=1, store=store).run_cells(cells)
         # Both of the cell's seeds were committed individually.
         assert len(store) == 2
+
+
+class TestWallClockRecord:
+    """A computed run's wall time and pid live in its store entry."""
+
+    def _entries(self, store, cells):
+        return [
+            json.loads(
+                _entry_path(store, run_identity(spec)).read_text()
+            )
+            for spec in expand_runs(cells)
+        ]
+
+    def test_inline_entries_carry_wall_time_and_this_pid(
+        self, fast_config, short_video, tmp_path
+    ):
+        cells = _cells(fast_config, short_video)
+        store = ResultStore(tmp_path / "store")
+        SweepExecutor(jobs=1, store=store).run_cells(cells)
+        entries = self._entries(store, cells)
+        assert len(entries) == 4
+        for entry in entries:
+            assert entry["wall_seconds"] > 0
+            assert entry["pid"] == os.getpid()
+
+    def test_pooled_entries_carry_worker_pids(
+        self, fast_config, short_video, tmp_path
+    ):
+        cells = _cells(fast_config, short_video)
+        store = ResultStore(tmp_path / "store")
+        SweepExecutor(jobs=2, store=store).run_cells(cells)
+        for entry in self._entries(store, cells):
+            assert entry["wall_seconds"] > 0
+            assert entry["pid"] != os.getpid()
+
+    def test_repeat_entry_carries_the_original_run(
+        self, fast_config, short_video, tmp_path
+    ):
+        original = _cells(fast_config, short_video)[0]
+        # A label-only difference is the same simulation: a repeat.
+        twin = replace(original, label="store/twin")
+        store = ResultStore(tmp_path / "store")
+        executor = SweepExecutor(jobs=1, store=store)
+        executor.run_cells([original, twin])
+        assert executor.stats.runs_cached == 2
+        first = self._entries(store, [original])
+        again = self._entries(store, [twin])
+        assert [e["key"] for e in first] != [e["key"] for e in again]
+        for one, repeat in zip(first, again):
+            assert repeat["wall_seconds"] == one["wall_seconds"] > 0
+            assert repeat["pid"] == one["pid"]
 
 
 class TestComponentGating:

@@ -26,7 +26,6 @@ from repro.obs import (
     StallStarted,
     TransferStarted,
     analyze_events,
-    analyze_observability,
     attribute_stalls,
     build_timelines,
     cause_histogram,
@@ -40,10 +39,10 @@ from repro.parallel import SplicerSpec, SweepExecutor, cell_for
 from repro.units import kB_per_s
 
 
-def _stream(video, capacity=None, n_leechers=4, bandwidth_kb=192.0):
+def _stream(video, n_leechers=4, bandwidth_kb=192.0):
     """One traced swarm run over ``video``; returns (result, obs)."""
     splice = DurationSplicer(4.0).splice(video)
-    obs = Observability.tracing(capacity=capacity)
+    obs = Observability.tracing()
     config = SwarmConfig(
         bandwidth=kB_per_s(bandwidth_kb),
         seeder_bandwidth=kB_per_s(8 * bandwidth_kb),
@@ -122,36 +121,35 @@ class TestTimelines:
         )
 
 
-# -- ring-buffer wraparound (satellite: truncation, never a crash) -----
+# -- truncated traces (a missing head, never a crash) ------------------
 
 
 class TestTruncation:
-    def test_capacity_bounded_trace_is_flagged_truncated(
-        self, short_video
-    ):
-        result, obs = _stream(short_video, capacity=60)
-        assert obs.tracer.evicted > 0
-        analysis = analyze_observability(obs)
+    def test_tail_slice_is_flagged_truncated(self, short_video):
+        _, obs = _stream(short_video)
+        analysis = analyze_events(obs.events()[-60:])
         assert analysis.truncated
         assert any("truncated" in note for note in analysis.notes)
 
     def test_truncated_trace_never_raises_and_attributes_fully(
         self, short_video
     ):
-        # Sweep capacities so the buffer cuts the stream at many
-        # different points; none may crash and every completed stall
-        # still gets exactly one documented cause.
-        for capacity in (5, 17, 60, 200):
-            _, obs = _stream(short_video, capacity=capacity)
-            analysis = analyze_observability(obs)
-            assert analysis.truncated == (obs.tracer.evicted > 0)
+        # Cut the stream's head off at many different points; none
+        # may crash and every completed stall still gets exactly one
+        # documented cause.
+        _, obs = _stream(short_video)
+        events = obs.events()
+        assert not analyze_events(events).truncated
+        for k in (5, 17, 60, 200):
+            analysis = analyze_events(events[-k:])
+            assert analysis.truncated == (k < len(events))
             for attribution in analysis.attributions:
                 assert attribution.cause in STALL_CAUSES
             render_analysis(analysis)  # must not raise either
 
     def test_missing_simulation_started_implies_truncated(self):
         # The run's SimulationCompleted survived but its head (and
-        # SimulationStarted with it) fell off the ring buffer.
+        # SimulationStarted with it) was cut off.
         events = [
             PeerJoined(time=1.0, peer="p"),
             StallEnded(time=4.0, peer="p", segment=2, duration=1.0),
@@ -191,8 +189,6 @@ class TestTruncation:
         assert [v.rule for v in orphan.violations] == [
             "stall-end-unmatched"
         ]
-        # The caller's hint still counts on its own.
-        assert build_timelines(events, truncated=True).truncated
 
 
 # -- attribution rules -------------------------------------------------
@@ -358,7 +354,7 @@ class TestAttributionProperties:
             seed=seed,
         )
         result = Swarm(splice, config, obs=obs).run()
-        analysis = analyze_observability(obs)
+        analysis = analyze_events(obs.events())
         # every stall attributed to exactly one documented cause
         for attribution in analysis.attributions:
             assert attribution.cause in STALL_CAUSES
@@ -413,7 +409,7 @@ class TestSweepDeterminism:
 
 class TestMergeAnalyses:
     def test_folds_one_run_rollups_only(self, short_video):
-        analysis = analyze_observability(_stream(short_video)[1])
+        analysis = analyze_events(_stream(short_video)[1].events())
         rollup = analysis.rollup()
         assert (rollup.runs, rollup.mean_transfer_efficiency) == (
             1, analysis.transfer_efficiency
@@ -431,7 +427,7 @@ class TestRendering:
         self, short_video
     ):
         _, obs = _stream(short_video)
-        analysis = analyze_observability(obs)
+        analysis = analyze_events(obs.events())
         text = render_analysis(analysis)
         assert "## Stall causes" in text
         for cause in STALL_CAUSES:

@@ -1,4 +1,4 @@
-"""Wall-clock ops telemetry: spans, logs, heartbeats, fleet view."""
+"""Wall-clock ops telemetry: heartbeats and the fleet view."""
 
 from __future__ import annotations
 
@@ -9,25 +9,14 @@ import pytest
 
 from repro.errors import OpsError
 from repro.obs.ops import (
-    NULL_OPS,
-    OpsLog,
+    OPS_SCHEMA,
     ShardHeartbeat,
     find_heartbeats,
     fleet_status,
     heartbeat_path,
-    load_ops,
-    merge_ops_path,
+    ops_root,
     read_heartbeat,
     render_fleet,
-    shard_ops_path,
-)
-from repro.obs.span import (
-    OPS_SCHEMA,
-    Span,
-    critical_path,
-    render_critical_path,
-    render_span_tree,
-    span_from_dict,
 )
 
 
@@ -100,209 +89,6 @@ def heartbeat(
         "rate_runs_per_s": rate,
         "eta_s": (total - done) / rate if rate else None,
     }
-
-
-class TestSpan:
-    def test_round_trips_through_dict(self):
-        span = Span(
-            id=3,
-            parent=1,
-            name="cell-run",
-            start=10.0,
-            end=12.5,
-            status="failed",
-            attrs={"cell": "gop", "seed": 7},
-        )
-        rebuilt = span_from_dict(span.to_dict())
-        assert rebuilt == span
-        assert rebuilt.duration == pytest.approx(2.5)
-
-    @pytest.mark.parametrize(
-        "record",
-        [
-            "not a dict",
-            {"kind": "span"},  # no id
-            {"kind": "span", "id": 0, "name": "x"},
-            {"kind": "span", "id": 1, "name": ""},
-            {"kind": "span", "id": 1, "name": "x", "start": "soon"},
-            {
-                "kind": "span",
-                "id": 1,
-                "name": "x",
-                "start": 0,
-                "end": 1,
-                "status": "maybe",
-            },
-            {
-                "kind": "span",
-                "id": 1,
-                "name": "x",
-                "start": 0,
-                "end": 1,
-                "status": "ok",
-                "attrs": [],
-            },
-            {"kind": "span", "id": True, "name": "x", "start": 0,
-             "end": 1, "status": "ok"},
-            {"kind": "span", "id": 1, "name": "x", "start": True,
-             "end": 1, "status": "ok"},
-            {"kind": "span", "id": 1, "name": "x", "start": 0,
-             "end": True, "status": "ok"},
-        ],
-    )
-    def test_rejects_malformed_records(self, record):
-        with pytest.raises(OpsError):
-            span_from_dict(record)
-
-    def test_critical_path_follows_latest_child(self):
-        spans = [
-            Span(id=1, parent=None, name="shard", start=0.0, end=10.0),
-            Span(id=2, parent=1, name="cell-run", start=0.0, end=4.0),
-            Span(id=3, parent=1, name="cell-run", start=1.0, end=9.0),
-            Span(id=4, parent=3, name="store-commit",
-                 start=8.9, end=9.0),
-        ]
-        path = critical_path(spans)
-        assert [span.id for span in path] == [1, 3, 4]
-
-    def test_render_names_every_span(self):
-        spans = [
-            Span(id=1, parent=None, name="shard", start=0.0, end=2.0),
-            Span(
-                id=2,
-                parent=1,
-                name="cell-run",
-                start=0.0,
-                end=1.5,
-                attrs={"cell": "gop @ 128", "seed": 7, "cached": True},
-            ),
-        ]
-        tree = render_span_tree(spans)
-        assert "shard" in tree
-        assert "gop @ 128 seed 7" in tree
-        assert "(cached)" in tree
-        summary = render_critical_path(spans)
-        assert "100.0%" in summary
-
-    def test_render_empty_log(self):
-        assert "empty" in render_span_tree([])
-        assert "empty" in render_critical_path([])
-
-
-class TestOpsLog:
-    def test_spans_nest_by_stack(self, tmp_path):
-        clock = FakeClock()
-        log = OpsLog(tmp_path / "run.ops.jsonl", clock=clock)
-        with log.span("shard", shard=0) as root:
-            clock.advance(1.0)
-            with log.span("cell-run", cell="gop"):
-                clock.advance(2.0)
-            root.attrs["cached"] = 0
-        log.close()
-        spans = load_ops(log.path)
-        by_name = {span.name: span for span in spans}
-        assert by_name["cell-run"].parent == by_name["shard"].id
-        assert by_name["shard"].parent is None
-        assert by_name["shard"].duration == pytest.approx(3.0)
-        assert by_name["shard"].attrs["cached"] == 0
-
-    def test_record_backdates_by_duration(self, tmp_path):
-        clock = FakeClock(start=500.0)
-        log = OpsLog(tmp_path / "run.ops.jsonl", clock=clock)
-        log.record("cell-run", duration_s=2.0, cell="gop", pid=42)
-        log.close()
-        (span,) = load_ops(log.path)
-        assert span.start == pytest.approx(498.0)
-        assert span.end == pytest.approx(500.0)
-        assert span.attrs["pid"] == 42
-
-    def test_failed_block_marks_span_failed(self, tmp_path):
-        log = OpsLog(tmp_path / "run.ops.jsonl", clock=FakeClock())
-        with pytest.raises(ValueError):
-            with log.span("shard"):
-                raise ValueError("boom")
-        log.close()
-        (span,) = load_ops(log.path)
-        assert span.status == "failed"
-
-    def test_header_names_the_schema(self, tmp_path):
-        log = OpsLog(tmp_path / "run.ops.jsonl", clock=FakeClock())
-        log.record("plan")
-        log.close()
-        first = json.loads(
-            log.path.read_text(encoding="utf-8").splitlines()[0]
-        )
-        assert first == {
-            "schema": OPS_SCHEMA,
-            "kind": "header",
-            "created": 1000.0,
-        }
-
-    def test_no_file_until_first_span(self, tmp_path):
-        log = OpsLog(tmp_path / "run.ops.jsonl", clock=FakeClock())
-        log.close()
-        assert not log.path.exists()
-
-    def test_null_ops_is_disabled_and_writes_nothing(self, tmp_path):
-        assert not NULL_OPS.enabled
-        with NULL_OPS.span("shard") as span:
-            span.attrs["x"] = 1
-        NULL_OPS.record("cell-run", duration_s=1.0)
-        NULL_OPS.close()
-
-
-class TestLoadOps:
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(OpsError, match="cannot read"):
-            load_ops(tmp_path / "absent.jsonl")
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("", encoding="utf-8")
-        with pytest.raises(OpsError, match="empty"):
-            load_ops(path)
-
-    def test_malformed_json(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("{nope", encoding="utf-8")
-        with pytest.raises(OpsError, match="not valid JSON"):
-            load_ops(path)
-
-    def test_missing_header(self, tmp_path):
-        path = tmp_path / "headless.jsonl"
-        record = Span(
-            id=1, parent=None, name="shard", start=0.0, end=1.0
-        ).to_dict()
-        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        with pytest.raises(OpsError, match="header"):
-            load_ops(path)
-
-    def test_unknown_schema_major_is_rejected(self, tmp_path):
-        path = tmp_path / "future.jsonl"
-        path.write_text(
-            json.dumps(
-                {"schema": "repro.ops/99", "kind": "header"}
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(OpsError, match="repro.ops/99"):
-            load_ops(path)
-
-    def test_unknown_record_kinds_are_skipped(self, tmp_path):
-        path = tmp_path / "forward.jsonl"
-        lines = [
-            {"schema": OPS_SCHEMA, "kind": "header", "created": 0},
-            {"kind": "annotation", "text": "future record type"},
-            Span(
-                id=1, parent=None, name="shard", start=0.0, end=1.0
-            ).to_dict(),
-        ]
-        path.write_text(
-            "".join(json.dumps(line) + "\n" for line in lines),
-            encoding="utf-8",
-        )
-        assert len(load_ops(path)) == 1
 
 
 class TestShardHeartbeat:
@@ -529,9 +315,6 @@ class TestFleetStatus:
         assert "#" in text
 
     def test_telemetry_paths_live_under_the_store(self, tmp_path):
-        assert shard_ops_path(tmp_path, 2).name == "shard-2.ops.jsonl"
-        assert merge_ops_path(tmp_path).name == "merge.ops.jsonl"
-        assert (
-            heartbeat_path(tmp_path, 2).parent
-            == shard_ops_path(tmp_path, 2).parent
-        )
+        path = heartbeat_path(tmp_path, 2)
+        assert path.name == "shard-2.heartbeat.json"
+        assert path.parent == ops_root(tmp_path) == tmp_path / "repro.ops"

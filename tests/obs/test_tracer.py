@@ -1,14 +1,11 @@
-"""Tracer behavior: the disabled fast path, the ring buffer, and the
-guarantee that tracing never changes simulation results."""
+"""Tracer behavior: the disabled fast path, the recording tracer, and
+the guarantee that tracing never changes simulation results."""
 
 from __future__ import annotations
 
 import time
 
-import pytest
-
 from repro.core.splicer import DurationSplicer
-from repro.errors import TraceError
 from repro.obs import (
     NULL_TRACER,
     EventTracer,
@@ -43,26 +40,22 @@ class TestEventTracer:
         assert list(tracer) == [first, second]
         assert len(tracer) == 2
 
-    def test_ring_buffer_drops_oldest(self):
-        tracer = EventTracer(capacity=2)
-        events = [PeerJoined(time=float(i), peer=f"p{i}") for i in range(4)]
+    def test_keeps_every_event(self):
+        tracer = EventTracer()
+        events = [
+            PeerJoined(time=float(i), peer=f"p{i}") for i in range(1000)
+        ]
         for event in events:
             tracer.emit(event)
-        assert tracer.events() == events[-2:]
-        assert tracer.capacity == 2
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(TraceError):
-            EventTracer(capacity=0)
+        assert tracer.events() == events
 
     def test_clear(self):
-        tracer = EventTracer(capacity=1)
+        tracer = EventTracer()
         tracer.emit(PeerJoined(time=0.0, peer="p"))
         tracer.emit(StallStarted(time=1.0, peer="p", segment=0))
-        assert tracer.evicted == 1
         tracer.clear()
         assert tracer.events() == []
-        assert tracer.evicted == 0
+        assert len(tracer) == 0
 
 
 def _run_swarm(video, obs=None):

@@ -80,6 +80,7 @@ class TestParser:
         "argv",
         [
             ["reproduce", "--no-cache"],
+            ["ops", "shard-0.ops.jsonl"],
             ["sweep", "status", "p", "--store", "s", "--interval", "1"],
             ["sweep", "status", "p", "--store", "s", "--stale", "1"],
             ["sweep", "status", "p", "--store", "s", "--straggler", "1"],
@@ -383,46 +384,6 @@ class TestManifestFlag:
 
     def test_unwritable_trace_exits_2(self, capsys, tmp_path):
         self.assert_unwritable_exits_2(capsys, tmp_path, "--trace")
-
-
-class TestOpsCommand:
-    def write_log(self, path):
-        from repro.obs.ops import OpsLog
-
-        clock = iter(float(i) for i in range(100))
-        log = OpsLog(path, clock=lambda: next(clock))
-        with log.span("shard", shard=0):
-            log.record(
-                "cell-run", duration_s=1.0, cell="gop @ 128", seed=7
-            )
-        log.close()
-
-    def test_renders_tree_and_critical_path(self, capsys, tmp_path):
-        path = tmp_path / "shard-0.ops.jsonl"
-        self.write_log(path)
-        assert main(["ops", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "shard" in out
-        assert "gop @ 128 seed 7" in out
-        assert "critical path" in out
-
-    def test_depth_flag_truncates(self, capsys, tmp_path):
-        path = tmp_path / "shard-0.ops.jsonl"
-        self.write_log(path)
-        assert main(["ops", str(path), "--depth", "1"]) == 0
-        assert "gop @ 128" not in capsys.readouterr().out.split(
-            "critical path"
-        )[0]
-
-    def test_malformed_log_exits_2(self, capsys, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("{nope", encoding="utf-8")
-        assert main(["ops", str(path)]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_missing_log_exits_2(self, capsys, tmp_path):
-        assert main(["ops", str(tmp_path / "absent.jsonl")]) == 2
-        assert "error:" in capsys.readouterr().err
 
 
 class TestSweepStatusCommand:

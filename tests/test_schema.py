@@ -33,17 +33,10 @@ from repro.obs.bench import (
 )
 from repro.obs.compare import compare_artifacts, render_comparison
 from repro.obs.ops import (
-    OpsLog,
     ShardHeartbeat,
     fleet_status,
-    load_ops,
     read_heartbeat,
     render_fleet,
-)
-from repro.obs.span import (
-    critical_path,
-    render_critical_path,
-    render_span_tree,
 )
 
 #: One value of each JSON type; a swap draws one of another type.
@@ -102,7 +95,7 @@ def ticking_clock():
     return lambda: 1000.0 + next(ticks)
 
 
-# -- the five schemas: writer, loader, consumer ------------------------
+# -- the schemas: writer, loader, consumer ------------------------
 
 
 @functools.cache
@@ -143,33 +136,6 @@ def consume_plan(plan):
 
 
 @functools.cache
-def ops_doc():
-    with tempfile.TemporaryDirectory() as scratch:
-        log = OpsLog(Path(scratch) / "x.ops.jsonl", clock=ticking_clock())
-        with log.span("shard", figure="2", shard=0, shards=1):
-            log.record("cell-run", duration_s=0.5, cell="gop @ 128",
-                       seed=7, cached=False, pid=1)
-            with log.span("cell-run", cell="gop @ 512", seed=7):
-                log.record("store-commit")
-        log.close()
-        lines = log.path.read_text(encoding="utf-8").splitlines()
-    return [json.loads(line) for line in lines]
-
-
-def write_ops(doc, path):
-    path.write_text(
-        "".join(json.dumps(record) + "\n" for record in doc),
-        encoding="utf-8",
-    )
-
-
-def consume_spans(spans):
-    render_span_tree(spans)
-    critical_path(spans)
-    render_critical_path(spans)
-
-
-@functools.cache
 def heartbeat_doc():
     with tempfile.TemporaryDirectory() as scratch:
         beat = ShardHeartbeat(
@@ -202,9 +168,6 @@ SCHEMAS = {
     "repro.sweep/1": (
         plan_doc, write_json, sweep_service.load_plan, StoreError,
         consume_plan,
-    ),
-    "repro.ops/1 spans": (
-        ops_doc, write_ops, load_ops, OpsError, consume_spans,
     ),
     "repro.ops/1 heartbeat": (
         heartbeat_doc, write_json, read_heartbeat, OpsError,
