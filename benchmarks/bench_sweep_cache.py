@@ -17,7 +17,9 @@ wall-clock ops telemetry (the ``repro.obs.ops`` shard heartbeat): the
 cold path is timed back-to-back without and with the heartbeat on the
 same machine, and the suite fails if heartbeat rewrites slow the
 sweep by more than :data:`MAX_OPS_OVERHEAD`.  This is a same-run A/B, not an
-artifact comparison, so it is immune to cross-machine noise.
+artifact comparison, so it is immune to cross-machine noise.  Both arms
+run inline (``jobs=1``): the heartbeat is written in the parent process
+either way, and a worker pool would only add scheduler noise.
 """
 
 from __future__ import annotations
@@ -161,8 +163,8 @@ def cold_runs(config, cells):
     return len(cells) * len(config.seeds)
 
 
-def _one_cold_sweep_s(cells, jobs, ops_enabled):
-    """One cold sweep's wall time, with or without ops telemetry.
+def _one_cold_sweep_s(cells, ops_enabled):
+    """One inline cold sweep's wall time, with or without ops telemetry.
 
     A fresh store every call (cold = every run computed and
     committed); the telemetry variant wires the production shard
@@ -175,7 +177,7 @@ def _one_cold_sweep_s(cells, jobs, ops_enabled):
             else None
         )
         executor = SweepExecutor(
-            jobs=jobs, store=ResultStore(root), heartbeat=heartbeat
+            jobs=1, store=ResultStore(root), heartbeat=heartbeat
         )
         start = time.perf_counter()
         executor.run_cells(cells)
@@ -186,13 +188,12 @@ def _one_cold_sweep_s(cells, jobs, ops_enabled):
 def check_ops_overhead(quick=True):
     """Gate the ops-telemetry cost on the cold sweep path.
 
-    A/B on this machine: the plain cold sweep versus the same sweep
-    rewriting a shard heartbeat.  The variants
-    are interleaved round by round (so machine drift hits both
-    equally) and each keeps its best-of-N, which rejects the
-    scheduler/pool-startup noise a small sweep is prone to.  Fails
-    when telemetry costs more than :data:`MAX_OPS_OVERHEAD` of cold
-    wall time.
+    A/B on this machine: the plain inline cold sweep versus the same
+    sweep rewriting a shard heartbeat.  The variants are interleaved
+    round by round (so machine drift hits both equally) and each keeps
+    its best-of-N, which rejects the scheduler noise a small sweep is
+    prone to.  Fails when telemetry costs more than
+    :data:`MAX_OPS_OVERHEAD` of cold wall time.
     """
     config = ExperimentConfig(n_leechers=9, seeds=(7, 11))
     if quick:
@@ -201,10 +202,9 @@ def check_ops_overhead(quick=True):
         )
     else:
         cells = _all_cells(config, quick=False)
-    jobs = max(2, default_jobs())
 
-    # Unmeasured warmup: imports, page cache, pool spin-up.
-    _one_cold_sweep_s(cells, jobs, ops_enabled=False)
+    # Unmeasured warmup: imports, page cache, video and splice caches.
+    _one_cold_sweep_s(cells, ops_enabled=False)
 
     best = {False: None, True: None}
     for rep in range(_OPS_CHECK_REPEATS):
@@ -213,7 +213,7 @@ def check_ops_overhead(quick=True):
         # of always taxing the same variant.
         order = (False, True) if rep % 2 == 0 else (True, False)
         for enabled in order:
-            sample = _one_cold_sweep_s(cells, jobs, enabled)
+            sample = _one_cold_sweep_s(cells, enabled)
             prior = best[enabled]
             best[enabled] = (
                 sample if prior is None else min(prior, sample)

@@ -67,6 +67,11 @@ except ImportError:  # pragma: no cover - numpy is a baked-in dep
 #: below every tolerance documented in docs/SCALING.md.
 _FILL_ROUNDS = 8
 
+#: Distinct allocations one session keeps before the memo starts over.
+#: At 19 cohorts nearly every repeat recurs within this many entries;
+#: a 64-cohort entry is about 7 KB, so the memo stays under 2 MB.
+_MEMO_ENTRIES = 256
+
 #: Bytes below which an in-flight batch counts as complete.
 _EPS_BYTES = 1e-3
 
@@ -113,7 +118,6 @@ class _VectorSwarm:
             profile=obs.profile if obs is not None else None,
         )
         np = _np
-        self._rng = np.random.default_rng(config.seed)
 
         # -- segment geometry ------------------------------------------
         sizes = np.asarray(splice.segment_sizes(), dtype=np.float64)
@@ -171,6 +175,7 @@ class _VectorSwarm:
         self._bytes_down = np.zeros(count)  # per-peer lifetime bytes
         self._rate = np.zeros(count)  # cohort-total download rate
         self._seeder_rate = np.zeros(count)
+        self._memo: dict[bytes, tuple] = {}
         self._seeder_bytes = 0.0
         self._bw_down = np.full(count, float(config.bandwidth))
         self._bw_up = np.full(count, float(config.bandwidth))
@@ -206,17 +211,20 @@ class _VectorSwarm:
         # cohort first (deterministic naming).  Lifetimes follow the
         # same law as :class:`~repro.p2p.churn.ChurnModel` but are
         # sampled in bulk from one seeded numpy Generator — a per-peer
-        # python loop would dominate setup at 10⁵⁺ peers.
+        # python loop would dominate setup at 10⁵⁺ peers.  Only churn
+        # draws from it, so a churn-free run never builds it (nor
+        # imports ``numpy.random``).
         self._departures: list[list[tuple[float, int]]] = [
             [] for _ in range(count)
         ]
         self._departed: list[tuple[float, int, dict]] = []
         if config.churn is not None and config.churn.fraction > 0.0:
             churn = config.churn
-            leaves = self._rng.random(n) < churn.fraction
+            rng = np.random.default_rng(config.seed)
+            leaves = rng.random(n) < churn.fraction
             lifetimes = np.maximum(
                 churn.min_lifetime,
-                self._rng.exponential(churn.mean_lifetime, size=n),
+                rng.exponential(churn.mean_lifetime, size=n),
             )
             depart_at = join_by_peer + lifetimes
             for c in range(count):
@@ -300,57 +308,97 @@ class _VectorSwarm:
         step (equal proportional shares would advance them in unison
         forever, so none could ever pull ahead and become a supplier).
 
-        Results land in ``_rate`` / ``_seeder_rate``.
+        Results land in ``_rate`` / ``_seeder_rate``.  The allocation
+        is a pure function of its inputs and of the session's
+        capacities, so each distinct one is computed once per session
+        (:data:`_MEMO_ENTRIES`); a hit copies the stored rates back,
+        because callers may scale ``_rate`` in place.
+        """
+        key = b"".join(
+            (
+                demander.tobytes(),
+                (k * demander).tobytes(),
+                reach.tobytes(),
+                self._alive.tobytes(),
+                self._bw_down.tobytes(),
+                self._bw_up.tobytes(),
+            )
+        )
+        memo = self._memo
+        hit = memo.get(key)
+        if hit is not None:
+            self._rate[:] = hit[0]
+            self._seeder_rate[:] = hit[1]
+            return
+        if len(memo) >= _MEMO_ENTRIES:
+            memo.clear()
+        self._fill(demander, k, reach)
+        memo[key] = (self._rate.copy(), self._seeder_rate.copy())
+
+    def _fill(self, demander, k, reach) -> None:
+        """Compute :meth:`_allocate`'s rates into ``_rate``/``_seeder_rate``.
+
+        Only peer-fed rows enter the fill rounds: every other row of
+        the share matrices is zero, so dropping it removes only
+        ``+0.0`` terms from the column sums and leaves each row sum
+        as it was.
         """
         np = _np
-        count = self._count
-        self._rate[:] = 0.0
-        self._seeder_rate[:] = 0.0
+        rate = self._rate
+        seeder_rate = self._seeder_rate
+        rate.fill(0.0)
+        seeder_rate.fill(0.0)
         if not demander.any():
             return
         has_peer = reach.any(axis=1)
         # The exact client prefers peers: the seeder only serves
         # cohorts no peer cohort can reach.
         seeder_fed = demander & ~has_peer
-        peer_fed = demander & has_peer
         cap_pp = self._demand_cap(k, seeder_fed)
+        alive = self._alive
         cap_left = self._seeder_cap
-        for c in np.flatnonzero(seeder_fed):
-            got = min(float(self._alive[c] * cap_pp[c]), cap_left)
-            self._rate[c] = got
-            self._seeder_rate[c] = got
-            cap_left -= got
-            if cap_left <= _EPS_BYTES:
-                break
-        if not peer_fed.any():
+        if seeder_fed.any():
+            alive_l = alive.tolist()
+            cap_l = cap_pp.tolist()
+            for c in seeder_fed.nonzero()[0].tolist():
+                got = min(alive_l[c] * cap_l[c], cap_left)
+                rate[c] = got
+                seeder_rate[c] = got
+                cap_left -= got
+                if cap_left <= _EPS_BYTES:
+                    break
+        rows = (demander & has_peer).nonzero()[0]
+        if not rows.size:
             return
-        res_d = np.where(peer_fed, self._alive * cap_pp, 0.0)
-        res_s = self._alive * self._bw_up
-        taken = np.zeros((count, count))
+        sub = reach[rows]
+        res_d = (alive * cap_pp)[rows]
+        res_s = alive * self._bw_up
+        share = np.empty(sub.shape)
+        taken = np.zeros(sub.shape)
+        add = np.add.reduce
         for _ in range(_FILL_ROUNDS):
-            open_cols = res_s > _EPS_BYTES
-            active = (res_d > _EPS_BYTES) & (
-                reach & open_cols[None, :]
-            ).any(axis=1)
+            # Boolean matmul: some reachable supplier has capacity left.
+            active = sub @ (res_s > _EPS_BYTES)
+            active &= res_d > _EPS_BYTES
             if not active.any():
                 break
-            weight = reach * (res_d * active)[:, None]
-            col = weight.sum(axis=0)
-            col[col <= 0.0] = np.inf
-            offer = (weight / col) * res_s[None, :]
-            give = offer.sum(axis=1)
+            # weight -> offer -> actual, all in one buffer.  A column
+            # nobody weighs is all zeros, so skipping its division
+            # leaves what dividing by inf would.
+            np.multiply(sub, (res_d * active)[:, None], out=share)
+            col = add(share, axis=0)
+            np.divide(share, col, out=share, where=col > 0.0)
+            np.multiply(share, res_s, out=share)
+            give = add(share, axis=1)
             take = np.minimum(res_d, give)
             scale = np.divide(
-                take,
-                give,
-                out=np.zeros_like(give),
-                where=give > 0.0,
+                take, give, out=np.zeros(len(give)), where=give > 0.0
             )
-            actual = offer * scale[:, None]
-            taken += actual
-            res_s = res_s - actual.sum(axis=0)
-            res_d = res_d - take
-        self._rate += taken.sum(axis=1)
+            np.multiply(share, scale[:, None], out=share)
+            taken += share
+            res_s -= add(share, axis=0)
+            res_d -= take
+        rate[rows] += add(taken, axis=1)
         # Peer supply does not idle the seeder: in the exact engine the
         # seeder stays in every client's supplier pool, so whatever
         # capacity the waterfall left over tops up peer-fed cohorts
@@ -358,39 +406,45 @@ class _VectorSwarm:
         # strict join order, which keeps equal-prefix cohorts from
         # advancing in lockstep behind a single early supplier.
         if cap_left > _EPS_BYTES:
-            for c in np.flatnonzero(peer_fed):
-                want = float(res_d[c])
+            for c, want in zip(rows.tolist(), res_d.tolist()):
                 if want <= _EPS_BYTES:
                     continue
                 got = min(want, cap_left)
-                self._rate[c] += got
-                self._seeder_rate[c] += got
+                rate[c] += got
+                seeder_rate[c] += got
                 cap_left -= got
                 if cap_left <= _EPS_BYTES:
                     break
 
     def _integrate(self, dt: float) -> None:
         """Account ``dt`` seconds of the current allocation."""
-        np = _np
         if dt <= 0.0:
             return
-        flowing = (self._phase == _DATA) & (self._alive > 0.0)
-        if flowing.any():
-            per_peer = np.where(
-                flowing, self._rate / np.maximum(self._alive, 1.0), 0.0
-            )
-            self._bytes_left -= per_peer * dt
-            self._bytes_down += per_peer * dt
+        phases = self._phase.tolist()
+        alive = self._alive.tolist()
+        flowing = [
+            c
+            for c, phase in enumerate(phases)
+            if phase == _DATA and alive[c] > 0.0
+        ]
+        if flowing:
+            rate = self._rate.tolist()
+            left = self._bytes_left.tolist()
+            down = self._bytes_down.tolist()
+            for c in flowing:
+                gained = rate[c] / max(alive[c], 1.0) * dt
+                left[c] -= gained
+                down[c] += gained
+            self._bytes_left[:] = left
+            self._bytes_down[:] = down
             self._seeder_bytes += float(
                 self._seeder_rate[flowing].sum() * dt
             )
-        waiting = self._phase == _LATENCY
-        if waiting.any():
-            self._latency_left = np.where(
-                waiting,
-                np.maximum(self._latency_left - dt, 0.0),
-                self._latency_left,
-            )
+        if _LATENCY in phases:
+            latency = self._latency_left
+            for c, phase in enumerate(phases):
+                if phase == _LATENCY:
+                    latency[c] = max(latency[c] - dt, 0.0)
 
     # -- playback bookkeeping ------------------------------------------
 
@@ -679,53 +733,63 @@ class CohortSwarm(_VectorSwarm):
 
     def _reallocate(self) -> None:
         np = _np
-        demander = (self._phase == _DATA) & (self._alive > 0.0)
+        live = self._alive > 0.0
+        demander = (self._phase == _DATA) & live
         # reach[c, j]: cohort j holds cohort c's whole current batch.
-        want_hi = self._prefix + self._batch_k
-        reach = (
-            (self._prefix[None, :] >= want_hi[:, None])
-            & demander[:, None]
-            & (self._alive > 0.0)[None, :]
-            & (self._phase != _PRE)[None, :]
-        )
-        np.fill_diagonal(reach, False)
+        # A demander's batch is never empty, so the diagonal is false.
+        prefix = self._prefix
+        reach = np.less_equal.outer(prefix + self._batch_k, prefix)
+        reach &= demander[:, None]
+        reach &= live & (self._phase != _PRE)
         self._allocate(demander, self._batch_k, reach)
 
     def _next_trigger(self, now: float) -> float:
-        np = _np
-        candidates = [float("inf")]
-        pre = self._phase == _PRE
-        if pre.any():
-            candidates.append(float(self._manifest_at[pre].min()))
-        lat = self._phase == _LATENCY
-        if lat.any():
-            candidates.append(now + float(self._latency_left[lat].min()))
-        flowing = (self._phase == _DATA) & (self._rate > _EPS_BYTES)
-        if flowing.any():
-            per_peer = self._rate[flowing] / np.maximum(
-                self._alive[flowing], 1.0
-            )
-            eta = self._bytes_left[flowing] / per_peer
-            candidates.append(now + float(eta.min()))
+        inf = float("inf")
+        first_manifest = first_latency = first_eta = inf
+        alive = self._alive.tolist()
+        rate = self._rate.tolist()
+        left = self._bytes_left.tolist()
+        latency = self._latency_left.tolist()
+        manifest = self._manifest_at.tolist()
+        for c, phase in enumerate(self._phase.tolist()):
+            if phase == _PRE:
+                if manifest[c] < first_manifest:
+                    first_manifest = manifest[c]
+            elif phase == _LATENCY:
+                if latency[c] < first_latency:
+                    first_latency = latency[c]
+            elif phase == _DATA and rate[c] > _EPS_BYTES:
+                eta = left[c] / (rate[c] / max(alive[c], 1.0))
+                if eta < first_eta:
+                    first_eta = eta
+        # ``now + min(x) == min(now + x)``: rounded addition is
+        # monotone, so the minima can be taken first.
+        target = min(first_manifest, now + first_latency, now + first_eta)
         for deps in self._departures:
             if deps:
-                candidates.append(deps[0][0])
-        return min(candidates)
+                target = min(target, deps[0][0])
+        return target
 
     def _process(self, now: float) -> None:
         """Fire every transition due at ``now``, in cohort order."""
         self._process_departures(now)
-        for c in range(self._count):
-            phase = self._phase[c]
-            if phase == _PRE and now + _EPS_TIME >= self._manifest_at[c]:
+        # Each cohort's transitions touch only its own state, so one
+        # snapshot serves the whole pass.
+        latency = self._latency_left.tolist()
+        left = self._bytes_left.tolist()
+        manifest = self._manifest_at.tolist()
+        for c, phase in enumerate(self._phase.tolist()):
+            waited = latency[c]
+            if phase == _PRE and now + _EPS_TIME >= manifest[c]:
                 self._start_batch(c, now)
                 # A fresh batch still waits its latency; fall through
                 # so a zero-latency config advances in one event.
                 phase = self._phase[c]
-            if phase == _LATENCY and self._latency_left[c] <= _EPS_TIME:
+                waited = self._latency_left[c]
+            if phase == _LATENCY and waited <= _EPS_TIME:
                 self._latency_left[c] = 0.0
                 self._phase[c] = _DATA
-            elif phase == _DATA and self._bytes_left[c] <= _EPS_BYTES:
+            elif phase == _DATA and left[c] <= _EPS_BYTES:
                 self._complete_batch(c, now)
                 if self._phase[c] == _LATENCY and (
                     self._latency_left[c] <= _EPS_TIME

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -334,6 +335,29 @@ class TestPaperSuite:
             path.stem for path in (self.BENCHMARKS / "results").glob("*.txt")
         }
         assert set(module.TABLES) <= committed
+
+
+class TestOpsOverheadGate:
+    """``bench_sweep_cache.py --check`` fails on a costly heartbeat."""
+
+    BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
+
+    def test_a_slow_heartbeat_trips_the_gate(self, monkeypatch):
+        from repro.obs.ops import ShardHeartbeat
+
+        module = load_suite(
+            "sweep_cache", self.BENCHMARKS / "bench_sweep_cache.py"
+        )
+        write = ShardHeartbeat._write
+
+        def slow_write(self, *args, **kwargs):
+            time.sleep(0.02)
+            write(self, *args, **kwargs)
+
+        monkeypatch.setattr(ShardHeartbeat, "_write", slow_write)
+        monkeypatch.setattr(module, "_OPS_CHECK_REPEATS", 1)
+        with pytest.raises(SystemExit, match="ops telemetry slows"):
+            module.check_ops_overhead(quick=True)
 
 
 class TestBuildArtifact:

@@ -257,6 +257,73 @@ class TestCohortMechanics:
         assert times == sorted(times)
 
 
+class _PeakDict(dict):
+    """A dict that remembers its largest size and how often it emptied."""
+
+    def __init__(self):
+        super().__init__()
+        self.peak = 0
+        self.clears = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+@requires_numpy
+class TestAllocationMemo:
+    """Each distinct allocation is computed once per session."""
+
+    def test_a_hit_returns_the_unscaled_rates(self, splice):
+        import numpy as np
+
+        swarm = build_swarm(splice, scale_config(n=8, max_cohorts=4))
+        demander = np.array([True, True, True, False])
+        k = np.array([2, 3, 1, 5])
+        reach = np.zeros((4, 4), dtype=bool)
+        reach[1, 0] = reach[2, 0] = reach[2, 1] = True
+        swarm._alive[:] = [2.0, 2.0, 2.0, 2.0]
+        swarm._allocate(demander, k, reach)
+        first = (swarm._rate.copy(), swarm._seeder_rate.copy())
+        assert first[0].any() and first[1].any()
+        # The fluid tier derates the allocation in place afterwards.
+        swarm._rate *= 0.5
+        swarm._seeder_rate *= 0.5
+        swarm._allocate(demander, k.copy(), reach.copy())
+        assert len(swarm._memo) == 1
+        assert swarm._rate.tobytes() == first[0].tobytes()
+        assert swarm._seeder_rate.tobytes() == first[1].tobytes()
+
+    def test_a_hit_ignores_pool_sizes_of_idle_cohorts(self, splice):
+        import numpy as np
+
+        swarm = build_swarm(splice, scale_config(n=8, max_cohorts=4))
+        demander = np.array([True, False, True, False])
+        reach = np.zeros((4, 4), dtype=bool)
+        swarm._allocate(demander, np.array([2, 1, 4, 1]), reach)
+        swarm._allocate(demander, np.array([2, 7, 4, 3]), reach)
+        assert len(swarm._memo) == 1
+        swarm._allocate(demander, np.array([3, 1, 4, 1]), reach)
+        assert len(swarm._memo) == 2
+
+    def test_a_long_64_cohort_session_stays_within_the_bound(self, splice):
+        from repro.p2p.scale import _MEMO_ENTRIES
+
+        swarm = build_swarm(
+            splice, scale_config(n=1_000, join_stagger=0.1)
+        )
+        assert swarm._count == 64
+        swarm._memo = memo = _PeakDict()
+        result = swarm.run()
+        assert len(result.finished_metrics()) == 1_000
+        assert memo.clears >= 1
+        assert memo.peak == _MEMO_ENTRIES
+
+
 @requires_numpy
 class TestFluidTier:
     def test_large_population_session_completes(self, splice):
